@@ -18,9 +18,6 @@
 #include "csl/property_parser.hpp"
 #include "ctmc/poisson.hpp"
 #include "ctmc/simulation.hpp"
-#include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
-#include "linalg/sell_matrix.hpp"
 #include "service/server.hpp"
 #include "symbolic/dot.hpp"
 #include "symbolic/writer.hpp"
@@ -167,13 +164,10 @@ void attach_checkpoint(ModelOptions& options) {
   identity += ";to=" + util::json_number(options.to);
   identity += ";points=" + std::to_string(options.points);
   if (!options.logarithmic) identity += ";linear=1";
-  // Solver-plan knobs change floating-point evaluation order, so two runs
-  // only promise bit-identical values when the plan matches too.
+  // Solver-plan knobs change the explored space or the transient truncation,
+  // so two runs only promise bit-identical values when the plan matches too.
   identity += ";plan=" + std::to_string(static_cast<int>(options.analysis.plan.engine)) +
               ',' + std::to_string(static_cast<int>(options.analysis.plan.reduction)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.layout)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.reorder)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.gs_ordering)) +
               ',' + (options.analysis.plan.steady_state_detection ? '1' : '0');
 
   csl::CheckpointOptions checkpoint_options;
@@ -270,28 +264,6 @@ ModelOptions parse_model_options(Args& args) {
       } else {
         throw UsageError("unknown reduction '" + reduction + "' (auto|on|off)");
       }
-    } else if (*flag == "--layout") {
-      const std::string layout = args.next("--layout value");
-      const auto parsed = linalg::parse_layout_token(layout);
-      if (!parsed) {
-        throw UsageError("unknown layout '" + layout + "' (auto|csr|blocked)");
-      }
-      options.analysis.plan.layout = *parsed;
-    } else if (*flag == "--reorder") {
-      const std::string reorder = args.next("--reorder value");
-      const auto parsed = linalg::parse_reorder_token(reorder);
-      if (!parsed) {
-        throw UsageError("unknown reorder '" + reorder + "' (auto|off|rcm)");
-      }
-      options.analysis.plan.reorder = *parsed;
-    } else if (*flag == "--gs-ordering") {
-      const std::string ordering = args.next("--gs-ordering value");
-      const auto parsed = linalg::parse_gs_ordering_token(ordering);
-      if (!parsed) {
-        throw UsageError("unknown gs-ordering '" + ordering +
-                         "' (auto|direct|colored)");
-      }
-      options.analysis.plan.gs_ordering = *parsed;
     } else if (*flag == "--no-steady-detect") {
       options.analysis.plan.steady_state_detection = false;
     } else if (*flag == "--model-type") {
@@ -755,16 +727,10 @@ void print_help(std::ostream& out) {
          "spaces answer symmetric properties exactly and reject asymmetric\n"
          "ones with a typed error.\n"
          "\n"
-         "--layout auto|csr|blocked picks the sparse-matrix kernel for the\n"
-         "transient solver (docs/engine.md): blocked packs the uniformized\n"
-         "matrix into a SIMD-friendly SELL-C-sigma layout; results are\n"
-         "bit-identical to csr. auto (the default) picks per matrix.\n"
-         "--gs-ordering auto|direct|colored picks the Gauss-Seidel sweep:\n"
-         "colored parallelizes sweeps over a greedy graph coloring (agrees\n"
-         "with direct within solver tolerance). --reorder auto|off|rcm\n"
-         "applies reverse-Cuthill-McKee state reordering at uniformization\n"
-         "(probability-scale agreement). --no-steady-detect disables\n"
-         "steady-state truncation of long transient horizons.\n"
+         "The solve kernels (CSR or SELL-C-sigma products, direct or colored\n"
+         "Gauss-Seidel sweeps) are chosen from the matrix alone (docs/\n"
+         "engine.md#solver-kernels). --no-steady-detect disables steady-state\n"
+         "truncation of long transient horizons.\n"
          "\n"
          "--model-type ctmc|mdp picks the generated model family (docs/\n"
          "engine.md#model-types): ctmc is the paper's exploit-vs-patch race,\n"

@@ -7,24 +7,8 @@ namespace autosec::csl {
 void apply_plan(const SolverPlan& plan, EngineOptions& options) {
   options.explore.engine = plan.engine;
   options.explore.reduction = plan.reduction;
-  options.transient.layout = plan.layout;
-  options.transient.reorder = plan.reorder;
   options.transient.steady_state_detection = plan.steady_state_detection;
-  options.steady_state.solver.ordering = plan.gs_ordering;
   options.steady_state.solver.method = plan.method;
-}
-
-SolverPlan resolve_plan(SolverPlan plan, const symbolic::StateSpace& space) {
-  // The space already knows which backend and reduction it was built with.
-  if (const auto engine = symbolic::parse_engine_token(space.engine_name())) {
-    plan.engine = *engine;
-  }
-  plan.reduction = space.reduced() ? symbolic::SymmetryReduction::kOn
-                                   : symbolic::SymmetryReduction::kOff;
-  plan.reorder = linalg::resolve_reorder(plan.reorder, space.state_count());
-  plan.gs_ordering =
-      linalg::resolve_gs_ordering(plan.gs_ordering, space.state_count());
-  return plan;
 }
 
 }  // namespace autosec::csl

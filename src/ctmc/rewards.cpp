@@ -27,10 +27,11 @@ double expected_cumulative_reward(const Uniformized& uniformized,
   // weights sum to 1 over [L,R], the factor (1 − CDF(k)) is 1 for k < L and 0
   // for k ≥ R; running the cumulative sum incrementally avoids the quadratic
   // cdf() scan.
-  std::vector<double> current = uniformized.to_solver_order(initial);
-  const std::vector<double> rewards = uniformized.to_solver_order(state_rewards);
+  std::vector<double> current = initial;
   double reward_ceiling = 0.0;
-  for (const double r : rewards) reward_ceiling = std::max(reward_ceiling, std::abs(r));
+  for (const double r : state_rewards) {
+    reward_ceiling = std::max(reward_ceiling, std::abs(r));
+  }
   std::vector<double> next(n, 0.0);
   double cdf = 0.0;
   double acc = 0.0;
@@ -38,7 +39,7 @@ double expected_cumulative_reward(const Uniformized& uniformized,
   for (size_t k = 0; k <= weights->right; ++k) {
     cdf += weights->weight(k);
     const double factor = 1.0 - cdf;
-    if (factor > 0.0) acc += factor * linalg::dot(current, rewards);
+    if (factor > 0.0) acc += factor * linalg::dot(current, state_rewards);
     if (k < weights->right) {
       uniformized.step(current, next);
       ++steps;
@@ -62,7 +63,7 @@ double expected_cumulative_reward(const Uniformized& uniformized,
             const double f = 1.0 - tail_cdf;
             if (f > 0.0) tail_factor += f;
           }
-          acc += tail_factor * linalg::dot(next, rewards);
+          acc += tail_factor * linalg::dot(next, state_rewards);
           util::metrics::Registry& metrics = util::metrics::registry();
           if (metrics.enabled()) {
             metrics.add("solve.steady_state_truncations");

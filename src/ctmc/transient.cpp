@@ -58,43 +58,34 @@ Uniformized uniformize(const Ctmc& chain, const TransientOptions& options) {
   out.q = options.uniformization_rate > 0.0 ? options.uniformization_rate
                                             : chain.default_uniformization_rate();
 
-  // Charge the build's transient peak *before* allocating: P and Pᵀ are live
-  // simultaneously (nnz(P) ≤ nnz(R) + n for the compensating self-loops),
-  // plus the optional SELL-C-σ packing. A tripped ceiling therefore unwinds
-  // as a typed memory_budget_exceeded before the allocations happen, not
-  // after the matrices already sit in memory.
+  // Charge the fused build *before* allocating it: Pᵀ straight from the rate
+  // matrix (nnz(Pᵀ) ≤ nnz(R) + n for the compensating self-loops) plus the
+  // n-entry cursor its counting sort scatters through. A tripped ceiling
+  // therefore unwinds as a typed memory_budget_exceeded before the
+  // allocation happens, not after the matrix already sits in memory.
   const size_t n = out.state_count;
-  const size_t nnz_bound = chain.rates().nonzeros() + n;
-  size_t peak_estimate = 2 * csr_bytes(nnz_bound, n);
-  if (options.layout != linalg::MatrixLayout::kCsr) {
-    peak_estimate += csr_bytes(nnz_bound, n) + 2 * n * sizeof(uint32_t);
-  }
-  if (options.budget) options.budget->charge_bytes(peak_estimate, "uniformize");
+  const size_t build_bytes =
+      csr_bytes(chain.rates().nonzeros() + n, n) + n * sizeof(uint32_t);
+  if (options.budget) options.budget->charge_bytes(build_bytes, "uniformize");
   if (util::fault::triggered("uniformize.alloc")) throw std::bad_alloc();
-
-  if (linalg::resolve_reorder(options.reorder, n) == linalg::StateReorder::kRcm) {
-    const linalg::CsrMatrix P = chain.uniformized(out.q);
-    out.permutation = linalg::rcm_permutation(P);
-    out.inverse = linalg::invert_permutation(out.permutation);
-    out.transposed = linalg::permuted_transposed(P, out.inverse);
-    util::metrics::registry().add("uniformize.rcm_reorders");
-  } else {
-    // Fused build: Pᵀ straight from the rate matrix, skipping P entirely.
-    out.transposed = chain.uniformized_transposed(out.q);
+  out.transposed = chain.uniformized_transposed(out.q);
+  // Settle to what the stage keeps: the cursor is gone and the self-loop
+  // bound may have overcounted.
+  if (options.budget) {
+    options.budget->release_bytes(build_bytes -
+                                  csr_bytes(out.transposed.nonzeros(), n));
   }
+
   if (linalg::resolve_layout(options.layout, out.transposed) ==
       linalg::MatrixLayout::kBlocked) {
+    // The packed copy's exact size (chunk padding included) is known from
+    // the row lengths alone, so it too is charged before it is allocated.
+    if (options.budget) {
+      options.budget->charge_bytes(linalg::SellMatrix::bytes_for(out.transposed),
+                                   "uniformize");
+    }
     out.blocked.emplace(out.transposed);
     util::metrics::registry().add("uniformize.blocked_layouts");
-  }
-
-  if (options.budget) {
-    // Settle the charge down to what the stage actually keeps: Pᵀ, the
-    // optional packed copy, and the permutation vectors. P itself is gone.
-    size_t kept = csr_bytes(out.transposed.nonzeros(), out.transposed.rows()) +
-                  (out.blocked ? out.blocked->bytes() : 0) +
-                  2 * out.permutation.size() * sizeof(uint32_t);
-    if (kept < peak_estimate) options.budget->release_bytes(peak_estimate - kept);
   }
   return out;
 }
@@ -118,7 +109,7 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
   }
 
   const size_t n = uniformized.state_count;
-  std::vector<double> current = uniformized.to_solver_order(initial);
+  std::vector<double> current = initial;
   std::vector<double> next(n, 0.0);
   std::vector<double> result(n, 0.0);
 
@@ -171,7 +162,7 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
         util::FailureCode::kNumericalError, "transient",
         "transient: non-finite probability in the result distribution");
   }
-  return uniformized.to_original_order(result);
+  return result;
 }
 
 std::vector<double> transient_distribution(const Ctmc& chain,

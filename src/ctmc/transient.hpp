@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/sell_matrix.hpp"
 #include "util/budget.hpp"
 
@@ -18,15 +17,11 @@ struct TransientOptions {
   double epsilon = 1e-12;  ///< truncation error bound for the Poisson weights
   /// Uniformization rate override; <= 0 means the chain's default rate.
   double uniformization_rate = 0.0;
-  /// Storage layout of the uniformized matrix (kAuto resolves per matrix;
-  /// blocked SELL-C-σ is bit-identical to CSR, so this is purely a
-  /// performance knob).
+  /// Storage layout of the uniformized matrix. kAuto (what the engine always
+  /// runs) resolves from the matrix shape; blocked SELL-C-σ is bit-identical
+  /// to CSR, and the explicit values exist so the kernel tests and the
+  /// solver.blocked_vs_csr differential family can pin either path.
   linalg::MatrixLayout layout = linalg::MatrixLayout::kAuto;
-  /// Bandwidth-reducing state reordering applied at uniformize time. RCM
-  /// changes per-row summation order, so results agree with the natural
-  /// order within ~1e-12, not bitwise; kAuto only turns it on for matrices
-  /// large enough for bandwidth to matter.
-  linalg::StateReorder reorder = linalg::StateReorder::kAuto;
   /// Steady-state detection: between Poisson phases the iterate's L1 step
   /// delta bounds every remaining phase's distance from the current iterate
   /// (P is stochastic, so ||πP − π'P||₁ ≤ ||π − π'||₁). Once that rigorous
@@ -41,54 +36,37 @@ struct TransientOptions {
   /// Cooperative cancellation hook, polled between uniformization steps.
   /// When it returns true the solve unwinds with util::Cancelled.
   std::function<bool()> cancelled;
-  /// Optional per-request resource budget; uniformize() charges the
-  /// transient build peak (P and Pᵀ live simultaneously) up front — the
-  /// typed memory_budget_exceeded failure fires before the allocations —
-  /// then releases down to the bytes the stage actually keeps.
+  /// Optional per-request resource budget. uniformize() charges each build
+  /// before allocating it — Pᵀ with its counting-sort cursor, then the
+  /// SELL-C-σ copy when the layout resolves to blocked — so the typed
+  /// memory_budget_exceeded failure fires before the allocation; it then
+  /// settles to the bytes the stage actually keeps.
   std::shared_ptr<util::ResourceBudget> budget;
 };
 
 /// A prebuilt uniformization stage: the rate q and the *transposed*
-/// uniformized DTMC Pᵀ. The transposed layout turns the hot vector-matrix
-/// product π·P into the gather-form Pᵀ·π, which sums each output entry in the
-/// same order as the serial scatter kernel but runs row-parallel on the
-/// engine thread pool — results are bit-identical at any thread count.
-/// Building this once per chain (EngineSession caches it) amortizes the
-/// transposition (and the optional SELL-C-σ packing / RCM relabeling) across
+/// uniformized DTMC Pᵀ, in natural state order. The transposed layout turns
+/// the hot vector-matrix product π·P into the gather-form Pᵀ·π, which sums
+/// each output entry in the same order as the serial scatter kernel but runs
+/// row-parallel on the engine thread pool — results are bit-identical at any
+/// thread count. Building this once per chain (EngineSession caches it)
+/// amortizes the transposition (and the optional SELL-C-σ packing) across
 /// every transient query at any horizon.
 struct Uniformized {
   double q = 0.0;
   size_t state_count = 0;
-  linalg::CsrMatrix transposed;  ///< Pᵀ with P = I + Q/q, in solver order
+  linalg::CsrMatrix transposed;  ///< Pᵀ with P = I + Q/q
   /// SELL-C-σ packing of `transposed` when the layout resolved to blocked;
   /// bit-identical products, so step() may use either form.
   std::optional<linalg::SellMatrix> blocked;
-  /// RCM relabeling when the reorder resolved to kRcm: solver index i holds
-  /// original state permutation[i]; empty means identity. The transient
-  /// entry points permute inputs in and results back out, so callers always
-  /// see original state indices.
-  std::vector<uint32_t> permutation;
-  std::vector<uint32_t> inverse;  ///< original -> solver index
 
-  bool permuted() const { return !permutation.empty(); }
-
-  /// next = current · P, computed as Pᵀ · current (in solver order).
+  /// next = current · P, computed as Pᵀ · current.
   void step(const std::vector<double>& current, std::vector<double>& next) const {
     if (blocked) {
       blocked->right_multiply(current, next);
     } else {
       transposed.right_multiply(current, next);
     }
-  }
-
-  /// Gather `v` (original order) into solver order; identity when unpermuted.
-  std::vector<double> to_solver_order(const std::vector<double>& v) const {
-    return permuted() ? linalg::permute_vector(v, permutation) : v;
-  }
-
-  /// Scatter a solver-order vector back to original state indices.
-  std::vector<double> to_original_order(const std::vector<double>& v) const {
-    return permuted() ? linalg::permute_vector(v, inverse) : v;
   }
 };
 

@@ -23,8 +23,8 @@ struct ColorSchedule {
 };
 
 /// Adjacency of the symmetrized pattern of `matrix` (neighbors of i are all
-/// j != i with A_ij != 0 or A_ji != 0), in CSR form. Shared by the coloring
-/// and the RCM reordering.
+/// j != i with A_ij != 0 or A_ji != 0), in CSR form — the conflict graph the
+/// coloring works on.
 struct SymmetricAdjacency {
   std::vector<uint32_t> offsets;  ///< size rows+1
   std::vector<uint32_t> neighbors;

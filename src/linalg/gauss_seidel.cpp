@@ -14,22 +14,6 @@
 
 namespace autosec::linalg {
 
-std::string_view gs_ordering_token(GsOrdering ordering) {
-  switch (ordering) {
-    case GsOrdering::kAuto: return "auto";
-    case GsOrdering::kDirect: return "direct";
-    case GsOrdering::kColored: return "colored";
-  }
-  return "auto";
-}
-
-std::optional<GsOrdering> parse_gs_ordering_token(std::string_view text) {
-  if (text == "auto") return GsOrdering::kAuto;
-  if (text == "direct") return GsOrdering::kDirect;
-  if (text == "colored") return GsOrdering::kColored;
-  return std::nullopt;
-}
-
 GsOrdering resolve_gs_ordering(GsOrdering requested, size_t state_count) {
   if (requested != GsOrdering::kAuto) return requested;
   // Coloring pays one pattern pass plus a per-sweep O(n) reduction; below

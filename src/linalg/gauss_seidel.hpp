@@ -11,9 +11,7 @@
 
 #include <cstddef>
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
@@ -27,16 +25,14 @@ namespace autosec::linalg {
 /// within a color no state reads another, so the schedule is deterministic
 /// at any thread count, but it visits states in a different order than the
 /// direct sweep and converges along a (slightly) different trajectory — the
-/// two agree within the solver tolerance, not bitwise.
+/// two agree within the solver tolerance, not bitwise. The engine always runs
+/// kAuto; the explicit values are library-level hooks for the kernel tests
+/// and the solver.colored_vs_direct_gs differential family.
 enum class GsOrdering {
   kAuto,     ///< colored above a size threshold, direct otherwise
   kDirect,   ///< natural-order serial sweeps
   kColored,  ///< multicolor parallel sweeps
 };
-
-/// Canonical token ("auto" | "direct" | "colored") for CLI/serve plumbing.
-std::string_view gs_ordering_token(GsOrdering ordering);
-std::optional<GsOrdering> parse_gs_ordering_token(std::string_view text);
 
 /// Resolve kAuto against the system size — a pure function of the matrix,
 /// never of the thread count, so results stay thread-count independent.

@@ -1,28 +1,13 @@
 #include "linalg/sell_matrix.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <numeric>
 #include <stdexcept>
 
 #include "util/parallel.hpp"
 
 namespace autosec::linalg {
-
-std::string_view layout_token(MatrixLayout layout) {
-  switch (layout) {
-    case MatrixLayout::kAuto: return "auto";
-    case MatrixLayout::kCsr: return "csr";
-    case MatrixLayout::kBlocked: return "blocked";
-  }
-  return "auto";
-}
-
-std::optional<MatrixLayout> parse_layout_token(std::string_view text) {
-  if (text == "auto") return MatrixLayout::kAuto;
-  if (text == "csr") return MatrixLayout::kCsr;
-  if (text == "blocked") return MatrixLayout::kBlocked;
-  return std::nullopt;
-}
 
 MatrixLayout resolve_layout(MatrixLayout requested, const CsrMatrix& matrix) {
   if (requested != MatrixLayout::kAuto) return requested;
@@ -88,6 +73,26 @@ SellMatrix::SellMatrix(const CsrMatrix& source)
       }
     }
   }
+}
+
+size_t SellMatrix::bytes_for(const CsrMatrix& source) {
+  const size_t n = source.rows();
+  // Rows sort by descending length within each σ window, so chunk k of a
+  // window is exactly as wide as the window's (k·C)-th longest row.
+  size_t padded = 0;
+  std::vector<size_t> lengths;
+  for (size_t begin = 0; begin < n; begin += kSortWindow) {
+    const size_t end = std::min(n, begin + kSortWindow);
+    lengths.clear();
+    for (size_t r = begin; r < end; ++r) lengths.push_back(source.row_columns(r).size());
+    std::sort(lengths.begin(), lengths.end(), std::greater<>());
+    for (size_t k = 0; k < lengths.size(); k += kChunkRows) {
+      padded += lengths[k] * kChunkRows;
+    }
+  }
+  const size_t chunks = (n + kChunkRows - 1) / kChunkRows;
+  return padded * (sizeof(double) + sizeof(uint32_t)) + n * 2 * sizeof(uint32_t) +
+         (chunks + 1) * sizeof(uint32_t);
 }
 
 void SellMatrix::right_multiply(std::span<const double> x, std::span<double> y) const {

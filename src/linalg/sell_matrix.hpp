@@ -18,27 +18,23 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "linalg/csr_matrix.hpp"
 
 namespace autosec::linalg {
 
-/// Storage layout of the uniformized matrix behind Uniformized::step, the
-/// same selection pattern as symbolic::ExplorationEngine: kAuto resolves per
-/// matrix (a pure function of its shape, never of the thread count).
+/// Storage layout of the uniformized matrix behind Uniformized::step. The
+/// engine always runs kAuto, which resolves per matrix (a pure function of
+/// its shape, never of the thread count); the explicit values are the
+/// library-level hooks the kernel tests and differential families use to pin
+/// the CSR reference or the blocked kernel.
 enum class MatrixLayout {
   kAuto,     ///< blocked for matrices big enough to pay for the packing
   kCsr,      ///< plain CSR rows — the reference kernel
   kBlocked,  ///< SELL-C-σ chunks
 };
-
-/// Canonical token ("auto" | "csr" | "blocked") for CLI/serve plumbing.
-std::string_view layout_token(MatrixLayout layout);
-std::optional<MatrixLayout> parse_layout_token(std::string_view text);
 
 /// Resolve kAuto against a concrete matrix. Deliberately a function of the
 /// matrix alone: resolving on thread count would make results depend on the
@@ -61,12 +57,16 @@ class SellMatrix {
   /// Stored entries including chunk padding (>= nonzeros()).
   size_t padded_entries() const { return values_.size(); }
 
-  /// Approximate heap footprint, for ResourceBudget accounting.
+  /// Heap footprint of the packed arrays, for ResourceBudget accounting.
   size_t bytes() const {
     return values_.size() * (sizeof(double) + sizeof(uint32_t)) +
            row_ids_.size() * 2 * sizeof(uint32_t) +
            chunk_offsets_.size() * sizeof(uint32_t);
   }
+
+  /// bytes() of SellMatrix(source), computed from the row lengths alone
+  /// (chunk padding included) — so a budget can be charged before packing.
+  static size_t bytes_for(const CsrMatrix& source);
 
   /// y = M · x, bit-identical to CsrMatrix::right_multiply at any thread
   /// count (see the header comment for the contract).

@@ -52,8 +52,6 @@
 
 #include "automotive/architecture.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
-#include "linalg/sell_matrix.hpp"
 #include "symbolic/model.hpp"
 #include "symbolic/state_store.hpp"
 
@@ -114,14 +112,9 @@ struct Request {
   std::optional<int64_t> max_memory_mb;
   /// State-store backend for exploration ("auto" | "classic" | "compact").
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
-  /// Solver-kernel knobs (docs/engine.md#solver-kernels): sparse layout for
-  /// transient products ("auto" | "csr" | "blocked"), Gauss-Seidel sweep
-  /// ordering ("auto" | "direct" | "colored"), state reordering at
-  /// uniformization ("auto" | "off" | "rcm"), and steady-state truncation
-  /// of long transient horizons (default on).
-  linalg::MatrixLayout layout = linalg::MatrixLayout::kAuto;
-  linalg::GsOrdering gs_ordering = linalg::GsOrdering::kAuto;
-  linalg::StateReorder reorder = linalg::StateReorder::kAuto;
+  /// Steady-state truncation of long transient horizons (default on). The
+  /// solve kernels themselves resolve from the matrix alone
+  /// (docs/engine.md#solver-kernels); no request field selects them.
   bool steady_state_detection = true;
   /// Model family of the generated model ("ctmc" | "mdp"): ctmc is the
   /// paper's exploit-vs-patch race, mdp the nondeterministic worst-case

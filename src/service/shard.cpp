@@ -163,14 +163,16 @@ struct Slot {
 };
 
 struct Worker {
-  // pid/fd/generation are guarded by write_mutex, which also serializes
+  // pid/fd/generation/down are guarded by write_mutex, which also serializes
   // frame writes — a pending registered under the lock carries the
-  // generation its frame was actually sent to.
+  // generation its frame was actually sent to. fd is -1 while a respawn is
+  // in flight; only `down` means the shard will never answer again.
   std::mutex write_mutex;
   pid_t pid = -1;
   int fd = -1;
   uint64_t generation = 0;
   uint64_t respawns = 0;
+  bool down = false;
   std::thread reader;
   /// Liveness for the watchdog: steady_ms of the last observed progress —
   /// a response frame, a heartbeat whose epoch advanced, a dispatch, or a
@@ -326,7 +328,7 @@ class ShardSupervisor {
     Worker& worker = *workers_[index];
 
     std::unique_lock<std::mutex> write_lock(worker.write_mutex);
-    if (worker.fd < 0) {
+    if (worker.down) {
       // Shard permanently dead (respawn budget exhausted): answer directly.
       write_lock.unlock();
       conn.deliver(slot, synthesize_error(line));
@@ -349,9 +351,10 @@ class ShardSupervisor {
     // Dispatch counts as progress: the watchdog clock starts at the hand-off,
     // not at some stale mark from the previous request.
     worker.last_progress_ms.store(steady_ms(), std::memory_order_relaxed);
-    // A failed write means the worker just died: the pending entry stays and
-    // the reaper resends it to the respawned worker.
-    write_fd_all(worker.fd, frame);
+    // A failed write means the worker just died, and fd < 0 means its
+    // respawn is in flight: either way the pending entry stays under the old
+    // generation and resend_pending hands it to the replacement.
+    if (worker.fd >= 0) write_fd_all(worker.fd, frame);
   }
 
  private:
@@ -555,18 +558,26 @@ class ShardSupervisor {
       log("serve: shard " + std::to_string(index) +
           " exceeded its respawn budget; leaving it down");
     }
-    if (revived) {
+    {
       std::lock_guard<std::mutex> lock(worker.write_mutex);
-      log("serve: worker " + std::to_string(old_pid) + " died; respawned shard " +
-          std::to_string(index) + " as " + std::to_string(worker.pid));
+      if (revived) {
+        log("serve: worker " + std::to_string(old_pid) + " died; respawned shard " +
+            std::to_string(index) + " as " + std::to_string(worker.pid));
+      } else {
+        // From here on submit() answers directly; everything registered
+        // before this point is failed by resend_pending below.
+        worker.down = true;
+      }
     }
     resend_pending(index, revived);
   }
 
-  /// After a respawn (or a permanent shard death): every request the old
-  /// incarnation never answered is resent to the new one, except requests
-  /// over the resend cap, which get a synthesized internal_error — one
-  /// poisoned request must not crash the shard forever.
+  /// After a respawn: every request the old incarnation never answered —
+  /// including those submitted while the respawn was in flight — is resent
+  /// to the new one, except requests over the resend cap, which get a
+  /// synthesized internal_error (one poisoned request must not crash the
+  /// shard forever). After a permanent shard death every pending request of
+  /// the shard gets that error.
   void resend_pending(size_t index, bool revived) {
     Worker& worker = *workers_[index];
     std::vector<Pending> failed;
@@ -577,7 +588,7 @@ class ShardSupervisor {
       std::lock_guard<std::mutex> pending_lock(pending_mutex_);
       for (auto it = pending_.begin(); it != pending_.end();) {
         Pending& pending = it->second;
-        if (pending.worker != index || pending.generation == generation) {
+        if (pending.worker != index || (revived && pending.generation == generation)) {
           ++it;
           continue;
         }

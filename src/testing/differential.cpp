@@ -18,7 +18,6 @@
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/sell_matrix.hpp"
 #include "mdp/value_iteration.hpp"
 #include "symbolic/parser.hpp"
@@ -336,19 +335,18 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     }
   }
 
-  // --- (b') solve-kernel cross-checks. Three axes with three distinct
-  // agreement contracts:
+  // --- (b') solve-kernel cross-checks. The engine picks these kernels from
+  // the matrix alone; the harness pins both sides through the library-level
+  // stage options. Two axes with two distinct agreement contracts:
   //   blocked vs csr      bit-exact — the SELL kernel predicates on true row
   //                       lengths and sums each row in the same column order;
   //   colored vs direct   solver tolerance — the multicolor sweep visits rows
-  //                       in color order, a genuinely different iteration;
-  //   rcm vs natural      oracle tolerance — the permuted matrix sums rows
-  //                       in a different order (roundoff-scale drift only).
+  //                       in color order, a genuinely different iteration.
   if (options.check_kernels) {
     csl::CheckerOptions blocked_options;
-    blocked_options.plan.layout = linalg::MatrixLayout::kBlocked;
+    blocked_options.transient.layout = linalg::MatrixLayout::kBlocked;
     csl::CheckerOptions csr_options;
-    csr_options.plan.layout = linalg::MatrixLayout::kCsr;
+    csr_options.transient.layout = linalg::MatrixLayout::kCsr;
     const csl::Checker blocked_checker(space, blocked_options);
     const csl::Checker csr_checker(space, csr_options);
     for (const std::string& text : properties.bounded) {
@@ -358,10 +356,10 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
 
     csl::CheckerOptions colored_options;
     colored_options.plan.method = linalg::FixpointMethod::kGaussSeidel;
-    colored_options.plan.gs_ordering = linalg::GsOrdering::kColored;
+    colored_options.steady_state.solver.ordering = linalg::GsOrdering::kColored;
     csl::CheckerOptions direct_options;
     direct_options.plan.method = linalg::FixpointMethod::kGaussSeidel;
-    direct_options.plan.gs_ordering = linalg::GsOrdering::kDirect;
+    direct_options.steady_state.solver.ordering = linalg::GsOrdering::kDirect;
     const csl::Checker colored_checker(space, colored_options);
     const csl::Checker direct_checker(space, direct_options);
     for (const std::string& text : properties.unbounded) {
@@ -375,17 +373,6 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
         if (std::string(error.what()).find("converge") == std::string::npos) throw;
         harness.record_skip("solver.colored_vs_direct_gs");
       }
-    }
-
-    csl::CheckerOptions rcm_options;
-    rcm_options.plan.reorder = linalg::StateReorder::kRcm;
-    csl::CheckerOptions natural_options;
-    natural_options.plan.reorder = linalg::StateReorder::kOff;
-    const csl::Checker rcm_checker(space, rcm_options);
-    const csl::Checker natural_checker(space, natural_options);
-    for (const std::string& text : properties.bounded) {
-      harness.compare("solver.rcm_vs_natural", seed, tag + text,
-                      rcm_checker.check(text), natural_checker.check(text));
     }
   }
 

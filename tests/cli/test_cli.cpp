@@ -365,6 +365,23 @@ TEST_F(CliFixture, StrategyJsonRequiresASingleProperty) {
   EXPECT_NE(result.err.find("--property"), std::string::npos);
 }
 
+TEST_F(CliFixture, RemovedKernelFlagsAreUsageErrors) {
+  // Layout, Gauss-Seidel ordering and reordering are no longer flags: the
+  // solve kernels resolve from the matrix alone.
+  for (const auto& [flag, value] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"--layout", "csr"}, {"--gs-ordering", "direct"}, {"--reorder", "off"}}) {
+    const Result result = run({"analyze", *path_, "--nmax", "1", flag, value});
+    EXPECT_EQ(result.exit_code, 1) << flag;
+    EXPECT_NE(result.err.find("unknown option '" + flag + "'"), std::string::npos)
+        << result.err;
+  }
+  const Result help = run({"help"});
+  for (const char* flag : {"--layout", "--gs-ordering", "--reorder"}) {
+    EXPECT_EQ(help.out.find(flag), std::string::npos) << flag;
+  }
+}
+
 TEST_F(CliFixture, ModelTypeFlagRejectsUnknownTokens) {
   const Result result = run({"check", *path_, "--message", "m", "--category",
                              "integrity", "--model-type", "dtmc"});

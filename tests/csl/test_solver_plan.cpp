@@ -26,20 +26,31 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
   EngineOptions options;
   options.plan.engine = symbolic::ExplorationEngine::kCompact;
   options.plan.reduction = symbolic::SymmetryReduction::kOff;
-  options.plan.layout = linalg::MatrixLayout::kBlocked;
-  options.plan.reorder = linalg::StateReorder::kRcm;
-  options.plan.gs_ordering = linalg::GsOrdering::kColored;
   options.plan.method = linalg::FixpointMethod::kGaussSeidel;
   options.plan.steady_state_detection = false;
 
   apply_plan(options.plan, options);
   EXPECT_EQ(options.explore.engine, symbolic::ExplorationEngine::kCompact);
   EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kOff);
-  EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kBlocked);
-  EXPECT_EQ(options.transient.reorder, linalg::StateReorder::kRcm);
   EXPECT_FALSE(options.transient.steady_state_detection);
-  EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kColored);
   EXPECT_EQ(options.steady_state.solver.method, linalg::FixpointMethod::kGaussSeidel);
+}
+
+TEST(SolverPlan, ApplyLeavesTheKernelChoicesToTheMatrix) {
+  // The plan has no kernel knobs: applying it keeps the stage-level layout
+  // and ordering at kAuto, so resolve_layout / resolve_gs_ordering decide
+  // from the matrix alone. A library caller's explicit pin survives too.
+  EngineOptions options;
+  apply_plan(options.plan, options);
+  EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kAuto);
+  EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kAuto);
+
+  options.transient.layout = linalg::MatrixLayout::kCsr;
+  options.steady_state.solver.ordering = linalg::GsOrdering::kDirect;
+  options.plan.method = linalg::FixpointMethod::kKrylov;
+  apply_plan(options.plan, options);
+  EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kCsr);
+  EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kDirect);
 }
 
 TEST(SolverPlan, SessionAppliesThePlanOnConstruction) {
@@ -49,19 +60,6 @@ TEST(SolverPlan, SessionAppliesThePlanOnConstruction) {
   session.space();
   EXPECT_EQ(session.options().explore.engine, symbolic::ExplorationEngine::kClassic);
   EXPECT_EQ(session.stats().engine, "classic");
-}
-
-TEST(SolverPlan, ResolveReportsTheBuiltSpace) {
-  SessionOptions options;
-  options.plan.engine = symbolic::ExplorationEngine::kClassic;
-  EngineSession session(tiny_model(), options);
-  const SolverPlan resolved = resolve_plan(session.options().plan, session.space());
-  // Nothing stays kAuto for the knobs the space decides: engine, reduction,
-  // reorder and gs_ordering come back as concrete choices.
-  EXPECT_EQ(resolved.engine, symbolic::ExplorationEngine::kClassic);
-  EXPECT_NE(resolved.reduction, symbolic::SymmetryReduction::kAuto);
-  EXPECT_NE(resolved.reorder, linalg::StateReorder::kAuto);
-  EXPECT_NE(resolved.gs_ordering, linalg::GsOrdering::kAuto);
 }
 
 TEST(SolverPlan, DefaultPlansCompareEqual) {

@@ -5,10 +5,13 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <new>
 
 #include "ctmc_test_helpers.hpp"
 #include "linalg/vector_ops.hpp"
 #include "util/failure.hpp"
+#include "util/fault.hpp"
 #include "util/metrics.hpp"
 
 namespace autosec::ctmc {
@@ -178,18 +181,96 @@ TEST(Transient, BlockedLayoutIsBitIdenticalToCsr) {
   }
 }
 
-TEST(Transient, RcmReorderAgreesWithNaturalOrder) {
-  const Ctmc chain = testing::figure3_chain();
-  TransientOptions natural;
-  natural.reorder = linalg::StateReorder::kOff;
-  TransientOptions rcm;
-  rcm.reorder = linalg::StateReorder::kRcm;
-  for (double t : {0.05, 0.5, 2.0}) {
-    const auto a = transient_distribution(chain, start_in(3, 0), t, natural);
-    const auto b = transient_distribution(chain, start_in(3, 0), t, rcm);
-    // Documented probability-scale agreement (not bit-exact: the permuted
-    // rows sum in a different order).
-    for (size_t i = 0; i < 3; ++i) EXPECT_NEAR(a[i], b[i], 1e-12) << "t=" << t;
+/// Heap bytes of a CSR matrix (values + columns + row offsets).
+size_t csr_bytes(size_t nonzeros, size_t rows) {
+  return nonzeros * (sizeof(double) + sizeof(uint32_t)) + (rows + 1) * sizeof(uint32_t);
+}
+
+/// Ring chain: state i moves to i+1 .. i+fanout (mod n) at distinct rates.
+Ctmc ring_chain(size_t n, size_t fanout) {
+  linalg::CsrBuilder builder(n, n);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 1; k <= fanout; ++k) builder.add(i, (i + k) % n, 0.5 * k + 0.01 * i);
+  }
+  return Ctmc{std::move(builder).build()};
+}
+
+/// What uniformize allocates for the fused build: Pᵀ at its nnz(R) + n
+/// bound, plus the n-entry counting-sort cursor.
+size_t fused_build_bytes(const Ctmc& chain) {
+  const size_t n = chain.state_count();
+  return csr_bytes(chain.rates().nonzeros() + n, n) + n * sizeof(uint32_t);
+}
+
+size_t kept_transpose_bytes(const Ctmc& chain) {
+  const size_t n = chain.state_count();
+  return csr_bytes(
+      chain.uniformized_transposed(chain.default_uniformization_rate()).nonzeros(), n);
+}
+
+TEST(Transient, UniformizeBudgetChargesOnlyTheFusedBuild) {
+  // 50 states stay below the blocked-layout threshold: CSR only.
+  const Ctmc chain = ring_chain(50, 2);
+  const size_t footprint = fused_build_bytes(chain);
+  // The old up-front charge assumed P and Pᵀ alive together plus a SELL copy
+  // whenever the layout was not pinned to CSR; a ceiling between the real
+  // footprint and that estimate must now succeed.
+  const size_t n = chain.state_count();
+  const size_t bound = csr_bytes(chain.rates().nonzeros() + n, n);
+  ASSERT_LT(footprint, 3 * bound + 2 * n * sizeof(uint32_t));
+
+  TransientOptions options;
+  options.budget = std::make_shared<util::ResourceBudget>(0, footprint);
+  const Uniformized stage = uniformize(chain, options);
+  EXPECT_FALSE(stage.blocked.has_value());
+  EXPECT_EQ(options.budget->peak_bytes(), footprint);
+  EXPECT_EQ(options.budget->charged_bytes(), kept_transpose_bytes(chain));
+}
+
+TEST(Transient, UniformizeBudgetBelowTheFootprintFailsBeforeAllocating) {
+  const Ctmc chain = ring_chain(50, 2);
+  TransientOptions options;
+  options.budget =
+      std::make_shared<util::ResourceBudget>(0, fused_build_bytes(chain) - 1);
+  // With the allocation fault armed too, the typed budget failure must win:
+  // the charge precedes the build.
+  util::fault::arm_site("uniformize.alloc");
+  try {
+    uniformize(chain, options);
+    ADD_FAILURE() << "uniformize fit under a ceiling below its footprint";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kMemoryBudgetExceeded);
+    EXPECT_EQ(failure.stage(), "uniformize");
+  } catch (const std::bad_alloc&) {
+    ADD_FAILURE() << "the allocation ran before the budget charge";
+  }
+  util::fault::disarm_all();
+}
+
+TEST(Transient, UniformizeBudgetChargesTheExactSellCopy) {
+  // 200 states x 4 entries per row resolve to the blocked layout.
+  const Ctmc chain = ring_chain(200, 3);
+  const linalg::CsrMatrix transposed =
+      chain.uniformized_transposed(chain.default_uniformization_rate());
+  ASSERT_EQ(linalg::resolve_layout(linalg::MatrixLayout::kAuto, transposed),
+            linalg::MatrixLayout::kBlocked);
+  const size_t kept =
+      kept_transpose_bytes(chain) + linalg::SellMatrix::bytes_for(transposed);
+  ASSERT_GT(kept, fused_build_bytes(chain));
+
+  TransientOptions options;
+  options.budget = std::make_shared<util::ResourceBudget>(0, kept);
+  const Uniformized stage = uniformize(chain, options);
+  ASSERT_TRUE(stage.blocked.has_value());
+  EXPECT_EQ(options.budget->charged_bytes(), kept);
+
+  options.budget = std::make_shared<util::ResourceBudget>(0, kept - 1);
+  try {
+    uniformize(chain, options);
+    ADD_FAILURE() << "the SELL copy fit under a ceiling below its size";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kMemoryBudgetExceeded);
+    EXPECT_EQ(failure.stage(), "uniformize");
   }
 }
 

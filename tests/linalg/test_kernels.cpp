@@ -1,9 +1,7 @@
 // Property tests for the hardware-speed solve kernels: the SELL-C-σ blocked
-// layout must be bit-identical to the CSR reference at any thread count, the
-// multicolor Gauss-Seidel sweep must agree with the direct sweep within the
-// documented tolerance (and be thread-count invariant itself), and the RCM
-// reordering must be a valid permutation whose permuted matrix is exactly
-// the symmetric permutation of the original.
+// layout must be bit-identical to the CSR reference at any thread count, and
+// the multicolor Gauss-Seidel sweep must agree with the direct sweep within
+// the documented tolerance (and be thread-count invariant itself).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,7 +12,6 @@
 #include "linalg/coloring.hpp"
 #include "linalg/csr_matrix.hpp"
 #include "linalg/gauss_seidel.hpp"
-#include "linalg/reorder.hpp"
 #include "linalg/sell_matrix.hpp"
 #include "util/parallel.hpp"
 
@@ -116,6 +113,17 @@ TEST(SellMatrix, EmptyMatrixAndSingleState) {
   EXPECT_EQ(y[0], 1.0);
 }
 
+TEST(SellMatrix, BytesForMatchesThePackedFootprint) {
+  // The uniformize budget charges bytes_for() before packing, so it must be
+  // the exact footprint — chunk padding included — not an estimate.
+  for (const size_t n : {1u, 7u, 8u, 63u, 64u, 65u, 200u}) {
+    const CsrMatrix A = random_matrix(2000 + n, n, n, 0.15);
+    const SellMatrix sell(A);
+    EXPECT_EQ(SellMatrix::bytes_for(A), sell.bytes()) << "n=" << n;
+    EXPECT_GE(sell.padded_entries(), A.nonzeros());
+  }
+}
+
 TEST(SellMatrix, ResolveLayoutIsAFunctionOfTheMatrixAlone) {
   const CsrMatrix small = random_matrix(3, 8, 8, 0.5);
   EXPECT_EQ(resolve_layout(MatrixLayout::kAuto, small), MatrixLayout::kCsr);
@@ -191,66 +199,6 @@ TEST(ColoredGaussSeidel, BitIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.x[i], serial.x[i]) << "threads=" << threads;
     }
   }
-}
-
-TEST(Rcm, PermutationIsValidAndInvertible) {
-  for (const uint64_t seed : {41u, 42u}) {
-    const CsrMatrix A = random_matrix(seed, 40, 40, 0.08);
-    const std::vector<uint32_t> perm = rcm_permutation(A);
-    ASSERT_EQ(perm.size(), A.rows());
-    std::vector<bool> seen(A.rows(), false);
-    for (const uint32_t p : perm) {
-      ASSERT_LT(p, A.rows());
-      EXPECT_FALSE(seen[p]);
-      seen[p] = true;
-    }
-    const std::vector<uint32_t> inverse = invert_permutation(perm);
-    for (size_t i = 0; i < perm.size(); ++i) {
-      EXPECT_EQ(inverse[perm[i]], i);
-    }
-  }
-}
-
-TEST(Rcm, PermutedTransposedMatchesEntrywise) {
-  const CsrMatrix A = random_matrix(51, 30, 30, 0.12);
-  const std::vector<uint32_t> perm = rcm_permutation(A);
-  const std::vector<uint32_t> inverse = invert_permutation(perm);
-  const CsrMatrix Pt = permuted_transposed(A, inverse);
-  ASSERT_EQ(Pt.rows(), A.rows());
-  ASSERT_EQ(Pt.nonzeros(), A.nonzeros());
-  // result(inv[c], inv[r]) = A(r, c): check every entry both ways.
-  for (size_t r = 0; r < A.rows(); ++r) {
-    for (size_t c = 0; c < A.cols(); ++c) {
-      EXPECT_EQ(Pt.at(inverse[c], inverse[r]), A.at(r, c))
-          << "entry (" << r << ", " << c << ")";
-    }
-  }
-  // Empty inverse degrades to a plain transpose.
-  const CsrMatrix plain = permuted_transposed(A, {});
-  for (size_t r = 0; r < A.rows(); ++r) {
-    for (size_t c = 0; c < A.cols(); ++c) {
-      EXPECT_EQ(plain.at(c, r), A.at(r, c));
-    }
-  }
-}
-
-TEST(Rcm, PermuteVectorGathers) {
-  const std::vector<double> v = {10.0, 11.0, 12.0, 13.0};
-  const std::vector<uint32_t> perm = {2, 0, 3, 1};
-  const std::vector<double> out = permute_vector(v, perm);
-  EXPECT_EQ(out, (std::vector<double>{12.0, 10.0, 13.0, 11.0}));
-}
-
-TEST(KernelOptions, TokensRoundTrip) {
-  EXPECT_EQ(parse_layout_token("blocked"), MatrixLayout::kBlocked);
-  EXPECT_EQ(layout_token(MatrixLayout::kBlocked), "blocked");
-  EXPECT_FALSE(parse_layout_token("fancy").has_value());
-  EXPECT_EQ(parse_gs_ordering_token("colored"), GsOrdering::kColored);
-  EXPECT_EQ(gs_ordering_token(GsOrdering::kDirect), "direct");
-  EXPECT_FALSE(parse_gs_ordering_token("zigzag").has_value());
-  EXPECT_EQ(parse_reorder_token("rcm"), StateReorder::kRcm);
-  EXPECT_EQ(reorder_token(StateReorder::kOff), "off");
-  EXPECT_FALSE(parse_reorder_token("random").has_value());
 }
 
 }  // namespace

@@ -76,11 +76,18 @@ TEST(Protocol, SalvagesIdAndOpFromInvalidRequests) {
 }
 
 TEST(Protocol, UnknownFieldsFailLoudly) {
-  const ParseResult parsed = parse_request(
-      R"({"op": "analyze", "architecture": "a.arch", "horizons": 2})");
-  EXPECT_FALSE(parsed.request.has_value());
-  EXPECT_NE(parsed.error.message.find("unknown field 'horizons'"),
-            std::string::npos);
+  // A typo, and the solve-kernel overrides that are no longer request
+  // fields (the kernels resolve from the matrix alone): each is rejected by
+  // name instead of being ignored.
+  for (const std::string field : {"horizons", "layout", "gs_ordering", "reorder"}) {
+    const ParseResult parsed = parse_request(
+        R"({"op": "analyze", "architecture": "a.arch", ")" + field + R"(": "x"})");
+    EXPECT_FALSE(parsed.request.has_value()) << field;
+    EXPECT_EQ(parsed.error.code, "bad_request") << field;
+    EXPECT_NE(parsed.error.message.find("unknown field '" + field + "'"),
+              std::string::npos)
+        << parsed.error.message;
+  }
 }
 
 TEST(Protocol, ValidatesFieldTypesAndRanges) {

@@ -36,9 +36,12 @@ std::string source_path(const std::string& relative) {
   return std::string(AUTOSEC_SOURCE_DIR) + "/" + relative;
 }
 
-std::string analyze_line(const std::string& id) {
-  return "{\"id\": \"" + id + "\", \"op\": \"analyze\", \"architecture\": \"" +
-         source_path("data/arch1.arch") + "\"}";
+std::string analyze_line(const std::string& id,
+                         const std::string& architecture = "data/arch1.arch",
+                         int nmax = 1) {
+  return "{\"id\": \"" + id + "\", \"op\": \"analyze\", \"nmax\": " +
+         std::to_string(nmax) + ", \"architecture\": \"" + source_path(architecture) +
+         "\"}";
 }
 
 int connect_tcp(int port) {
@@ -274,6 +277,59 @@ TEST(ShardTest, KilledWorkerIsRespawnedWithNoLostOrDuplicatedEnvelopes) {
   ASSERT_EQ(respawned.size(), 1u);
   EXPECT_NE(respawned[0], workers[0]);
   EXPECT_TRUE(fixture.err.contains("respawned shard 0")) << fixture.err.text();
+
+  ::close(fd);
+  EXPECT_EQ(fixture.drain(), 0);
+}
+
+TEST(ShardTest, ShardPastItsRespawnBudgetAnswersInternalErrorInsteadOfHanging) {
+  ShardFixture fixture(1);
+  const int fd = connect_tcp(fixture.port);
+  ASSERT_GE(fd, 0);
+  LineReader reader(fd);
+  ASSERT_TRUE(write_fd_all(fd, analyze_line("before") + "\n"));
+  ASSERT_TRUE(JsonValue::parse(reader.next()).bool_or("ok", false));
+
+  // The shard respawns 16 times; the 17th death leaves it down for good.
+  // The last worker dies with a request in flight (arch3 at nmax 3 runs for
+  // a few hundred milliseconds), so that request is pending under the
+  // shard's final generation when the supervisor gives up on it.
+  pid_t victim = -1;
+  for (int kill_count = 1; kill_count <= 17; ++kill_count) {
+    std::vector<pid_t> workers;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      workers = child_pids();
+      if (workers.size() == 1 && workers[0] != victim) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+    ASSERT_EQ(workers.size(), 1u) << "kill " << kill_count;
+    ASSERT_NE(workers[0], victim) << "kill " << kill_count;
+    victim = workers[0];
+    if (kill_count == 17) {
+      ASSERT_TRUE(
+          write_fd_all(fd, analyze_line("in_flight", "data/arch3.arch", 3) + "\n"));
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!fixture.err.contains("exceeded its respawn budget") &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_TRUE(fixture.err.contains("exceeded its respawn budget")) << fixture.err.text();
+  // The in-flight request and one sent to the dead shard are each answered
+  // with a synthetic internal_error — neither is left pending forever.
+  ASSERT_TRUE(write_fd_all(fd, analyze_line("after") + "\n"));
+  for (const char* id : {"in_flight", "after"}) {
+    const JsonValue response = JsonValue::parse(reader.next());
+    EXPECT_EQ(response.string_or("id", ""), id);
+    EXPECT_FALSE(response.bool_or("ok", true)) << response.dump();
+    EXPECT_EQ(response.find("error")->string_or("code", ""), "internal_error");
+  }
 
   ::close(fd);
   EXPECT_EQ(fixture.drain(), 0);

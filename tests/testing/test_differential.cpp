@@ -31,8 +31,7 @@ TEST(Differential, AllCheckFamiliesRun) {
        {"oracle.transient", "oracle.steady_state", "oracle.cumulative_reward",
         "oracle.instantaneous_reward", "oracle.bounded_reachability",
         "solver.krylov_vs_gauss_seidel", "solver.blocked_vs_csr",
-        "solver.colored_vs_direct_gs", "solver.rcm_vs_natural",
-        "lumping.quotient_vs_full",
+        "solver.colored_vs_direct_gs", "lumping.quotient_vs_full",
         "parallel.determinism", "roundtrip.model_text_fixpoint",
         "roundtrip.model_state_space", "roundtrip.arch_text_fixpoint",
         "engine.compact_vs_classic", "engine.reduced_vs_full"}) {
@@ -41,6 +40,8 @@ TEST(Differential, AllCheckFamiliesRun) {
     EXPECT_GT(it->second.runs, 0u) << family;
     EXPECT_EQ(it->second.failures, 0u) << family;
   }
+  // The blocked kernel sums every row exactly as the CSR kernel does.
+  EXPECT_EQ(report.checks.at("solver.blocked_vs_csr").max_error, 0.0);
 }
 
 TEST(Differential, DeterministicInTheSeed) {
