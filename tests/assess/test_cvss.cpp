@@ -31,6 +31,11 @@ struct VectorRate {
   double table2_eta;  ///< the paper's rounded value
 };
 
+// Names each case by its vector. Without this, gtest prints the raw bytes,
+// which include the string literal's address and so change with every run
+// under ASLR, and CTest would register the cases under unstable names.
+void PrintTo(const VectorRate& v, std::ostream* os) { *os << v.vector; }
+
 class Table2Vectors : public ::testing::TestWithParam<VectorRate> {};
 
 TEST_P(Table2Vectors, RateMatchesTable2UpToPrintedRounding) {
