@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "symbolic/explorer.hpp"
+#include "util/json.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
@@ -10,26 +11,6 @@
 namespace autosec::automotive {
 
 namespace {
-
-symbolic::Model build_model(const Architecture& architecture, const std::string& message,
-                            SecurityCategory category, const AnalysisOptions& options) {
-  TransformOptions transform_options;
-  transform_options.message = message;
-  transform_options.category = category;
-  transform_options.nmax = options.nmax;
-  transform_options.literal_patch_guard = options.literal_patch_guard;
-  transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
-  transform_options.include_reliability = options.include_reliability;
-  transform_options.model_type = options.model_type;
-  return transform(architecture, transform_options);
-}
-
-csl::SessionOptions session_options(const AnalysisOptions& options) {
-  csl::SessionOptions session;
-  static_cast<csl::EngineOptions&>(session) = options;
-  session.parallel_properties = options.parallel_solves;
-  return session;
-}
 
 void apply_thread_option(const AnalysisOptions& options) {
   if (options.threads > 0) {
@@ -83,6 +64,31 @@ csl::SessionStats stats_delta(const csl::SessionStats& after,
 
 }  // namespace
 
+std::string exposure_property(double horizon_years) {
+  return "R{\"" + std::string(kExposureReward) + "\"}=? [ C<=" +
+         util::json_number(horizon_years) + " ]";
+}
+
+symbolic::Model pair_model(const Architecture& architecture, const std::string& message,
+                           SecurityCategory category, const AnalysisOptions& options) {
+  TransformOptions transform_options;
+  transform_options.message = message;
+  transform_options.category = category;
+  transform_options.nmax = options.nmax;
+  transform_options.literal_patch_guard = options.literal_patch_guard;
+  transform_options.guardian_requires_foothold = options.guardian_requires_foothold;
+  transform_options.include_reliability = options.include_reliability;
+  transform_options.model_type = options.model_type;
+  return transform(architecture, transform_options);
+}
+
+csl::SessionOptions session_options(const AnalysisOptions& options) {
+  csl::SessionOptions session;
+  static_cast<csl::EngineOptions&>(session) = options;
+  session.parallel_properties = options.parallel_solves;
+  return session;
+}
+
 SecurityAnalysis::SecurityAnalysis(const Architecture& architecture,
                                    const std::string& message, SecurityCategory category,
                                    const AnalysisOptions& options)
@@ -90,7 +96,7 @@ SecurityAnalysis::SecurityAnalysis(const Architecture& architecture,
       architecture_name_(architecture.name),
       message_(message),
       category_(category),
-      model_(build_model(architecture, message, category, options)),
+      model_(pair_model(architecture, message, category, options)),
       session_(std::make_shared<csl::EngineSession>(model_, session_options(options))),
       checker_(session_) {
   apply_thread_option(options_);
@@ -113,9 +119,9 @@ AnalysisResult SecurityAnalysis::result() const {
 
   const double horizon = options_.horizon_years;
   util::Stopwatch watch;
-  const std::string h = std::to_string(horizon);
+  const std::string h = util::json_number(horizon);
   const std::vector<std::string> properties = {
-      "R{\"exposure\"}=? [ C<=" + h + " ]",
+      exposure_property(horizon),
       "P=? [ F<=" + h + " \"violated\" ]",
       "S=? [ \"violated\" ]",
       "R{\"time\"}=? [ F \"violated\" ]",
@@ -263,8 +269,10 @@ ArchitectureReport analyze_batch_session(BatchSession& batch,
   session.set_checkpoint(options.checkpoint);
   const csl::SessionStats before = session.stats();
 
+  // Shortest round-trip digits: the bound the solve integrates to is exactly
+  // the horizon the results are divided by.
   const double horizon = options.horizon_years;
-  const std::string h = std::to_string(horizon);
+  const std::string h = util::json_number(horizon);
   std::vector<std::string> properties;
   properties.reserve(pair_count * 4);
   for (const std::string& message : batch.messages) {

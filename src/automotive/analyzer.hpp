@@ -79,6 +79,24 @@ struct ArchitectureReport {
   csl::SessionStats stats;
 };
 
+/// The headline property of a single-pair model, R{"exposure"}=? [ C<=h ]:
+/// the expected time the message is exploitable within the horizon (divide
+/// by h for the exploitable fraction). The bound is printed in shortest
+/// round-trip form, so the solve integrates to exactly `horizon_years`.
+std::string exposure_property(double horizon_years);
+
+/// The Markov model of one (message, category) pair, built by transform()
+/// from the analysis options' model knobs — what SecurityAnalysis checks.
+symbolic::Model pair_model(const Architecture& architecture, const std::string& message,
+                           SecurityCategory category, const AnalysisOptions& options);
+
+/// The engine-session options an analysis runs with: the shared engine knobs
+/// plus parallel_solves as parallel_properties. A session built from
+/// pair_model() and these options compiles and explores nothing until first
+/// use, so a check_points() caller (sweeps, criticality) explores only its
+/// points' override keys.
+csl::SessionOptions session_options(const AnalysisOptions& options);
+
 /// A reusable analysis session over one (message, category) pair: the model
 /// is transformed once and handed to a csl::EngineSession, which compiles and
 /// explores it lazily and caches every stage; several properties can then be

@@ -3,72 +3,55 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
-#include "ctmc/rewards.hpp"
 #include "ctmc/transient.hpp"
 #include "symbolic/explorer.hpp"
 
 namespace autosec::automotive {
 
-namespace {
-
-TransformOptions transform_options_from(const std::string& message,
-                                        SecurityCategory category,
-                                        const AnalysisOptions& options) {
-  TransformOptions out;
-  out.message = message;
-  out.category = category;
-  out.nmax = options.nmax;
-  out.literal_patch_guard = options.literal_patch_guard;
-  out.guardian_requires_foothold = options.guardian_requires_foothold;
-  out.include_reliability = options.include_reliability;
-  return out;
-}
-
-/// Exposure fraction of the model with the given constant overrides.
-double exposure_with(const symbolic::Model& model, const AnalysisOptions& options,
-                     std::vector<std::pair<std::string, symbolic::Value>> overrides) {
-  for (const auto& base : options.constant_overrides) overrides.push_back(base);
-  const symbolic::StateSpace space =
-      symbolic::explore(symbolic::compile(model, overrides));
-  const ctmc::Ctmc chain = space.to_ctmc();
-  return ctmc::expected_time_fraction(chain, space.initial_distribution(),
-                                      space.label_mask(kViolatedLabel),
-                                      options.horizon_years) ;
-}
-
-}  // namespace
-
 std::vector<Criticality> criticality_analysis(const Architecture& architecture,
                                               const std::string& message,
                                               SecurityCategory category,
                                               const CriticalityOptions& options) {
-  const symbolic::Model model = transform(
-      architecture, transform_options_from(message, category, options.analysis));
+  const AnalysisOptions& analysis = options.analysis;
+  const symbolic::Model model = pair_model(architecture, message, category, analysis);
   // The compiled model's constant table gives every rate with its effective
   // value (after any base overrides).
   const symbolic::CompiledModel compiled =
-      symbolic::compile(model, options.analysis.constant_overrides);
+      symbolic::compile(model, analysis.constant_overrides);
 
+  // Two points per rate, value/(1+h) and value*(1+h), each on top of the
+  // base overrides (the perturbation comes first, so it wins).
   std::vector<Criticality> result;
+  std::vector<csl::OverrideSet> points;
   const double h = options.relative_step;
   for (const auto& [name, value] : compiled.constant_values) {
     if (name == "nmax" || !value.is_numeric() || value.is_int()) continue;
     const double base = value.as_number();
     if (base <= 0.0) continue;
-
-    const double low = exposure_with(model, options.analysis,
-                                     {{name, symbolic::Value::of(base / (1.0 + h))}});
-    const double high = exposure_with(model, options.analysis,
-                                      {{name, symbolic::Value::of(base * (1.0 + h))}});
-    Criticality c;
-    c.constant = name;
-    c.base_value = base;
-    if (low > 0.0 && high > 0.0) {
-      c.elasticity = (std::log(high) - std::log(low)) / (2.0 * std::log(1.0 + h));
+    result.push_back({name, base, 0.0});
+    for (const double perturbed : {base / (1.0 + h), base * (1.0 + h)}) {
+      csl::OverrideSet overrides{{name, symbolic::Value::of(perturbed)}};
+      overrides.insert(overrides.end(), analysis.constant_overrides.begin(),
+                       analysis.constant_overrides.end());
+      points.push_back(std::move(overrides));
     }
-    result.push_back(c);
+  }
+
+  // One session solves every perturbation: the request's cancel token,
+  // budget, solver plan and checkpoint ledger apply to each point.
+  csl::EngineSession session(model, session_options(analysis));
+  const std::vector<csl::PointValue> exposures = session.check_points(
+      exposure_property(analysis.horizon_years), points, csl::PointStages::kRelease);
+  for (size_t i = 0; i < result.size(); ++i) {
+    const double low = exposures[2 * i].value / analysis.horizon_years;
+    const double high = exposures[2 * i + 1].value / analysis.horizon_years;
+    if (low > 0.0 && high > 0.0) {
+      result[i].elasticity =
+          (std::log(high) - std::log(low)) / (2.0 * std::log(1.0 + h));
+    }
   }
   std::sort(result.begin(), result.end(), [](const Criticality& a, const Criticality& b) {
     return std::abs(a.elasticity) > std::abs(b.elasticity);
@@ -147,13 +130,29 @@ double breach_time_quantile(const SecurityAnalysis& analysis, double quantile,
   if (!(max_years > 0.0) || !(tolerance_years > 0.0)) {
     throw std::invalid_argument("breach_time_quantile: bounds must be positive");
   }
-  const ctmc::Ctmc chain = analysis.space().to_ctmc();
+  // P=?[F<=t "violated"] is the violated mass at time t of the chain with
+  // violated states absorbing (ctmc::bounded_reachability). The absorbing
+  // chain and its uniformization do not depend on t, so they are built once
+  // for the whole bisection, with the session's cancel token and budget.
+  csl::EngineSession& session = *analysis.session();
+  const ctmc::TransientOptions transient = session.transient_options();
   const std::vector<bool> violated = analysis.space().label_mask(kViolatedLabel);
   const std::vector<double> initial = analysis.space().initial_distribution();
-  const std::vector<bool> all(chain.state_count(), true);
+  const ctmc::Ctmc absorbing = session.chain().with_absorbing(violated);
+  std::optional<ctmc::Uniformized> uniformized;
+  if (absorbing.max_exit_rate() > 0.0) {
+    uniformized = ctmc::uniformize(absorbing, transient);
+  }
 
   auto breach_probability = [&](double t) {
-    return ctmc::bounded_reachability(chain, initial, all, violated, t);
+    const std::vector<double> mass =
+        uniformized ? ctmc::transient_distribution(*uniformized, initial, t, transient)
+                    : initial;
+    double probability = 0.0;
+    for (size_t i = 0; i < mass.size(); ++i) {
+      if (violated[i]) probability += mass[i];
+    }
+    return probability;
   };
   if (breach_probability(max_years) < quantile) {
     return std::numeric_limits<double>::infinity();

@@ -443,8 +443,8 @@ int command_simulate(Args& args, std::ostream& out) {
       chain, static_cast<uint32_t>(analysis.space().initial_state()), violated,
       options.analysis.horizon_years, simulation);
   const double numeric =
-      analysis.checker().check("R{\"exposure\"}=? [ C<=" +
-                               std::to_string(options.analysis.horizon_years) + " ]") /
+      analysis.checker().check(
+          automotive::exposure_property(options.analysis.horizon_years)) /
       options.analysis.horizon_years;
 
   out << "statistical: " << util::format_percent(estimate.mean) << " +/- "
@@ -489,34 +489,35 @@ int command_sweep(Args& args, std::ostream& out) {
   if (options.to <= options.from) throw UsageError("sweep needs --to > --from");
   const Architecture arch = automotive::load_architecture_file(options.file);
 
-  // Each sweep point is an independent (override → model → solve) run, so
-  // the points fan across the thread pool; every slot writes only its own
-  // row, keeping the table deterministic at any thread count.
+  // One session answers every point: each grid value is one override set
+  // (the swept constant after the --set overrides), and check_points solves
+  // only the exposure at each, fanning the points across the thread pool.
+  // The session is used once, so each point's stages go once it is solved.
   const size_t points = static_cast<size_t>(options.points);
   std::vector<double> point_values(points, 0.0);
-  std::vector<double> fractions(points, 0.0);
-  util::parallel_for(0, points, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      const double t = static_cast<double>(i) / (options.points - 1);
-      const double value =
-          options.logarithmic
-              ? options.from * std::pow(options.to / options.from, t)
-              : options.from + (options.to - options.from) * t;
-      automotive::AnalysisOptions analysis = options.analysis;
-      analysis.threads = 0;  // applied process-wide by --threads already
-      analysis.constant_overrides.emplace_back(options.constant,
-                                               symbolic::Value::of(value));
-      const automotive::AnalysisResult result = automotive::analyze_message(
-          arch, options.message, options.categories.front(), analysis);
-      point_values[i] = value;
-      fractions[i] = result.exploitable_fraction;
-    }
-  });
+  std::vector<csl::OverrideSet> point_overrides(points);
+  for (size_t i = 0; i < points; ++i) {
+    const double t = static_cast<double>(i) / (options.points - 1);
+    point_values[i] = options.logarithmic
+                          ? options.from * std::pow(options.to / options.from, t)
+                          : options.from + (options.to - options.from) * t;
+    point_overrides[i] = options.analysis.constant_overrides;
+    point_overrides[i].emplace_back(options.constant,
+                                    symbolic::Value::of(point_values[i]));
+  }
+  const double horizon = options.analysis.horizon_years;
+  csl::EngineSession session(
+      automotive::pair_model(arch, options.message, options.categories.front(),
+                             options.analysis),
+      automotive::session_options(options.analysis));
+  const std::vector<csl::PointValue> exposures =
+      session.check_points(automotive::exposure_property(horizon), point_overrides,
+                           csl::PointStages::kRelease);
 
   util::TextTable table({options.constant, "exploitable time"});
   for (size_t i = 0; i < points; ++i) {
     table.add_row({util::format_sig(point_values[i], 5),
-                   util::format_percent(fractions[i])});
+                   util::format_percent(exposures[i].value / horizon)});
   }
   out << (options.csv ? table.to_csv() : table.to_string());
   return 0;
@@ -623,6 +624,9 @@ int command_compare(Args& args, std::ostream& out) {
       options.message.empty() ? architectures.front().messages.at(0).name
                               : options.message;
 
+  // Each cell is its own model; it solves only the exposure it prints.
+  const double horizon = options.analysis.horizon_years;
+  const std::string exposure = automotive::exposure_property(horizon);
   std::vector<std::string> header{"Category"};
   for (const Architecture& arch : architectures) header.push_back(arch.name);
   util::TextTable table(header);
@@ -633,9 +637,10 @@ int command_compare(Args& args, std::ostream& out) {
         throw UsageError("architecture '" + arch.name + "' has no message '" +
                          message + "'");
       }
-      const automotive::AnalysisResult result =
-          automotive::analyze_message(arch, message, category, options.analysis);
-      row.push_back(util::format_percent(result.exploitable_fraction));
+      csl::EngineSession session(
+          automotive::pair_model(arch, message, category, options.analysis),
+          automotive::session_options(options.analysis));
+      row.push_back(util::format_percent(session.check(exposure) / horizon));
     }
     table.add_row(row);
   }
@@ -685,7 +690,9 @@ void print_help(std::ostream& out) {
          "  diagnose <file.arch> --message M [--category C]   (criticality +\n"
          "           first-breach attribution)\n"
          "  sweep <file.arch> --message M --constant NAME --from A --to B\n"
-         "        [--points N] [--linear] [--csv]\n"
+         "        [--points N] [--linear] [--csv]   (exploitable time per\n"
+         "        point: one engine session solves only the exposure at\n"
+         "        each point, the points in parallel; see docs/engine.md)\n"
          "  assess cvss <AV:x/AC:y/Au:z>   |   assess asil <QM|A|B|C|D>\n"
          "  serve [--input FILE | --socket PATH | --tcp [HOST:]PORT]\n"
          "        [--workers N] [--max-connections N] [--max-inflight N]\n"

@@ -40,8 +40,7 @@ std::function<bool()> poll_hook(const std::shared_ptr<util::CancelToken>& token)
 
 }  // namespace
 
-std::string override_cache_key(
-    const std::vector<std::pair<std::string, symbolic::Value>>& overrides) {
+std::string override_cache_key(const OverrideSet& overrides) {
   std::vector<std::pair<std::string, std::string>> parts;
   parts.reserve(overrides.size());
   for (const auto& [name, value] : overrides) {
@@ -79,15 +78,15 @@ EngineSession::EngineSession(std::shared_ptr<const symbolic::StateSpace> space,
         "EngineSession: constant overrides require a symbolic model, not a "
         "pre-explored state space");
   }
-  auto stages = std::make_unique<Stages>();
+  auto stages = std::make_shared<Stages>();
   stats_.engine = space->engine_name();
+  stages->key = active_key_;
   stages->space = std::move(space);
-  cache_.emplace_back(active_key_, std::move(stages));
-  active_ = cache_.front().second.get();
+  cache_.push_back(std::move(stages));
+  active_ = cache_.front().get();
 }
 
-void EngineSession::set_constant_overrides(
-    std::vector<std::pair<std::string, symbolic::Value>> overrides) {
+void EngineSession::set_constant_overrides(OverrideSet overrides) {
   if (!model_) {
     throw PropertyError(
         "EngineSession: cannot re-key constant overrides on a session built "
@@ -116,20 +115,33 @@ void EngineSession::check_cancel(const char* stage) const {
 }
 
 EngineSession::Stages& EngineSession::prepare() {
-  check_cancel("prepare");
-  if (active_ == nullptr) {
-    for (auto& [key, stages] : cache_) {
-      if (key == active_key_) {
-        active_ = stages.get();
-        break;
-      }
-    }
-    if (active_ == nullptr) {
-      cache_.emplace_back(active_key_, std::make_unique<Stages>());
-      active_ = cache_.back().second.get();
-    }
+  if (active_ == nullptr) active_ = stages_for(active_key_).get();
+  build(*active_, options_.constant_overrides);
+  return *active_;
+}
+
+std::shared_ptr<EngineSession::Stages> EngineSession::stages_for(
+    const std::string& key, bool* created) {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  for (const std::shared_ptr<Stages>& stages : cache_) {
+    if (stages->key == key) return stages;
   }
-  Stages& stages = *active_;
+  cache_.push_back(std::make_shared<Stages>());
+  cache_.back()->key = key;
+  if (created != nullptr) *created = true;
+  return cache_.back();
+}
+
+void EngineSession::release(const Stages& stages) {
+  std::lock_guard<std::mutex> lock(cache_mutex_);
+  std::erase_if(cache_, [&](const std::shared_ptr<Stages>& cached) {
+    return cached.get() == &stages;
+  });
+}
+
+void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
+  check_cancel("prepare");
+  std::lock_guard<std::mutex> lock(stages.lazy_mutex);
   if (!stages.space) {
     // model_ is guaranteed here: space-adopting sessions seed their stage set
     // in the constructor and cannot re-key.
@@ -137,13 +149,16 @@ EngineSession::Stages& EngineSession::prepare() {
     try {
       util::metrics::ScopedSpan span("compile");
       stages.compiled = std::make_shared<const symbolic::CompiledModel>(
-          symbolic::compile(*model_, options_.constant_overrides));
+          symbolic::compile(*model_, overrides));
     } catch (const std::bad_alloc&) {
       throw util::EngineFailure(util::FailureCode::kOom, "compile",
                                 "compile: out of memory");
     }
-    stats_.compile_count += 1;
-    stats_.compile_seconds += seconds_since(start);
+    {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      stats_.compile_count += 1;
+      stats_.compile_seconds += seconds_since(start);
+    }
 
     start = std::chrono::steady_clock::now();
     try {
@@ -160,9 +175,12 @@ EngineSession::Stages& EngineSession::prepare() {
       throw util::EngineFailure(util::FailureCode::kOom, "explore",
                                 "explore: out of memory", progress);
     }
-    stats_.explore_count += 1;
-    stats_.explore_seconds += seconds_since(start);
-    stats_.engine = stages.space->engine_name();
+    {
+      std::lock_guard<std::mutex> stats_lock(stats_mutex_);
+      stats_.explore_count += 1;
+      stats_.explore_seconds += seconds_since(start);
+      stats_.engine = stages.space->engine_name();
+    }
 
     util::metrics::Registry& metrics = util::metrics::registry();
     if (metrics.enabled()) {
@@ -183,7 +201,6 @@ EngineSession::Stages& EngineSession::prepare() {
   if (stages.initial.empty()) {
     stages.initial = stages.space->initial_distribution();
   }
-  return stages;
 }
 
 const symbolic::StateSpace& EngineSession::space() { return *prepare().space; }
@@ -393,6 +410,7 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
       }
     });
   }
+  std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.solve_seconds += seconds_since(start);
   return results;
 }
@@ -407,13 +425,59 @@ std::vector<double> EngineSession::check_all(
   return check_all(std::span<const Property>(properties));
 }
 
+std::vector<PointValue> EngineSession::check_points(
+    const Property& property, std::span<const OverrideSet> points,
+    PointStages keep) {
+  if (!model_) {
+    throw PropertyError(
+        "EngineSession: check_points needs a symbolic model to re-key; this "
+        "session adopted a pre-explored state space");
+  }
+  std::vector<PointValue> results(points.size());
+  const auto solve_range = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      bool created = false;
+      const std::shared_ptr<Stages> stages =
+          stages_for(override_cache_key(points[i]), &created);
+      build(*stages, points[i]);
+      const auto start = std::chrono::steady_clock::now();
+      {
+        util::metrics::ScopedSpan span("solve");
+        results[i] = {evaluate(*stages, property), stages->space->state_count()};
+      }
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex_);
+        stats_.solve_seconds += seconds_since(start);
+      }
+      if (created && keep == PointStages::kRelease) release(*stages);
+    }
+  };
+  // Each slot writes only results[i], and a point's value depends only on its
+  // own stage set, so the fan-out is deterministic at every thread count.
+  if (options_.parallel_properties) {
+    util::parallel_for(0, points.size(), 1, solve_range);
+  } else {
+    solve_range(0, points.size());
+  }
+  return results;
+}
+
+std::vector<PointValue> EngineSession::check_points(
+    std::string_view property_text, std::span<const OverrideSet> points,
+    PointStages keep) {
+  return check_points(parse_property(property_text), points, keep);
+}
+
 std::string EngineSession::checkpoint_key(const Stages& stages,
                                           const Property& property) const {
   // Stage identity folded into the key: if anything about exploration changed
   // between the interrupted run and the resume (model edit, engine fix), the
   // counts diverge, the key misses, and the value is recomputed — a stale
   // snapshot can degrade to recomputation but never replay a wrong answer.
-  std::string key = active_key_;
+  // The override key is the stage set's own, not the active one: the points
+  // of one check_points() call share the active key, and rate-only points
+  // share their state and transition counts too.
+  std::string key = stages.key;
   key += '\x1f';
   key += std::to_string(stages.space->state_count());
   key += ',';

@@ -17,7 +17,8 @@
 // all of an architecture's message properties through one session.
 //
 // Thread model: check_all() fans independent property solves across the
-// process-wide pool (util::parallel_for); each solve then runs its numeric
+// process-wide pool (util::parallel_for), and check_points() fans one
+// property's override points the same way; each solve then runs its numeric
 // kernels serially (nested parallel regions degrade to serial loops), while
 // single check() calls parallelize inside the kernels instead. Results are
 // deterministic either way.
@@ -48,9 +49,28 @@ namespace autosec::csl {
 /// the session consumes constant_overrides, explore, transient, steady_state
 /// and cancel; nmax/horizon_years/threads are inert at this layer.
 struct SessionOptions : EngineOptions {
-  /// Fan the independent solves of check_all() across the thread pool.
+  /// Fan the independent solves of check_all() and check_points() across the
+  /// thread pool.
   bool parallel_properties = true;
 };
+
+/// One constant-override set: the argument of set_constant_overrides() and
+/// one point of check_points().
+using OverrideSet = std::vector<std::pair<std::string, symbolic::Value>>;
+
+/// One point of check_points(): the property's value at that override set
+/// and the size of the state space it was solved on.
+struct PointValue {
+  double value = 0.0;
+  size_t state_count = 0;
+};
+
+/// What check_points() does with a stage set it built for a point: keep it
+/// cached, so a long-lived session answers a repeated sweep without
+/// exploring (serve), or release it once the point is solved, so a one-shot
+/// sweep holds at most one stage set per pool lane (CLI sweep, criticality).
+/// Stage sets that existed before the call are always kept.
+enum class PointStages { kKeep, kRelease };
 
 /// Cumulative per-stage counters and wall-clock timings — the session-local
 /// view of the pipeline. The same stage events also land in the process-wide
@@ -113,8 +133,7 @@ class EngineSession {
   /// Re-key the pipeline to another constant-override set. Stages already
   /// built for earlier keys stay cached and are reused when the key returns.
   /// Throws PropertyError on a space-adopting session.
-  void set_constant_overrides(
-      std::vector<std::pair<std::string, symbolic::Value>> overrides);
+  void set_constant_overrides(OverrideSet overrides);
 
   /// Swap the cooperative cancellation token. Stage boundaries and solver
   /// sweeps poll the active token and unwind with util::Cancelled once it is
@@ -150,6 +169,26 @@ class EngineSession {
   std::vector<double> check_all(std::span<const Property> properties);
   std::vector<double> check_all(const std::vector<std::string>& property_texts);
 
+  /// Multi-point evaluation: one property at many constant-override sets —
+  /// a parameter sweep (the paper's Fig. 6) or the finite differences of a
+  /// criticality analysis. Each point finds or builds the stage set of its
+  /// own override key in the session's cache (a key an earlier call already
+  /// built explores nothing; see PointStages for what happens to new ones),
+  /// and its checkpoint records are keyed by that override key. The points
+  /// fan across the pool when options().parallel_properties, each running
+  /// its kernels serially, as check_all() does for properties. The active
+  /// key is left unchanged, so space() and single-property calls still
+  /// answer for it. Results are positionally aligned with `points` and
+  /// identical to re-keying with set_constant_overrides() and calling
+  /// check() once per point. Throws PropertyError on a space-adopting
+  /// session.
+  std::vector<PointValue> check_points(const Property& property,
+                                       std::span<const OverrideSet> points,
+                                       PointStages keep = PointStages::kKeep);
+  std::vector<PointValue> check_points(std::string_view property_text,
+                                       std::span<const OverrideSet> points,
+                                       PointStages keep = PointStages::kKeep);
+
   /// MDP only: evaluate a directional reachability property (Pmax/Pmin of an
   /// until/eventually) and export the optimizing scheduler. The returned
   /// strategy is already cross-checked: its induced Markov chain was built
@@ -174,22 +213,38 @@ class EngineSession {
   /// Resolve a property's time bound against the model constants.
   double time_bound_value(const Property& property);
 
+  /// The session's transient options with the active cancel token's poll
+  /// hook and resource budget bound — what its own transient solves run
+  /// with, for callers that drive ctmc kernels on the session's chain.
+  ctmc::TransientOptions transient_options() const;
+
   const SessionStats& stats() const { return stats_; }
   const SessionOptions& options() const { return options_; }
 
  private:
   /// All artifacts derived from one constant-override key.
   struct Stages {
+    std::string key;  ///< override_cache_key of the set the stages belong to
     std::shared_ptr<const symbolic::CompiledModel> compiled;
     std::shared_ptr<const symbolic::StateSpace> space;
     std::optional<ctmc::Ctmc> chain;
     std::vector<double> initial;
     std::optional<ctmc::Uniformized> uniformized;
     std::optional<ctmc::SteadyStateResult> steady;
-    std::mutex lazy_mutex;  ///< guards uniformized/steady under check_all
+    /// Guards every lazily built member: two points (or properties) that
+    /// need the same stage set build it once, the second one waiting.
+    std::mutex lazy_mutex;
   };
 
   Stages& prepare();  ///< build compile/explore/chain for the active key
+  /// The cached stage set of `key`, created empty on first lookup (then
+  /// `*created` is set, when given).
+  std::shared_ptr<Stages> stages_for(const std::string& key, bool* created = nullptr);
+  /// Drop `stages` from the cache; holders of a reference keep it alive.
+  void release(const Stages& stages);
+  /// Build compile/explore/chain of `stages` (from `overrides`, the set its
+  /// key was derived from) unless already built.
+  void build(Stages& stages, const OverrideSet& overrides);
 
   symbolic::Expr resolve_formula(const Stages& stages,
                                  const symbolic::Expr& formula) const;
@@ -200,8 +255,8 @@ class EngineSession {
   double evaluate(Stages& stages, const Property& property);
   /// The solve dispatch below the checkpoint safepoint: always computes.
   double evaluate_fresh(Stages& stages, const Property& property);
-  /// Ledger key of one solve: override key + explored stage identity +
-  /// property text — everything that determines the value.
+  /// Ledger key of one solve: the stage set's own override key + explored
+  /// stage identity + property text — everything that determines the value.
   std::string checkpoint_key(const Stages& stages, const Property& property) const;
   /// MDP dispatch: directional probability/reward properties over the
   /// flattened per-action matrix. `strategy_out`, when non-null, receives the
@@ -229,26 +284,25 @@ class EngineSession {
   const ctmc::Uniformized& uniformized_of(Stages& stages);
   const ctmc::SteadyStateResult& steady_of(Stages& stages);
 
-  // Effective numeric options with the active cancel token's poll hook bound
-  // (pass-through copies when no token is armed).
-  ctmc::TransientOptions transient_options() const;
+  // Effective steady-state options with the active cancel token's poll hook
+  // bound (a pass-through copy when no token is armed).
   ctmc::SteadyStateOptions steady_state_options() const;
   void check_cancel(const char* stage) const;
 
   std::optional<symbolic::Model> model_;  ///< absent for space-adopting sessions
   SessionOptions options_;
   std::string active_key_;
-  // Stage sets per override key; node stability (list of unique_ptr not
-  // needed — keyed map with stable values) keeps references valid across
-  // re-keying.
-  std::vector<std::pair<std::string, std::unique_ptr<Stages>>> cache_;
+  // Stage sets, one per override key. Shared ownership keeps a set alive for
+  // a check_points() point that is still solving on it while another point
+  // releases it from the cache.
+  std::vector<std::shared_ptr<Stages>> cache_;
+  std::mutex cache_mutex_;  ///< guards cache_ under check_points
   Stages* active_ = nullptr;
   SessionStats stats_;
-  std::mutex stats_mutex_;  ///< counters under parallel check_all
+  std::mutex stats_mutex_;  ///< counters under parallel check_all/check_points
 };
 
 /// Canonical cache key of an override set (order-insensitive).
-std::string override_cache_key(
-    const std::vector<std::pair<std::string, symbolic::Value>>& overrides);
+std::string override_cache_key(const OverrideSet& overrides);
 
 }  // namespace autosec::csl

@@ -677,25 +677,23 @@ util::JsonValue Server::run_sweep(const Request& request, RequestMetrics& metric
   session.set_checkpoint(ledger);
   const csl::SessionStats before = session.stats();
 
+  // One multi-point solve on the cached session: each value is one override
+  // set (a value an earlier request saw hits its cached stages), and the
+  // points fan across the pool.
   const double horizon = request.horizon_years;
-  const std::string property =
-      "R{\"exposure\"}=? [ C<=" + std::to_string(horizon) + " ]";
-  JsonValue points = JsonValue::array();
-  // The points run sequentially on the one session: each value re-keys the
-  // stage cache (a value seen before hits its cached stages), and the solves
-  // themselves parallelize inside the kernels.
+  std::vector<csl::OverrideSet> point_overrides;
+  point_overrides.reserve(request.values.size());
   for (const double value : request.values) {
-    std::vector<std::pair<std::string, symbolic::Value>> overrides =
-        request.overrides;
-    overrides.emplace_back(request.constant, symbolic::Value::of(value));
-    if (csl::override_cache_key(overrides) !=
-        csl::override_cache_key(session.options().constant_overrides)) {
-      session.set_constant_overrides(std::move(overrides));
-    }
+    point_overrides.push_back(request.overrides);
+    point_overrides.back().emplace_back(request.constant, symbolic::Value::of(value));
+  }
+  const std::vector<csl::PointValue> exposures = session.check_points(
+      automotive::exposure_property(horizon), point_overrides);
+  JsonValue points = JsonValue::array();
+  for (size_t i = 0; i < exposures.size(); ++i) {
     JsonValue point = JsonValue::object();
-    point["value"] = JsonValue::number(value);
-    point["exploitable_fraction"] =
-        JsonValue::number(session.check(property) / horizon);
+    point["value"] = JsonValue::number(request.values[i]);
+    point["exploitable_fraction"] = JsonValue::number(exposures[i].value / horizon);
     points.push_back(std::move(point));
   }
   session.set_checkpoint(nullptr);
@@ -708,7 +706,8 @@ util::JsonValue Server::run_sweep(const Request& request, RequestMetrics& metric
   metrics.explores = session.stats().explore_count - before.explore_count;
   metrics.solver_fallbacks =
       session.stats().solver_fallbacks - before.solver_fallbacks;
-  metrics.states = session.space().state_count();
+  // The last point's space: the sweep never explores the un-swept base key.
+  metrics.states = exposures.back().state_count;
   if (!session.stats().engine.empty()) metrics.engine = session.stats().engine;
 
   JsonValue result = JsonValue::object();

@@ -4,8 +4,17 @@
 
 #include <cmath>
 #include <algorithm>
+#include <limits>
+#include <memory>
 
 #include "automotive/casestudy.hpp"
+#include "ctmc/rewards.hpp"
+#include "ctmc/transient.hpp"
+#include "symbolic/explorer.hpp"
+#include "util/budget.hpp"
+#include "util/cancel.hpp"
+#include "util/failure.hpp"
+#include "util/metrics.hpp"
 
 namespace autosec::automotive {
 namespace {
@@ -16,6 +25,74 @@ CriticalityOptions fast_criticality() {
   CriticalityOptions options;
   options.analysis.nmax = 1;
   return options;
+}
+
+/// Exposure fraction of one perturbation, solved without an engine session:
+/// compile, explore, then the expected violated-time fraction over the
+/// horizon — the direct pipeline criticality_analysis must reproduce.
+double direct_exposure(const symbolic::Model& model, const AnalysisOptions& options,
+                       csl::OverrideSet overrides) {
+  for (const auto& base : options.constant_overrides) overrides.push_back(base);
+  const symbolic::StateSpace space =
+      symbolic::explore(symbolic::compile(model, overrides));
+  return ctmc::expected_time_fraction(space.to_ctmc(), space.initial_distribution(),
+                                      space.label_mask(kViolatedLabel),
+                                      options.horizon_years);
+}
+
+TEST(Criticality, ReproducesDirectPerturbationSolvesBitForBit) {
+  CriticalityOptions options;
+  options.analysis.nmax = 2;
+  options.analysis.horizon_years = 0.75;
+  options.analysis.constant_overrides = {{"phi_gw", symbolic::Value::of(40.0)}};
+  const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
+  const auto result = criticality_analysis(arch, cs::kMessage,
+                                           SecurityCategory::kIntegrity, options);
+  ASSERT_EQ(result.size(), 10u);
+
+  const symbolic::Model model =
+      pair_model(arch, cs::kMessage, SecurityCategory::kIntegrity, options.analysis);
+  const double h = options.relative_step;
+  for (const Criticality& c : result) {
+    const double low = direct_exposure(
+        model, options.analysis, {{c.constant, symbolic::Value::of(c.base_value / (1.0 + h))}});
+    const double high = direct_exposure(
+        model, options.analysis, {{c.constant, symbolic::Value::of(c.base_value * (1.0 + h))}});
+    ASSERT_GT(low, 0.0) << c.constant;
+    ASSERT_GT(high, 0.0) << c.constant;
+    EXPECT_EQ(c.elasticity, (std::log(high) - std::log(low)) / (2.0 * std::log(1.0 + h)))
+        << c.constant;
+  }
+  for (const Criticality& c : result) {
+    if (c.constant == "phi_gw") {
+      EXPECT_EQ(c.base_value, 40.0);  // the base override applies
+    }
+  }
+}
+
+TEST(Criticality, ExpiredCancelTokenThrowsCancelled) {
+  CriticalityOptions options = fast_criticality();
+  options.analysis.cancel = std::make_shared<util::CancelToken>();
+  options.analysis.cancel->cancel();
+  EXPECT_THROW(criticality_analysis(cs::architecture(1, Protection::kUnencrypted),
+                                    cs::kMessage, SecurityCategory::kConfidentiality,
+                                    options),
+               util::Cancelled);
+}
+
+TEST(Criticality, StateBudgetFailsWithTypedError) {
+  // Arch 1 at nmax 2 has 729 states per perturbed model.
+  CriticalityOptions options;
+  options.analysis.nmax = 2;
+  options.analysis.budget = std::make_shared<util::ResourceBudget>(100, 0);
+  try {
+    criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
+                         SecurityCategory::kConfidentiality, options);
+    FAIL() << "a 100-state budget must stop a 729-state exploration";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kStateBudgetExceeded);
+    EXPECT_EQ(failure.stage(), "explore");
+  }
 }
 
 TEST(Criticality, CoversEveryRateConstant) {
@@ -202,6 +279,58 @@ TEST(BreachQuantile, InfiniteWhenUnreachableWithinMax) {
                                   options);
   // Tiny max horizon: even arch 3's first breach usually takes years.
   EXPECT_TRUE(std::isinf(breach_time_quantile(analysis, 0.99, /*max_years=*/0.001)));
+}
+
+/// The bisection run directly on P=?[F<=t "violated"], re-building the
+/// absorbing chain at every step — the definition breach_time_quantile
+/// must reproduce.
+double direct_quantile(const SecurityAnalysis& analysis, double quantile) {
+  const ctmc::Ctmc chain = analysis.space().to_ctmc();
+  const std::vector<bool> violated = analysis.space().label_mask(kViolatedLabel);
+  const std::vector<double> initial = analysis.space().initial_distribution();
+  const std::vector<bool> all(chain.state_count(), true);
+  const auto probability = [&](double t) {
+    return ctmc::bounded_reachability(chain, initial, all, violated, t);
+  };
+  if (probability(100.0) < quantile) return std::numeric_limits<double>::infinity();
+  double low = 0.0;
+  double high = 100.0;
+  while (high - low > 1e-4) {
+    const double mid = 0.5 * (low + high);
+    (probability(mid) >= quantile ? high : low) = mid;
+  }
+  return 0.5 * (low + high);
+}
+
+TEST(BreachQuantile, BuildsOneUniformizationPerCallAndMatchesDirectBisection) {
+  AnalysisOptions options;
+  options.nmax = 2;
+  const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
+                                  cs::kMessage, SecurityCategory::kConfidentiality,
+                                  options);
+  util::metrics::Registry& metrics = util::metrics::registry();
+  metrics.reset();
+  metrics.set_enabled(true);
+  for (const double q : {0.05, 0.25, 0.5, 0.95}) {
+    const uint64_t before = metrics.counter_value("ctmc.uniformizations");
+    const double quantile = breach_time_quantile(analysis, q);
+    EXPECT_EQ(metrics.counter_value("ctmc.uniformizations"), before + 1) << q;
+    EXPECT_EQ(quantile, direct_quantile(analysis, q)) << q;
+  }
+  metrics.set_enabled(false);
+  metrics.reset();
+}
+
+TEST(BreachQuantile, HonoursTheSessionCancelToken) {
+  AnalysisOptions options;
+  options.nmax = 1;
+  const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
+                                  cs::kMessage, SecurityCategory::kConfidentiality,
+                                  options);
+  auto token = std::make_shared<util::CancelToken>();
+  token->cancel();
+  analysis.session()->set_cancel_token(token);
+  EXPECT_THROW(breach_time_quantile(analysis, 0.5), util::Cancelled);
 }
 
 TEST(BreachQuantile, InvalidArgumentsRejected) {

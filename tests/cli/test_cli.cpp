@@ -4,11 +4,16 @@
 
 #include <unistd.h>
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "automotive/analyzer.hpp"
 #include "automotive/archfile.hpp"
 #include "automotive/casestudy.hpp"
+#include "util/fault.hpp"
+#include "util/strings.hpp"
+#include "util/table.hpp"
 
 namespace autosec::cli {
 namespace {
@@ -193,6 +198,78 @@ TEST_F(CliFixture, SweepProducesMonotoneTable) {
   EXPECT_EQ(lines, 6);
 }
 
+std::string slurp(const std::string& path) {
+  std::ifstream stream(path);
+  std::ostringstream content;
+  content << stream.rdbuf();
+  return content.str();
+}
+
+/// The value of `"name": N` in a metrics document, or -1 when absent.
+long metric(const std::string& json, const std::string& name) {
+  const std::string needle = "\"" + name + "\": ";
+  const size_t at = json.find(needle);
+  if (at == std::string::npos) return -1;
+  return std::stol(json.substr(at + needle.size()));
+}
+
+TEST_F(CliFixture, SweepSolvesOnlyTheExposureOncePerPoint) {
+  const std::string metrics_path = temp_path("cli_sweep_metrics.json");
+  const Result result = run({"sweep", *path_, "--message", "m", "--nmax", "1",
+                             "--constant", "phi_3g", "--from", "1", "--to", "100",
+                             "--points", "4", "--metrics-json", metrics_path});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  const std::string json = slurp(metrics_path);
+  EXPECT_EQ(metric(json, "session.properties"), 4);
+  EXPECT_EQ(metric(json, "session.explores"), 4);
+  // No steady state, no fixpoint: only the cumulative exposure is solved.
+  EXPECT_EQ(metric(json, "steady_state.solves"), -1);
+  EXPECT_EQ(metric(json, "solver.fixpoint_solves"), -1);
+}
+
+TEST_F(CliFixture, SweepCheckpointFreshResumedAndInterruptedPrintTheSameTable) {
+  // A rate-only sweep: every point has the same state and transition counts,
+  // so only per-point override keys tell the points' records apart.
+  const std::vector<std::string> sweep = {"sweep", *path_, "--message", "m",
+                                          "--nmax", "1", "--constant", "phi_3g",
+                                          "--from", "1", "--to", "100",
+                                          "--points", "5"};
+  const Result plain = run(sweep);
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+
+  const auto with_checkpoint = [&](const std::string& dir,
+                                   const std::string& metrics_path) {
+    std::vector<std::string> args = sweep;
+    for (const std::string& extra :
+         {std::string("--checkpoint"), dir, std::string("--checkpoint-interval-ms"),
+          std::string("0"), std::string("--metrics-json"), metrics_path}) {
+      args.push_back(extra);
+    }
+    return run(args);
+  };
+  const std::string dir = temp_path("cli_sweep_ckpt");
+  const std::string metrics_path = temp_path("cli_sweep_ckpt.json");
+  std::filesystem::remove_all(dir);
+  const Result fresh = with_checkpoint(dir, metrics_path);
+  EXPECT_EQ(fresh.out, plain.out);
+  const Result resumed = with_checkpoint(dir, metrics_path);
+  EXPECT_EQ(resumed.out, plain.out);
+  EXPECT_EQ(metric(slurp(metrics_path), "session.checkpoint_hits"), 5);
+
+  // Interrupt at the third solve, then resume from what was recorded.
+  const std::string interrupted_dir = temp_path("cli_sweep_ckpt_interrupted");
+  std::filesystem::remove_all(interrupted_dir);
+  util::fault::arm_site("solve.cancel", 3);
+  const Result interrupted = with_checkpoint(interrupted_dir, metrics_path);
+  util::fault::disarm_all();
+  EXPECT_EQ(interrupted.exit_code, 1);
+  const Result after = with_checkpoint(interrupted_dir, metrics_path);
+  EXPECT_EQ(after.out, plain.out);
+  EXPECT_GE(metric(slurp(metrics_path), "session.checkpoint_hits"), 2);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove_all(interrupted_dir);
+}
+
 TEST_F(CliFixture, SweepValidatesRange) {
   EXPECT_EQ(run({"sweep", *path_, "--message", "m", "--constant", "phi_3g",
                  "--from", "10", "--to", "1"})
@@ -234,6 +311,38 @@ TEST_F(CliFixture, CompareMultipleArchitectures) {
   EXPECT_NE(result.out.find("Architecture 1"), std::string::npos);
   EXPECT_NE(result.out.find("Architecture 3"), std::string::npos);
   EXPECT_NE(result.out.find("confidentiality"), std::string::npos);
+}
+
+TEST_F(CliFixture, CompareSolvesOnlyTheExposurePerCell) {
+  const std::string path3 = temp_path("cli_arch3_exposure.arch");
+  const automotive::Architecture arch1 =
+      automotive::casestudy::architecture(1, automotive::Protection::kUnencrypted);
+  const automotive::Architecture arch3 =
+      automotive::casestudy::architecture(3, automotive::Protection::kUnencrypted);
+  automotive::save_architecture_file(arch3, path3);
+  const std::string metrics_path = temp_path("cli_compare_metrics.json");
+  const Result result = run({"compare", *path_, path3, "--message", "m", "--nmax", "1",
+                             "--metrics-json", metrics_path});
+  ASSERT_EQ(result.exit_code, 0) << result.err;
+  // 3 categories x 2 architectures, one property each.
+  EXPECT_EQ(metric(slurp(metrics_path), "session.properties"), 6);
+
+  // The printed shares are the full analysis' exploitable fractions.
+  automotive::AnalysisOptions options;
+  options.nmax = 1;
+  util::TextTable table({"Category", arch1.name, arch3.name});
+  for (const automotive::SecurityCategory category :
+       {automotive::SecurityCategory::kConfidentiality,
+        automotive::SecurityCategory::kIntegrity,
+        automotive::SecurityCategory::kAvailability}) {
+    std::vector<std::string> row{std::string(automotive::category_name(category))};
+    for (const automotive::Architecture* arch : {&arch1, &arch3}) {
+      row.push_back(util::format_percent(
+          automotive::analyze_message(*arch, "m", category, options).exploitable_fraction));
+    }
+    table.add_row(row);
+  }
+  EXPECT_EQ(result.out, "message m, exploitable share of 1 year(s):\n\n" + table.to_string());
 }
 
 TEST_F(CliFixture, CompareNeedsTwoFiles) {
@@ -291,13 +400,6 @@ TEST_F(CliFixture, BadFlagValueFails) {
   EXPECT_EQ(run({"analyze", *path_, "--horizon", "-1"}).exit_code, 1);
   EXPECT_EQ(run({"analyze", *path_, "--set", "novalue"}).exit_code, 1);
   EXPECT_EQ(run({"analyze", *path_, "--bogus"}).exit_code, 1);
-}
-
-std::string slurp(const std::string& path) {
-  std::ifstream stream(path);
-  std::ostringstream content;
-  content << stream.rdbuf();
-  return content.str();
 }
 
 TEST_F(CliFixture, MetricsJsonRecordsEngineStages) {

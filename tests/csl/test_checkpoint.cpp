@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -302,6 +303,60 @@ TEST_F(CheckpointTest, ChangedStateSpaceMissesInsteadOfReplayingStaleValues) {
   }
   EXPECT_EQ(resumed->resumed_hits(), 0u)
       << "stale records must never replay against a changed state space";
+}
+
+/// Rate-only sweep points share the session's active key and their state
+/// and transition counts; each point's records must still be keyed by its
+/// own override set, or a resumed sweep would replay one point's value for
+/// every point.
+TEST_F(CheckpointTest, CheckPointsKeepsOneRecordPerPointAndResumesEachPoint) {
+  symbolic::ModelBuilder builder;
+  builder.constant_double("fail", 2.0);
+  auto& m = builder.module("unit");
+  m.variable("x", 0, 1, 0);
+  m.command(Expr::ident("x") == Expr::literal(0), Expr::ident("fail"),
+            {{"x", Expr::literal(1)}});
+  m.command(Expr::ident("x") == Expr::literal(1), Expr::literal(6.0),
+            {{"x", Expr::literal(0)}});
+  builder.label("broken", Expr::ident("x") == Expr::literal(1));
+  const symbolic::Model model = builder.build();
+  const std::string property = "P=? [ F<=0.5 \"broken\" ]";
+  const std::vector<OverrideSet> points = {{{"fail", symbolic::Value::of(1.0)}},
+                                          {{"fail", symbolic::Value::of(2.0)}},
+                                          {{"fail", symbolic::Value::of(4.0)}}};
+
+  EngineSession reference(model);
+  const std::vector<PointValue> fresh = reference.check_points(property, points);
+  ASSERT_NE(fresh[0].value, fresh[1].value);
+
+  for (uint64_t interrupt_at = 1; interrupt_at <= points.size() + 1; ++interrupt_at) {
+    const std::string identity = "sweep-" + std::to_string(interrupt_at);
+    const uint64_t finished = std::min<uint64_t>(interrupt_at - 1, points.size());
+    {
+      auto ledger = std::make_shared<CheckpointLedger>(options(identity));
+      ledger->load();
+      SessionOptions session_options;
+      session_options.parallel_properties = false;  // deterministic interrupt
+      EngineSession session(model, session_options);
+      session.set_checkpoint(ledger);
+      util::fault::arm_site("solve.cancel", interrupt_at);
+      if (finished < points.size()) {
+        EXPECT_THROW(session.check_points(property, points), util::Cancelled);
+      } else {
+        session.check_points(property, points);
+      }
+      util::fault::disarm_all();
+    }
+    auto resumed = std::make_shared<CheckpointLedger>(options(identity));
+    EXPECT_EQ(resumed->load(), finished);
+    EngineSession session(model);
+    session.set_checkpoint(resumed);
+    const std::vector<PointValue> values = session.check_points(property, points);
+    for (size_t i = 0; i < points.size(); ++i) {
+      EXPECT_EQ(values[i].value, fresh[i].value) << "point " << i;
+    }
+    EXPECT_EQ(resumed->resumed_hits(), finished);
+  }
 }
 
 }  // namespace

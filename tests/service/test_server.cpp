@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <optional>
@@ -171,6 +172,68 @@ TEST(ServerTest, SweepReusesStagesAcrossRepeats) {
   const JsonValue second = handle(server, sweep_line);
   EXPECT_EQ(second.find("metrics")->int_or("explores", -1), 0);
   EXPECT_EQ(first.find("result")->dump(), second.find("result")->dump());
+}
+
+/// A bound text that parses back to exactly `value`, written independently
+/// of the engine's own number formatting.
+std::string exact_text(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.17g", value);
+  return buffer;
+}
+
+TEST(ServerTest, NonRoundHorizonsIntegrateToTheExactBound) {
+  // 1/3 has no short decimal form: a bound printed with a fixed number of
+  // decimals integrates to a different horizon than the one results are
+  // divided by.
+  const double horizon = 1.0 / 3.0;
+  const std::string h = exact_text(horizon);
+  std::ifstream file(arch_path());
+  std::ostringstream text;
+  text << file.rdbuf();
+  const automotive::Architecture arch = automotive::parse_architecture(text.str());
+  automotive::AnalysisOptions options;
+  options.horizon_years = horizon;
+  const auto category = automotive::SecurityCategory::kConfidentiality;
+
+  // Direct checks at the exact bound: on the batch model analyze runs, and
+  // on the single-pair model a sweep point runs.
+  automotive::BatchSession batch =
+      automotive::make_batch_session(arch, options, {category}, {"m"});
+  const double batch_exposure =
+      batch.session->check("R{\"" + automotive::batch_exposure_reward("m", category) +
+                           "\"}=? [ C<=" + h + " ]") /
+      horizon;
+  const double batch_breach = batch.session->check(
+      "P=? [ F<=" + h + " \"" + automotive::batch_violated_label("m", category) + "\" ]");
+  csl::EngineSession single(automotive::pair_model(arch, "m", category, options));
+  single.set_constant_overrides({{"phi_gw", symbolic::Value::of(8.0)}});
+  const double point_exposure =
+      single.check("R{\"exposure\"}=? [ C<=" + h + " ]") / horizon;
+
+  const automotive::ArchitectureReport report =
+      automotive::analyze_architecture_report(arch, options, {category}, {"m"});
+  ASSERT_EQ(report.results.size(), 1u);
+  EXPECT_EQ(report.results[0].exploitable_fraction, batch_exposure);
+  EXPECT_EQ(report.results[0].breach_probability, batch_breach);
+
+  Server server(deterministic_options());
+  const JsonValue analyzed = handle(
+      server, analyze_line("h1", ", \"messages\": [\"m\"], \"categories\": "
+                                 "[\"confidentiality\"], \"horizon_years\": " + h));
+  ASSERT_TRUE(analyzed.bool_or("ok", false)) << analyzed.dump();
+  const JsonValue& row = analyzed.find("result")->find("results")->at(0);
+  EXPECT_EQ(row.number_or("exploitable_fraction", -1.0), batch_exposure);
+  EXPECT_EQ(row.number_or("breach_probability", -1.0), batch_breach);
+
+  const JsonValue swept = handle(
+      server, "{\"op\": \"sweep\", \"architecture\": \"" + arch_path() +
+                  "\", \"message\": \"m\", \"constant\": \"phi_gw\", \"values\": "
+                  "[8], \"horizon_years\": " + h + "}");
+  ASSERT_TRUE(swept.bool_or("ok", false)) << swept.dump();
+  EXPECT_EQ(swept.find("result")->find("points")->at(0).number_or(
+                "exploitable_fraction", -1.0),
+            point_exposure);
 }
 
 TEST(ServerTest, CheckEvaluatesPropertiesOnCachedSingleModel) {
