@@ -244,7 +244,8 @@ int main() {
       ("autosec-bench-ckpt-" + std::to_string(static_cast<long>(::getpid())));
   fs::remove_all(checkpoint_dir);
   csl::CheckpointOptions checkpoint_options;
-  checkpoint_options.dir = checkpoint_dir.string();
+  checkpoint_options.store = std::make_shared<util::DurableStore>(
+      checkpoint_dir.string(), util::kCheckpointStore);
   checkpoint_options.identity = "bench-fig5";
   checkpoint_options.interval_ms = 250;  // the CLI/serve default cadence
   auto ledger = std::make_shared<csl::CheckpointLedger>(checkpoint_options);

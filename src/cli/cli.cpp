@@ -18,10 +18,12 @@
 #include "csl/property_parser.hpp"
 #include "ctmc/poisson.hpp"
 #include "ctmc/simulation.hpp"
+#include "service/identity.hpp"
 #include "service/server.hpp"
 #include "symbolic/dot.hpp"
 #include "symbolic/writer.hpp"
 #include "util/budget.hpp"
+#include "util/durable_store.hpp"
 #include "util/failure.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
@@ -131,55 +133,45 @@ struct ModelOptions {
   uint64_t checkpoint_interval_ms = 250;
 };
 
-/// Arm options.analysis.checkpoint with a loaded ledger (csl/checkpoint.hpp).
-/// The job identity digests the architecture file CONTENT plus every
+/// Arm options.analysis.checkpoint with a loaded ledger (csl/checkpoint.hpp)
+/// for `command`'s job on options.file. The job identity (service/
+/// identity.hpp) digests the architecture file content plus every
 /// result-affecting option, so an edited model or a different flag set
 /// resumes cold instead of replaying stale values; the per-record keys
 /// (override set, state counts, property source) close the loop below that.
-void attach_checkpoint(ModelOptions& options) {
+void attach_checkpoint(ModelOptions& options, std::string_view command) {
   if (options.checkpoint_dir.empty()) return;
   std::ifstream in(options.file, std::ios::binary);
   std::ostringstream content;
   content << in.rdbuf();
 
-  std::string identity = "cli\x1f";
-  identity += content.str();
-  identity += '\x1f';
-  identity += "nmax=" + std::to_string(options.analysis.nmax);
-  identity += ";h=" + util::json_number(options.analysis.horizon_years);
-  identity += ";ov=" + csl::override_cache_key(options.analysis.constant_overrides);
-  if (options.analysis.model_type == symbolic::ModelType::kMdp) identity += ";mt=mdp";
-  if (options.analysis.literal_patch_guard) identity += ";lpg=1";
-  if (!options.analysis.include_reliability) identity += ";norel=1";
-  identity += ";msg=" + options.message;
-  identity += ";cats=";
-  for (const SecurityCategory category : options.categories) {
-    identity += automotive::category_key(category);
-    identity += ',';
-  }
-  identity += ";prop=" + options.property;
-  identity += ";props=" + options.props_file;
-  identity += ";const=" + options.constant;
-  identity += ";from=" + util::json_number(options.from);
-  identity += ";to=" + util::json_number(options.to);
-  identity += ";points=" + std::to_string(options.points);
-  if (!options.logarithmic) identity += ";linear=1";
-  // Solver-plan knobs change the explored space or the transient truncation,
-  // so two runs only promise bit-identical values when the plan matches too.
-  identity += ";plan=" + std::to_string(static_cast<int>(options.analysis.plan.engine)) +
-              ',' + std::to_string(static_cast<int>(options.analysis.plan.reduction)) +
-              ',' + (options.analysis.plan.steady_state_detection ? '1' : '0');
+  std::vector<std::string> messages;
+  if (!options.message.empty()) messages.push_back(options.message);
+  std::string payload = "property=" + util::json_quote(options.property);
+  payload += "|props=" + util::json_quote(options.props_file);
+  payload += "|constant=" + util::json_quote(options.constant);
+  payload += "|from=" + util::json_number(options.from);
+  payload += "|to=" + util::json_number(options.to);
+  payload += "|points=" + std::to_string(options.points);
+  if (!options.logarithmic) payload += "|linear";
+  const service::SessionScope scope = command == "analyze"
+                                          ? service::SessionScope::kBatch
+                                          : service::SessionScope::kPair;
+  const service::JobIdentity identity =
+      service::job_identity(command, scope, util::fnv1a64(content.str()),
+                            options.analysis, messages, options.categories, payload);
 
   csl::CheckpointOptions checkpoint_options;
-  checkpoint_options.dir = options.checkpoint_dir;
-  checkpoint_options.identity = identity;
+  checkpoint_options.store = std::make_shared<util::DurableStore>(options.checkpoint_dir,
+                                                                  util::kCheckpointStore);
+  checkpoint_options.identity = identity.job;
   checkpoint_options.interval_ms = options.checkpoint_interval_ms;
-  auto ledger = std::make_shared<csl::CheckpointLedger>(checkpoint_options);
+  auto ledger = std::make_shared<csl::CheckpointLedger>(std::move(checkpoint_options));
   ledger->load();
   options.analysis.checkpoint = std::move(ledger);
 }
 
-ModelOptions parse_model_options(Args& args) {
+ModelOptions parse_model_options(Args& args, std::string_view command) {
   ModelOptions options;
   options.file = args.next("architecture file");
   while (auto flag = args.try_next()) {
@@ -290,7 +282,7 @@ ModelOptions parse_model_options(Args& args) {
     options.analysis.budget = std::make_shared<util::ResourceBudget>(
         options.max_states, options.max_memory_mb * 1024 * 1024);
   }
-  attach_checkpoint(options);
+  attach_checkpoint(options, command);
   return options;
 }
 
@@ -308,7 +300,7 @@ std::vector<std::string> selected_messages(const Architecture& arch,
 }
 
 int command_analyze(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "analyze");
   const Architecture arch = automotive::load_architecture_file(options.file);
 
   // One staged engine pass: the architecture is explored once and every
@@ -347,7 +339,7 @@ int command_analyze(Args& args, std::ostream& out) {
 }
 
 int command_check(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "check");
   if (options.property.empty() && options.props_file.empty()) {
     throw UsageError("check needs --property or --props");
   }
@@ -426,7 +418,7 @@ int command_check(Args& args, std::ostream& out) {
 }
 
 int command_simulate(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "simulate");
   if (options.message.empty()) throw UsageError("simulate needs --message");
   const Architecture arch = automotive::load_architecture_file(options.file);
 
@@ -455,7 +447,7 @@ int command_simulate(Args& args, std::ostream& out) {
 }
 
 int command_export_prism(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "export-prism");
   if (options.message.empty()) throw UsageError("export-prism needs --message");
   const Architecture arch = automotive::load_architecture_file(options.file);
 
@@ -480,7 +472,7 @@ int command_export_prism(Args& args, std::ostream& out) {
 }
 
 int command_sweep(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "sweep");
   if (options.message.empty()) throw UsageError("sweep needs --message");
   if (options.constant.empty()) throw UsageError("sweep needs --constant");
   if (!(options.from > 0.0) && options.logarithmic) {
@@ -524,7 +516,7 @@ int command_sweep(Args& args, std::ostream& out) {
 }
 
 int command_diagnose(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "diagnose");
   if (options.message.empty()) throw UsageError("diagnose needs --message");
   const Architecture arch = automotive::load_architecture_file(options.file);
   const SecurityCategory category = options.categories.front();
@@ -575,7 +567,7 @@ int command_diagnose(Args& args, std::ostream& out) {
 }
 
 int command_export_dot(Args& args, std::ostream& out) {
-  const ModelOptions options = parse_model_options(args);
+  const ModelOptions options = parse_model_options(args, "export-dot");
   if (options.message.empty()) throw UsageError("export-dot needs --message");
   const Architecture arch = automotive::load_architecture_file(options.file);
 
@@ -614,11 +606,21 @@ int command_compare(Args& args, std::ostream& out) {
   // expects; re-run option parsing on a synthetic argument list.
   rest.insert(rest.begin(), files[0]);
   Args option_args(rest);
-  const ModelOptions options = parse_model_options(option_args);
+  const ModelOptions options = parse_model_options(option_args, "compare");
 
+  // Each file is a job of its own, with its own checkpoint ledger: files
+  // that differ only in a rate share their state counts, so one shared
+  // ledger would replay the first file's values for the second.
   std::vector<Architecture> architectures;
+  std::vector<automotive::AnalysisOptions> file_options;
   for (const std::string& file : files) {
     architectures.push_back(automotive::load_architecture_file(file));
+    ModelOptions job = options;
+    if (!file_options.empty()) {
+      job.file = file;
+      attach_checkpoint(job, "compare");
+    }
+    file_options.push_back(job.analysis);
   }
   const std::string message =
       options.message.empty() ? architectures.front().messages.at(0).name
@@ -632,14 +634,15 @@ int command_compare(Args& args, std::ostream& out) {
   util::TextTable table(header);
   for (const SecurityCategory category : options.categories) {
     std::vector<std::string> row{std::string(category_name(category))};
-    for (const Architecture& arch : architectures) {
+    for (size_t i = 0; i < architectures.size(); ++i) {
+      const Architecture& arch = architectures[i];
       if (arch.find_message(message) == nullptr) {
         throw UsageError("architecture '" + arch.name + "' has no message '" +
                          message + "'");
       }
       csl::EngineSession session(
-          automotive::pair_model(arch, message, category, options.analysis),
-          automotive::session_options(options.analysis));
+          automotive::pair_model(arch, message, category, file_options[i]),
+          automotive::session_options(file_options[i]));
       row.push_back(util::format_percent(session.check(exposure) / horizon));
     }
     table.add_row(row);

@@ -2,41 +2,16 @@
 
 #include <bit>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <stdexcept>
+#include <optional>
 #include <utility>
 
 #include "util/json.hpp"
 #include "util/metrics.hpp"
+#include "util/strings.hpp"
 
 namespace autosec::csl {
 
 namespace {
-
-constexpr const char* kHeader = "autosec-checkpoint-v1";
-
-/// Local FNV-1a: the ledger must not depend on the serving layer (which has
-/// its own copy for cache filenames); 64 bits of identity is plenty for a
-/// per-job snapshot name — the identity line inside the file closes the
-/// collision loophole exactly like the disk cache's stored key does.
-uint64_t fnv1a64(std::string_view text) {
-  uint64_t hash = 1469598103934665603ull;
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
-
-std::string hex64(uint64_t value) {
-  char buffer[17];
-  std::snprintf(buffer, sizeof(buffer), "%016llx",
-                static_cast<unsigned long long>(value));
-  return std::string(buffer);
-}
 
 uint64_t steady_ms() {
   return static_cast<uint64_t>(std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -47,15 +22,7 @@ uint64_t steady_ms() {
 }  // namespace
 
 CheckpointLedger::CheckpointLedger(CheckpointOptions options)
-    : options_(std::move(options)) {
-  std::error_code ec;
-  std::filesystem::create_directories(options_.dir, ec);
-  if (ec || !std::filesystem::is_directory(options_.dir)) {
-    throw std::runtime_error("checkpoint: cannot create directory '" +
-                             options_.dir + "'" + (ec ? ": " + ec.message() : ""));
-  }
-  path_ = options_.dir + "/" + hex64(fnv1a64(options_.identity)) + ".ckpt";
-}
+    : options_(std::move(options)) {}
 
 CheckpointLedger::~CheckpointLedger() {
   try {
@@ -67,47 +34,29 @@ CheckpointLedger::~CheckpointLedger() {
 
 size_t CheckpointLedger::load() {
   std::lock_guard<std::mutex> lock(mutex_);
-  std::ifstream in(path_, std::ios::binary);
-  if (!in) return 0;
-  std::string header;
-  std::string identity_line;
-  std::string payload_line;
-  std::string payload;
-  const bool shape_ok = static_cast<bool>(std::getline(in, header)) &&
-                        static_cast<bool>(std::getline(in, identity_line)) &&
-                        static_cast<bool>(std::getline(in, payload_line)) &&
-                        static_cast<bool>(std::getline(in, payload));
-  in.close();
-  bool valid = shape_ok && header == kHeader &&
-               identity_line == "identity " + hex64(fnv1a64(options_.identity)) &&
-               payload_line == "payload " + hex64(fnv1a64(payload));
-  if (valid) {
-    try {
-      const util::JsonValue doc = util::JsonValue::parse(payload);
-      const util::JsonValue* records = doc.find("records");
-      if (records == nullptr || !records->is_object()) throw util::JsonError("no records", 0);
-      std::map<std::string, uint64_t> loaded;
-      for (const auto& [key, bits] : records->members()) {
-        if (!bits.is_string() || bits.as_string().size() != 16) {
-          throw util::JsonError("bad record bits", 0);
-        }
-        loaded.emplace(key, std::stoull(bits.as_string(), nullptr, 16));
+  const std::optional<std::string> payload = options_.store->lookup(options_.identity);
+  if (!payload) return 0;
+  try {
+    const util::JsonValue doc = util::JsonValue::parse(*payload);
+    const util::JsonValue* records = doc.find("records");
+    if (records == nullptr || !records->is_object()) throw util::JsonError("no records", 0);
+    std::map<std::string, uint64_t> loaded;
+    for (const auto& [key, bits] : records->members()) {
+      if (!bits.is_string() || bits.as_string().size() != 16) {
+        throw util::JsonError("bad record bits", 0);
       }
-      records_ = std::move(loaded);
-      loaded_records_ = records_.size();
-      dirty_ = false;
-      util::metrics::registry().add("checkpoint.loads");
-      return records_.size();
-    } catch (const std::exception&) {
-      valid = false;
+      loaded.emplace(key, std::stoull(bits.as_string(), nullptr, 16));
     }
+    records_ = std::move(loaded);
+    dirty_ = false;
+    util::metrics::registry().add("checkpoint.loads");
+    return records_.size();
+  } catch (const std::exception&) {
+    // The store vouched for the bytes, but they are no snapshot: resume cold
+    // (recomputation, never a wrong answer); the next persist replaces them.
+    util::metrics::registry().add("checkpoint.corrupt");
+    return 0;
   }
-  // Truncated write, foreign file, or a stale identity: drop the snapshot
-  // and resume cold — recomputation, never a wrong answer.
-  std::error_code ec;
-  std::filesystem::remove(path_, ec);
-  util::metrics::registry().add("checkpoint.corrupt");
-  return 0;
 }
 
 bool CheckpointLedger::lookup(const std::string& key, double* value) const {
@@ -144,33 +93,12 @@ void CheckpointLedger::persist_locked() {
   writer.key("records");
   writer.begin_object();
   for (const auto& [key, bits] : records_) {
-    writer.key(key).value(hex64(bits));
+    writer.key(key).value(util::hex64(bits));
   }
   writer.end_object();
   writer.end_object();
-  const std::string payload = writer.take();
-
-  const std::string temp = path_ + ".tmp";
-  {
-    std::ofstream out(temp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // unwritable dir: stay dirty, retry on the next record
-    out << kHeader << "\n"
-        << "identity " << hex64(fnv1a64(options_.identity)) << "\n"
-        << "payload " << hex64(fnv1a64(payload)) << "\n"
-        << payload << "\n";
-    out.flush();
-    if (!out) {
-      std::error_code ec;
-      std::filesystem::remove(temp, ec);
-      return;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(temp, path_, ec);
-  if (ec) {
-    std::filesystem::remove(temp, ec);
-    return;
-  }
+  // A failed write stays dirty and retries on the next record or flush.
+  if (!options_.store->store(options_.identity, writer.str())) return;
   dirty_ = false;
   ++persists_;
   last_persist_ms_ = steady_ms();

@@ -1,13 +1,14 @@
 // Crash-durable progress for the solve stage: a CheckpointLedger records
 // every property value the engine finishes, keyed by the full solve identity
 // (constant-override key, explored state/transition counts, property text),
-// and persists the records atomically into a per-job snapshot file. A
-// restarted CLI run — or a respawned serve worker handed the same request —
-// loads the snapshot and replays recorded values bit-exactly (doubles travel
-// as the hex of their IEEE-754 bit pattern, never through decimal), while
-// everything not yet recorded is recomputed by the deterministic engine. The
-// resumed result is therefore bit-identical to an uninterrupted run, and an
-// interruption costs at most the work since the last persist.
+// and persists the records as one snapshot per job in a util::DurableStore
+// of the checkpoint kind. A restarted CLI run — or a respawned serve worker
+// handed the same request — loads the snapshot and replays recorded values
+// bit-exactly (doubles travel as the hex of their IEEE-754 bit pattern, never
+// through decimal), while everything not yet recorded is recomputed by the
+// deterministic engine. The resumed result is therefore bit-identical to an
+// uninterrupted run, and an interruption costs at most the work since the
+// last persist.
 //
 // Scope: the ledger checkpoints at the evaluate() safepoint — the same
 // boundary where util::ResourceBudget charges and util::fault polls
@@ -18,34 +19,29 @@
 // interrupted at property k into a resume that recomputes stages plus the
 // N-k missing solves, not all N.
 //
-// Snapshot file, named <fnv1a64(identity)>.ckpt under the checkpoint dir:
-//
-//   line 1: "autosec-checkpoint-v1"            format header
-//   line 2: "identity <hex64>"                 digest of the job identity
-//   line 3: "payload <hex64>"                  digest of line 4
-//   line 4: {"records":{<key>:<hex bits>,...}} single-line JSON
-//
-// Writes go to a temp file and rename() into place — a crash mid-persist
-// leaves the previous snapshot, never a torn one. Any validation failure on
-// load (bad header, wrong identity, payload digest mismatch, malformed JSON)
-// unlinks the file and resumes cold: corruption degrades to recomputation,
-// never to a wrong answer.
+// The snapshot is the store entry of the job identity (service/identity.hpp)
+// and its payload is single-line JSON, {"records":{<key>:<hex bits>,...}}.
+// The store owns the file: atomic writes, the exact identity check, the
+// payload digest, and unlinking anything that fails validation — so a
+// corrupt snapshot degrades to recomputation, never to a wrong answer.
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
+
+#include "util/durable_store.hpp"
 
 namespace autosec::csl {
 
 struct CheckpointOptions {
-  /// Directory holding snapshot files (created if needed).
-  std::string dir;
+  /// Where snapshots live: a store of kind util::kCheckpointStore, shared so
+  /// one opened directory serves every ledger of a process.
+  std::shared_ptr<util::DurableStore> store;
   /// Full job identity: everything that determines the batch's results
-  /// (architecture content digest + request knobs for serve, file content +
-  /// CLI options for the CLI). Digested for the snapshot filename and
-  /// validated on load.
+  /// (service::JobIdentity::job). Names the job's snapshot in the store.
   std::string identity;
   /// Minimum milliseconds between persists; 0 persists after every record
   /// (the strongest durability, what the resume tests use). flush() and the
@@ -55,7 +51,6 @@ struct CheckpointOptions {
 
 class CheckpointLedger {
  public:
-  /// Throws std::runtime_error when the directory cannot be created.
   explicit CheckpointLedger(CheckpointOptions options);
   /// Best-effort final persist of dirty records.
   ~CheckpointLedger();
@@ -63,8 +58,8 @@ class CheckpointLedger {
   CheckpointLedger(const CheckpointLedger&) = delete;
   CheckpointLedger& operator=(const CheckpointLedger&) = delete;
 
-  /// Load the job's snapshot if one exists. Returns the number of records
-  /// recovered; invalid snapshots are unlinked and count as 0.
+  /// Load the job's snapshot if the store has a valid one. Returns the
+  /// number of records recovered.
   size_t load();
 
   /// Recorded value for `key`, bit-exact. True on a hit.
@@ -85,19 +80,15 @@ class CheckpointLedger {
   /// actually replayed instead of recomputing.
   uint64_t resumed_hits() const;
 
-  const std::string& path() const { return path_; }
-
  private:
   void persist_locked();
 
   CheckpointOptions options_;
-  std::string path_;
   mutable std::mutex mutex_;
   std::map<std::string, uint64_t> records_;  ///< key -> double bit pattern
   bool dirty_ = false;
   uint64_t persists_ = 0;
   mutable uint64_t resumed_hits_ = 0;
-  size_t loaded_records_ = 0;
   /// Steady-clock ms at the last persist (0 = never), for interval gating.
   uint64_t last_persist_ms_ = 0;
 };

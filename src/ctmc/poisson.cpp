@@ -1,5 +1,7 @@
 #include "ctmc/poisson.hpp"
 
+#include <math.h>
+
 #include <algorithm>
 #include <cmath>
 #include <deque>
@@ -34,11 +36,13 @@ PoissonWeights poisson_weights(double lambda, double epsilon) {
     return out;
   }
 
-  // pmf at the mode, via lgamma to stay finite for large lambda.
+  // pmf at the mode, via lgamma to stay finite for large lambda. lgamma_r,
+  // not std::lgamma: std::lgamma writes the global `signgam`, a data race
+  // when pool threads expand several Fox-Glynn windows at once.
   const auto mode = static_cast<size_t>(std::floor(lambda));
-  const double log_pmf_mode =
-      -lambda + static_cast<double>(mode) * std::log(lambda) -
-      std::lgamma(static_cast<double>(mode) + 1.0);
+  int sign = 0;
+  const double log_pmf_mode = -lambda + static_cast<double>(mode) * std::log(lambda) -
+                              ::lgamma_r(static_cast<double>(mode) + 1.0, &sign);
   const double pmf_mode = std::exp(log_pmf_mode);
 
   // Expand greedily from the mode, always adding the larger of the two

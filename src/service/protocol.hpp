@@ -36,9 +36,9 @@
 // — "explores" is the state-space explorations this request added to its
 // session; a repeated analyze answered from the session cache reports
 // session_cache "hit" and explores 0. "disk_cache" reports the persistent
-// result cache (service/disk_cache.hpp): "hit" means the whole result was
-// replayed from disk (explores 0, no engine work), "none" means no disk
-// cache is configured or the op is not cacheable. "solver_fallbacks" counts
+// result cache (--disk-cache, a util::DurableStore): "hit" means the whole
+// result was replayed from disk (explores 0, no engine work), "none" means
+// no disk cache is configured or the op is not cacheable. "solver_fallbacks" counts
 // solver rungs taken beyond the first (a degraded but correct solve).
 // "engine" is the resolved state-store backend ("classic" | "compact";
 // "none" for requests that build no state space, e.g. status/diagnose).

@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <new>
@@ -37,12 +36,12 @@
 #include "util/log.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
+#include "util/strings.hpp"
 
 namespace autosec::service {
 
 namespace {
 
-using automotive::SecurityCategory;
 using util::JsonValue;
 
 /// Client mistakes discovered after parsing (missing file, unknown message,
@@ -67,75 +66,6 @@ std::string read_file(const std::string& path) {
   std::ostringstream buffer;
   buffer << in.rdbuf();
   return buffer.str();
-}
-
-std::string hex64(uint64_t value) {
-  static const char* digits = "0123456789abcdef";
-  std::string out(16, '0');
-  for (int i = 15; i >= 0; --i) {
-    out[static_cast<size_t>(i)] = digits[value & 0xf];
-    value >>= 4;
-  }
-  return out;
-}
-
-std::string_view solver_token(const std::optional<linalg::FixpointMethod>& solver) {
-  if (!solver) return "auto";
-  switch (*solver) {
-    case linalg::FixpointMethod::kAuto: return "auto";
-    case linalg::FixpointMethod::kGaussSeidel: return "gauss_seidel";
-    case linalg::FixpointMethod::kKrylov: return "krylov";
-  }
-  return "auto";
-}
-
-/// Categories of an analyze grid: explicit list or the standard three.
-std::vector<SecurityCategory> grid_categories(const Request& request) {
-  if (!request.categories.empty()) return request.categories;
-  return {SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
-          SecurityCategory::kAvailability};
-}
-
-/// Session-cache key: architecture content digest + every knob that changes
-/// the transformed model or the solver configuration baked into the session.
-/// Constant overrides and the horizon are deliberately NOT part of the key —
-/// the session re-keys its own stage cache per override set (that is what
-/// makes sweeps cheap) and the horizon only appears in property texts.
-std::string make_key(const char* kind, uint64_t digest, const Request& request) {
-  std::string key(kind);
-  key += ':';
-  key += hex64(digest);
-  key += ";nmax=";
-  key += std::to_string(request.nmax);
-  key += ";solver=";
-  key += solver_token(request.solver);
-  // Different engine → potentially different state enumeration; never share
-  // a cached session across engine choices.
-  key += ";engine=";
-  key += symbolic::engine_token(request.engine);
-  if (!request.steady_state_detection) key += ";ssd=off";
-  // The model family changes the transformed model entirely — a cached ctmc
-  // session must never answer an mdp request. Suffix only when non-default so
-  // every pre-existing ctmc key is unchanged.
-  if (request.model_type == symbolic::ModelType::kMdp) key += ";mt=mdp";
-  if (request.op == Op::kAnalyze) {
-    key += ";msgs=";
-    for (const std::string& message : request.messages) {
-      key += message;
-      key += ',';
-    }
-    key += ";cats=";
-    for (const SecurityCategory category : grid_categories(request)) {
-      key += automotive::category_key(category);
-      key += ',';
-    }
-  } else {
-    key += ";msg=";
-    key += request.message;
-    key += ";cat=";
-    key += automotive::category_key(request.category);
-  }
-  return key;
 }
 
 /// Per-request cancel token: armed when the request (or the server default)
@@ -167,23 +97,6 @@ std::shared_ptr<util::ResourceBudget> make_budget(const Request& request) {
   return std::make_shared<util::ResourceBudget>(max_states, max_bytes);
 }
 
-/// Engine knobs of one request, shared by every op.
-automotive::AnalysisOptions engine_options(
-    const Request& request, std::shared_ptr<util::CancelToken> token,
-    std::shared_ptr<util::ResourceBudget> budget) {
-  automotive::AnalysisOptions options;
-  options.nmax = request.nmax;
-  options.horizon_years = request.horizon_years;
-  options.constant_overrides = request.overrides;
-  options.model_type = request.model_type;
-  if (request.solver) options.plan.method = *request.solver;
-  options.plan.steady_state_detection = request.steady_state_detection;
-  options.plan.engine = request.engine;
-  options.cancel = std::move(token);
-  options.budget = std::move(budget);
-  return options;
-}
-
 /// Parse the architecture text, mapping parse/validation failures to
 /// bad_request (the client named a bad file, not an engine defect).
 automotive::Architecture parse_architecture_checked(const std::string& content,
@@ -193,6 +106,18 @@ automotive::Architecture parse_architecture_checked(const std::string& content,
   } catch (const std::exception& error) {
     bad_request("invalid architecture '" + path + "': " + error.what());
   }
+}
+
+/// The architecture of a single-pair op, with the request's message checked
+/// against it: check, sweep and diagnose answer an unknown message alike.
+automotive::Architecture pair_architecture(const std::string& content,
+                                           const Request& request) {
+  automotive::Architecture arch =
+      parse_architecture_checked(content, request.architecture);
+  if (arch.find_message(request.message) == nullptr) {
+    bad_request("unknown message '" + request.message + "'");
+  }
+  return arch;
 }
 
 /// The "detail" object of an engine-failure envelope: only the progress
@@ -233,59 +158,6 @@ JsonValue result_to_json(const automotive::AnalysisResult& result) {
   return out;
 }
 
-/// Ops whose result depends only on the request identity + architecture
-/// content — safe to replay from the disk cache. Status reports live server
-/// state and is never cached.
-bool disk_cacheable(Op op) { return op != Op::kStatus; }
-
-/// Session-key kind prefix of an op (how run_* builds its make_key).
-const char* key_kind(Op op) {
-  switch (op) {
-    case Op::kAnalyze: return "batch";
-    case Op::kCheck:
-    case Op::kSweep: return "single";
-    case Op::kDiagnose: return "diag";
-    case Op::kStatus: return "status";
-  }
-  return "status";
-}
-
-/// Disk-cache key: the session key (architecture content digest + every
-/// engine knob) extended with everything the session deliberately leaves out
-/// because it re-keys per call — the op, the horizon, constant overrides,
-/// property texts, and sweep values. Numbers go through util::json_number so
-/// the key is exact, not printf-rounded. Timeouts and resource budgets stay
-/// out: they bound the work, they do not change a successful result.
-std::string make_disk_key(const Request& request, uint64_t digest) {
-  std::string key(op_name(request.op));
-  key += '|';
-  key += make_key(key_kind(request.op), digest, request);
-  key += ";h=";
-  key += util::json_number(request.horizon_years);
-  key += ";ov=";
-  key += csl::override_cache_key(request.overrides);
-  if (request.op == Op::kCheck) {
-    key += ";props=";
-    for (const std::string& property : request.properties) {
-      key += property;
-      key += '\x1f';
-    }
-    // A strategy-bearing response carries more than the plain one; the two
-    // must not share a disk entry. (The session key is unaffected — the same
-    // session answers both.)
-    if (request.strategy) key += ";strat=1";
-  } else if (request.op == Op::kSweep) {
-    key += ";const=";
-    key += request.constant;
-    key += ";vals=";
-    for (const double value : request.values) {
-      key += util::json_number(value);
-      key += '\x1f';
-    }
-  }
-  return key;
-}
-
 /// Startup merge of --config over the command-line flags, so
 /// constructor-time sizing (cache capacity, admission, disk-cache quota)
 /// already reflects the file. A bad file throws: startup fails loudly,
@@ -323,21 +195,17 @@ Server::Server(ServerOptions options)
       cache_(options_.cache_capacity),
       admission_(AdmissionOptions{options_.max_inflight, options_.max_load_mb,
                                   options_.deterministic}) {
+  // Both stores open here, once: their directories are created and fscked
+  // before the first request, and an unusable directory fails startup
+  // instead of silently disabling what the operator asked for.
   if (!options_.disk_cache_dir.empty()) {
-    disk_cache_ = std::make_unique<DiskCache>(
-        options_.disk_cache_dir, options_.disk_cache_mb * (size_t{1} << 20));
+    disk_cache_ = std::make_unique<util::DurableStore>(
+        options_.disk_cache_dir, util::kResultStore,
+        options_.disk_cache_mb * (size_t{1} << 20));
   }
   if (!options_.checkpoint_dir.empty()) {
-    // Fail fast: an unusable checkpoint directory discovered on the first
-    // request would silently disable the crash-durability the operator asked
-    // for.
-    std::error_code ec;
-    std::filesystem::create_directories(options_.checkpoint_dir, ec);
-    if (ec || !std::filesystem::is_directory(options_.checkpoint_dir)) {
-      throw std::runtime_error("serve: cannot create checkpoint directory '" +
-                               options_.checkpoint_dir + "'" +
-                               (ec ? ": " + ec.message() : ""));
-    }
+    checkpoints_ = std::make_shared<util::DurableStore>(options_.checkpoint_dir,
+                                                        util::kCheckpointStore);
   }
   default_timeout_ms_.store(options_.default_timeout_ms.value_or(-1),
                             std::memory_order_relaxed);
@@ -364,26 +232,16 @@ std::optional<int64_t> Server::effective_timeout() const {
   return ms;
 }
 
-std::shared_ptr<csl::CheckpointLedger> Server::make_ledger(
-    const Request& request, uint64_t digest, RequestMetrics& metrics) {
-  if (options_.checkpoint_dir.empty()) return nullptr;
-  csl::CheckpointOptions checkpoint_options;
-  checkpoint_options.dir = options_.checkpoint_dir;
-  // The full request identity (op + content digest + every knob): a model
-  // edit or a different question hashes to a different ledger file and can
-  // never replay a stale value.
-  checkpoint_options.identity = make_disk_key(request, digest);
-  checkpoint_options.interval_ms =
-      checkpoint_interval_ms_.load(std::memory_order_relaxed);
-  try {
-    auto ledger = std::make_shared<csl::CheckpointLedger>(checkpoint_options);
-    metrics.checkpoint_records = ledger->load();
-    return ledger;
-  } catch (const std::exception& error) {
-    AUTOSEC_LOG_WARN("serve")
-        << "checkpoint disabled for request: " << error.what();
-    return nullptr;
-  }
+std::shared_ptr<csl::CheckpointLedger> Server::make_ledger(const Job& job,
+                                                           RequestMetrics& metrics) {
+  if (!checkpoints_) return nullptr;
+  // Keyed by the job identity: a model edit or a different question names a
+  // different snapshot and can never replay a stale value.
+  auto ledger = std::make_shared<csl::CheckpointLedger>(csl::CheckpointOptions{
+      checkpoints_, job.identity.job,
+      checkpoint_interval_ms_.load(std::memory_order_relaxed)});
+  metrics.checkpoint_records = ledger->load();
+  return ledger;
 }
 
 void Server::apply_config(const ServeConfig& config) {
@@ -470,36 +328,32 @@ void Server::reload_watch_loop() {
   }
 }
 
-util::JsonValue Server::run_analyze(const Request& request,
-                                    RequestMetrics& metrics) {
-  const std::string content = read_file(request.architecture);
-  const uint64_t digest = fnv1a64(content);
-  const std::string key = make_key("batch", digest, request);
+util::JsonValue Server::run_analyze(const Job& job, RequestMetrics& metrics) {
+  const Request& request = job.request;
   const auto token = make_token(request, effective_timeout());
   metrics.budget = make_budget(request);
-  const auto ledger = make_ledger(request, digest, metrics);
-  const std::vector<SecurityCategory> categories = grid_categories(request);
+  const auto ledger = make_ledger(job, metrics);
 
   bool hit = false;
   const auto entry = cache_.acquire(
-      key,
+      job.identity.session_key,
       [&] {
         const automotive::Architecture arch =
-            parse_architecture_checked(content, request.architecture);
-        return automotive::make_batch_session(
-            arch, engine_options(request, nullptr, nullptr), categories,
-            request.messages);
+            parse_architecture_checked(job.architecture, request.architecture);
+        return automotive::make_batch_session(arch, analysis_options(request),
+                                              grid_categories(request), request.messages);
       },
       &hit);
 
   std::lock_guard<std::mutex> lock(entry->mutex);
   metrics.session_cache = hit ? "hit" : "miss";
-  metrics.cache_key = key;
-  automotive::AnalysisOptions analysis_options =
-      engine_options(request, token, metrics.budget);
-  analysis_options.checkpoint = ledger;
+  metrics.cache_key = job.identity.session_key;
+  automotive::AnalysisOptions options = analysis_options(request);
+  options.cancel = token;
+  options.budget = metrics.budget;
+  options.checkpoint = ledger;
   const automotive::ArchitectureReport report =
-      automotive::analyze_batch_session(entry->batch, analysis_options);
+      automotive::analyze_batch_session(entry->batch, options);
   if (ledger) {
     ledger->flush();
     metrics.checkpoint_hits = ledger->resumed_hits();
@@ -522,42 +376,26 @@ util::JsonValue Server::run_analyze(const Request& request,
   return result;
 }
 
-util::JsonValue Server::run_check(const Request& request, RequestMetrics& metrics) {
-  const std::string content = read_file(request.architecture);
-  const uint64_t digest = fnv1a64(content);
-  const std::string key = make_key("single", digest, request);
+util::JsonValue Server::run_on_pair_session(const Job& job, RequestMetrics& metrics,
+                                            const PairSolve& solve) {
+  const Request& request = job.request;
   const auto token = make_token(request, effective_timeout());
-
   bool hit = false;
   const auto entry = cache_.acquire(
-      key,
+      job.identity.session_key,
       [&] {
         const automotive::Architecture arch =
-            parse_architecture_checked(content, request.architecture);
-        if (!request.message.empty() &&
-            std::none_of(arch.messages.begin(), arch.messages.end(),
-                         [&](const automotive::Message& m) {
-                           return m.name == request.message;
-                         })) {
-          bad_request("unknown message '" + request.message + "'");
-        }
-        automotive::TransformOptions transform_options;
-        transform_options.message = request.message;
-        transform_options.category = request.category;
-        transform_options.nmax = request.nmax;
-        transform_options.model_type = request.model_type;
+            pair_architecture(job.architecture, request);
+        // No cancel token or budget: those are per-request, not per-entry.
+        const automotive::AnalysisOptions options = analysis_options(request);
         automotive::BatchSession batch;
         batch.architecture_name = arch.name;
         batch.messages = {request.message};
         batch.categories = {request.category};
-        csl::SessionOptions session_options;
-        static_cast<csl::EngineOptions&>(session_options) =
-            engine_options(request, nullptr, nullptr);
-        session_options.cancel = nullptr;
-        session_options.budget = nullptr;  // budgets are per-request, not per-entry
         try {
           batch.session = std::make_shared<csl::EngineSession>(
-              automotive::transform(arch, transform_options), session_options);
+              automotive::pair_model(arch, request.message, request.category, options),
+              automotive::session_options(options));
         } catch (const std::exception& error) {
           bad_request(std::string("cannot transform architecture: ") + error.what());
         }
@@ -567,182 +405,129 @@ util::JsonValue Server::run_check(const Request& request, RequestMetrics& metric
 
   std::lock_guard<std::mutex> lock(entry->mutex);
   metrics.session_cache = hit ? "hit" : "miss";
-  metrics.cache_key = key;
+  metrics.cache_key = job.identity.session_key;
   metrics.budget = make_budget(request);
   csl::EngineSession& session = *entry->batch.session;
-  if (csl::override_cache_key(request.overrides) !=
-      csl::override_cache_key(session.options().constant_overrides)) {
-    session.set_constant_overrides(request.overrides);
-  }
   session.set_cancel_token(token);
   session.set_resource_budget(metrics.budget);
   // Attach (or detach) this request's ledger: the session outlives requests
   // in the cache, so a stale ledger must never linger on it.
-  const auto ledger = make_ledger(request, digest, metrics);
+  const auto ledger = make_ledger(job, metrics);
   session.set_checkpoint(ledger);
   const csl::SessionStats before = session.stats();
 
-  std::vector<double> values;
-  std::vector<JsonValue> strategies;
-  if (request.strategy) {
-    // Strategy export solves per property (the scheduler is per-objective);
-    // properties that cannot carry one (rewards, steady state) fail the
-    // whole request with the engine's typed error.
-    values.reserve(request.properties.size());
-    strategies.reserve(request.properties.size());
-    for (const std::string& text : request.properties) {
-      const csl::Property property = csl::parse_property(text);
-      const csl::StrategyCheck checked = session.check_with_strategy(property);
-      values.push_back(checked.value);
-      strategies.push_back(
-          session.strategy_document(property, checked.strategy));
+  JsonValue result = JsonValue::object();
+  result["architecture"] = JsonValue::string(entry->batch.architecture_name);
+  result["message"] = JsonValue::string(request.message);
+  result["category"] =
+      JsonValue::string(automotive::category_name(request.category));
+  solve(session, result);
+  session.set_checkpoint(nullptr);
+  if (ledger) {
+    ledger->flush();
+    metrics.checkpoint_hits = ledger->resumed_hits();
+    metrics.checkpoint_records = ledger->size();
+  }
+
+  metrics.explores = session.stats().explore_count - before.explore_count;
+  metrics.solver_fallbacks =
+      session.stats().solver_fallbacks - before.solver_fallbacks;
+  if (!session.stats().engine.empty()) metrics.engine = session.stats().engine;
+  return result;
+}
+
+util::JsonValue Server::run_check(const Job& job, RequestMetrics& metrics) {
+  const Request& request = job.request;
+  return run_on_pair_session(job, metrics, [&](csl::EngineSession& session,
+                                               JsonValue& result) {
+    if (csl::override_cache_key(request.overrides) !=
+        csl::override_cache_key(session.options().constant_overrides)) {
+      session.set_constant_overrides(request.overrides);
     }
-  } else {
-    values = session.check_all(request.properties);
-  }
-  session.set_checkpoint(nullptr);
-  if (ledger) {
-    ledger->flush();
-    metrics.checkpoint_hits = ledger->resumed_hits();
-    metrics.checkpoint_records = ledger->size();
-  }
+    std::vector<double> values;
+    std::vector<JsonValue> strategies;
+    if (request.strategy) {
+      // Strategy export solves per property (the scheduler is per-objective);
+      // properties that cannot carry one (rewards, steady state) fail the
+      // whole request with the engine's typed error.
+      values.reserve(request.properties.size());
+      strategies.reserve(request.properties.size());
+      for (const std::string& text : request.properties) {
+        const csl::Property property = csl::parse_property(text);
+        const csl::StrategyCheck checked = session.check_with_strategy(property);
+        values.push_back(checked.value);
+        strategies.push_back(session.strategy_document(property, checked.strategy));
+      }
+    } else {
+      values = session.check_all(request.properties);
+    }
+    metrics.states = session.space().state_count();
 
-  metrics.explores = session.stats().explore_count - before.explore_count;
-  metrics.solver_fallbacks =
-      session.stats().solver_fallbacks - before.solver_fallbacks;
-  metrics.states = session.space().state_count();
-  if (!session.stats().engine.empty()) metrics.engine = session.stats().engine;
-
-  JsonValue result = JsonValue::object();
-  result["architecture"] = JsonValue::string(entry->batch.architecture_name);
-  result["message"] = JsonValue::string(request.message);
-  result["category"] =
-      JsonValue::string(automotive::category_name(request.category));
-  JsonValue rows = JsonValue::array();
-  for (size_t i = 0; i < request.properties.size(); ++i) {
-    JsonValue row = JsonValue::object();
-    row["property"] = JsonValue::string(request.properties[i]);
-    row["value"] = JsonValue::number(values[i]);
-    if (i < strategies.size()) row["strategy"] = std::move(strategies[i]);
-    rows.push_back(std::move(row));
-  }
-  result["properties"] = std::move(rows);
-  return result;
+    JsonValue rows = JsonValue::array();
+    for (size_t i = 0; i < request.properties.size(); ++i) {
+      JsonValue row = JsonValue::object();
+      row["property"] = JsonValue::string(request.properties[i]);
+      row["value"] = JsonValue::number(values[i]);
+      if (i < strategies.size()) row["strategy"] = std::move(strategies[i]);
+      rows.push_back(std::move(row));
+    }
+    result["properties"] = std::move(rows);
+  });
 }
 
-util::JsonValue Server::run_sweep(const Request& request, RequestMetrics& metrics) {
-  const std::string content = read_file(request.architecture);
-  const uint64_t digest = fnv1a64(content);
-  const std::string key = make_key("single", digest, request);
-  const auto token = make_token(request, effective_timeout());
+util::JsonValue Server::run_sweep(const Job& job, RequestMetrics& metrics) {
+  const Request& request = job.request;
+  return run_on_pair_session(job, metrics, [&](csl::EngineSession& session,
+                                               JsonValue& result) {
+    // One multi-point solve on the cached session: each value is one
+    // override set (a value an earlier request saw hits its cached stages),
+    // and the points fan across the pool.
+    const double horizon = request.horizon_years;
+    std::vector<csl::OverrideSet> point_overrides;
+    point_overrides.reserve(request.values.size());
+    for (const double value : request.values) {
+      point_overrides.push_back(request.overrides);
+      point_overrides.back().emplace_back(request.constant, symbolic::Value::of(value));
+    }
+    const std::vector<csl::PointValue> exposures = session.check_points(
+        automotive::exposure_property(horizon), point_overrides);
+    // The last point's space: the sweep never explores the un-swept base key.
+    metrics.states = exposures.back().state_count;
 
-  bool hit = false;
-  const auto entry = cache_.acquire(
-      key,
-      [&] {
-        const automotive::Architecture arch =
-            parse_architecture_checked(content, request.architecture);
-        automotive::TransformOptions transform_options;
-        transform_options.message = request.message;
-        transform_options.category = request.category;
-        transform_options.nmax = request.nmax;
-        transform_options.model_type = request.model_type;
-        automotive::BatchSession batch;
-        batch.architecture_name = arch.name;
-        batch.messages = {request.message};
-        batch.categories = {request.category};
-        csl::SessionOptions session_options;
-        static_cast<csl::EngineOptions&>(session_options) =
-            engine_options(request, nullptr, nullptr);
-        session_options.cancel = nullptr;
-        session_options.budget = nullptr;  // budgets are per-request, not per-entry
-        try {
-          batch.session = std::make_shared<csl::EngineSession>(
-              automotive::transform(arch, transform_options), session_options);
-        } catch (const std::exception& error) {
-          bad_request(std::string("cannot transform architecture: ") + error.what());
-        }
-        return batch;
-      },
-      &hit);
-
-  std::lock_guard<std::mutex> lock(entry->mutex);
-  metrics.session_cache = hit ? "hit" : "miss";
-  metrics.cache_key = key;
-  metrics.budget = make_budget(request);
-  csl::EngineSession& session = *entry->batch.session;
-  session.set_cancel_token(token);
-  session.set_resource_budget(metrics.budget);
-  const auto ledger = make_ledger(request, digest, metrics);
-  session.set_checkpoint(ledger);
-  const csl::SessionStats before = session.stats();
-
-  // One multi-point solve on the cached session: each value is one override
-  // set (a value an earlier request saw hits its cached stages), and the
-  // points fan across the pool.
-  const double horizon = request.horizon_years;
-  std::vector<csl::OverrideSet> point_overrides;
-  point_overrides.reserve(request.values.size());
-  for (const double value : request.values) {
-    point_overrides.push_back(request.overrides);
-    point_overrides.back().emplace_back(request.constant, symbolic::Value::of(value));
-  }
-  const std::vector<csl::PointValue> exposures = session.check_points(
-      automotive::exposure_property(horizon), point_overrides);
-  JsonValue points = JsonValue::array();
-  for (size_t i = 0; i < exposures.size(); ++i) {
-    JsonValue point = JsonValue::object();
-    point["value"] = JsonValue::number(request.values[i]);
-    point["exploitable_fraction"] = JsonValue::number(exposures[i].value / horizon);
-    points.push_back(std::move(point));
-  }
-  session.set_checkpoint(nullptr);
-  if (ledger) {
-    ledger->flush();
-    metrics.checkpoint_hits = ledger->resumed_hits();
-    metrics.checkpoint_records = ledger->size();
-  }
-
-  metrics.explores = session.stats().explore_count - before.explore_count;
-  metrics.solver_fallbacks =
-      session.stats().solver_fallbacks - before.solver_fallbacks;
-  // The last point's space: the sweep never explores the un-swept base key.
-  metrics.states = exposures.back().state_count;
-  if (!session.stats().engine.empty()) metrics.engine = session.stats().engine;
-
-  JsonValue result = JsonValue::object();
-  result["architecture"] = JsonValue::string(entry->batch.architecture_name);
-  result["message"] = JsonValue::string(request.message);
-  result["category"] =
-      JsonValue::string(automotive::category_name(request.category));
-  result["constant"] = JsonValue::string(request.constant);
-  result["horizon_years"] = JsonValue::number(horizon);
-  result["points"] = std::move(points);
-  return result;
+    JsonValue points = JsonValue::array();
+    for (size_t i = 0; i < exposures.size(); ++i) {
+      JsonValue point = JsonValue::object();
+      point["value"] = JsonValue::number(request.values[i]);
+      point["exploitable_fraction"] = JsonValue::number(exposures[i].value / horizon);
+      points.push_back(std::move(point));
+    }
+    result["constant"] = JsonValue::string(request.constant);
+    result["horizon_years"] = JsonValue::number(horizon);
+    result["points"] = std::move(points);
+  });
 }
 
-util::JsonValue Server::run_diagnose(const Request& request,
-                                     RequestMetrics& metrics) {
+util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
   // Diagnostics perturb rate constants internally (one model per perturbed
   // value), so there is no long-lived session to reuse: session_cache "none".
-  const std::string content = read_file(request.architecture);
-  const automotive::Architecture arch =
-      parse_architecture_checked(content, request.architecture);
+  const Request& request = job.request;
+  const automotive::Architecture arch = pair_architecture(job.architecture, request);
   const auto token = make_token(request, effective_timeout());
   metrics.budget = make_budget(request);
-  const automotive::AnalysisOptions analysis_options =
-      engine_options(request, token, metrics.budget);
+  automotive::AnalysisOptions options = analysis_options(request);
+  options.cancel = token;
+  options.budget = metrics.budget;
 
   automotive::CriticalityOptions criticality_options;
-  criticality_options.analysis = analysis_options;
+  criticality_options.analysis = options;
   const std::vector<automotive::Criticality> criticalities =
       automotive::criticality_analysis(arch, request.message, request.category,
                                        criticality_options);
   const automotive::BreachAttributionResult attribution =
       automotive::first_breach_attribution(arch, request.message, request.category,
-                                           analysis_options);
+                                           options);
   const automotive::SecurityAnalysis analysis(arch, request.message,
-                                              request.category, analysis_options);
+                                              request.category, options);
 
   JsonValue result = JsonValue::object();
   result["architecture"] = JsonValue::string(arch.name);
@@ -787,7 +572,7 @@ util::JsonValue Server::run_diagnose(const Request& request,
   return result;
 }
 
-util::JsonValue Server::run_status(const Request&, RequestMetrics&) {
+util::JsonValue Server::run_status(RequestMetrics&) {
   const SessionCache::Stats stats = cache_.stats();
   JsonValue result = JsonValue::object();
   // What this build of the service can do, for clients negotiating features
@@ -821,7 +606,7 @@ util::JsonValue Server::run_status(const Request&, RequestMetrics&) {
   admission["max_load_mb"] = JsonValue::number(admission_stats.max_load_mb);
   result["admission"] = std::move(admission);
   if (disk_cache_) {
-    const DiskCache::Stats disk_stats = disk_cache_->stats();
+    const util::DurableStore::Stats disk_stats = disk_cache_->stats();
     JsonValue disk = JsonValue::object();
     disk["hits"] = JsonValue::number(disk_stats.hits);
     disk["misses"] = JsonValue::number(disk_stats.misses);
@@ -875,13 +660,13 @@ util::JsonValue Server::run_status(const Request&, RequestMetrics&) {
   return result;
 }
 
-util::JsonValue Server::dispatch(const Request& request, RequestMetrics& metrics) {
-  switch (request.op) {
-    case Op::kAnalyze: return run_analyze(request, metrics);
-    case Op::kCheck: return run_check(request, metrics);
-    case Op::kSweep: return run_sweep(request, metrics);
-    case Op::kDiagnose: return run_diagnose(request, metrics);
-    case Op::kStatus: return run_status(request, metrics);
+util::JsonValue Server::dispatch(const Job& job, RequestMetrics& metrics) {
+  switch (job.request.op) {
+    case Op::kAnalyze: return run_analyze(job, metrics);
+    case Op::kCheck: return run_check(job, metrics);
+    case Op::kSweep: return run_sweep(job, metrics);
+    case Op::kDiagnose: return run_diagnose(job, metrics);
+    case Op::kStatus: return run_status(metrics);
   }
   bad_request("unhandled op");
 }
@@ -930,14 +715,22 @@ std::string Server::handle_line(const std::string& line) {
         // Fault site: proves the dispatcher converts an allocation failure into
         // a structured oom envelope and keeps serving (autosec-verify --faults).
         if (util::fault::triggered("serve.dispatch.alloc")) throw std::bad_alloc();
+        // The architecture is read and digested once; every layer below
+        // keys on what this read saw.
+        Job job{*parsed.request, {}, {}};
+        // Status reports live server state: no file, never disk-cached.
+        const bool has_job = job.request.op != Op::kStatus;
+        if (has_job) {
+          job.architecture = read_file(job.request.architecture);
+          job.identity =
+              request_identity(job.request, util::fnv1a64(job.architecture));
+        }
         // Disk-cache probe: a hit replays the stored result without touching
         // the engine at all (explores 0 by construction).
-        std::optional<std::string> disk_key;
-        if (disk_cache_ && disk_cacheable(parsed.request->op)) {
-          const std::string content = read_file(parsed.request->architecture);
-          disk_key = make_disk_key(*parsed.request, fnv1a64(content));
+        const bool disk_cached = disk_cache_ && has_job;
+        if (disk_cached) {
           if (const std::optional<std::string> payload =
-                  disk_cache_->lookup(*disk_key)) {
+                  disk_cache_->lookup(job.identity.job)) {
             const JsonValue stored = JsonValue::parse(*payload);
             if (const JsonValue* stored_result = stored.find("result")) {
               result = *stored_result;
@@ -951,13 +744,13 @@ std::string Server::handle_line(const std::string& line) {
           if (!result) metrics.disk_cache = "miss";
         }
         if (!result) {
-          result = dispatch(*parsed.request, metrics);
-          if (disk_key && result) {
+          result = dispatch(job, metrics);
+          if (disk_cached) {
             JsonValue stored = JsonValue::object();
             stored["result"] = *result;
             stored["states"] = JsonValue::number(metrics.states);
             stored["engine"] = JsonValue::string(metrics.engine);
-            disk_cache_->store(*disk_key, stored.dump());
+            disk_cache_->store(job.identity.job, stored.dump());
           }
         }
       } catch (const util::Cancelled& cancelled) {

@@ -5,14 +5,20 @@
 // line. Every transport speaks the same v1 envelopes — a response is
 // bit-identical whether it travelled over stdin or a socket.
 //
+//  * Each request reads and digests its architecture file once and derives
+//    its two keys from it (service/identity.hpp): the session key and the
+//    job identity. Every cache and snapshot below is keyed by one of them.
 //  * Sessions are cached (service/session_cache.hpp): repeated queries for
 //    the same architecture + engine knobs reuse every compiled/explored/
 //    uniformized stage. The per-response metrics object proves it
 //    (session_cache "hit", explores 0).
-//  * With --disk-cache DIR, finished results are also persisted
-//    (service/disk_cache.hpp) keyed by the full request identity, so a
-//    restarted server answers repeated requests with disk_cache "hit" and
-//    explores 0 — warm from the first request.
+//  * With --disk-cache DIR, finished results are also persisted in a
+//    util::DurableStore keyed by the job identity, so a restarted server
+//    answers repeated requests with disk_cache "hit" and explores 0 — warm
+//    from the first request.
+//  * With --checkpoint DIR, every per-request csl::CheckpointLedger records
+//    its finished solves in one checkpoint store the server opens at
+//    startup, so a killed worker's respawn resumes instead of recomputing.
 //  * Socket transports serve connections concurrently (service/
 //    transport.hpp): each connection gets its own reader thread, responses
 //    keep per-connection input order, and batches of available request
@@ -33,6 +39,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <optional>
@@ -41,14 +48,16 @@
 
 #include "service/admission.hpp"
 #include "service/config.hpp"
-#include "service/disk_cache.hpp"
+#include "service/identity.hpp"
 #include "service/protocol.hpp"
 #include "service/session_cache.hpp"
 #include "util/budget.hpp"
+#include "util/durable_store.hpp"
 #include "util/json.hpp"
 
 namespace autosec::csl {
 class CheckpointLedger;
+class EngineSession;
 }  // namespace autosec::csl
 
 namespace autosec::service {
@@ -109,7 +118,8 @@ struct ServerOptions {
 
 class Server {
  public:
-  /// Throws std::runtime_error when disk_cache_dir is set but unusable.
+  /// Opens the disk-cache and checkpoint stores; throws std::runtime_error
+  /// when either directory is set but unusable.
   explicit Server(ServerOptions options);
 
   /// Handle one raw request line and return the single-line JSON response
@@ -169,7 +179,6 @@ class Server {
   }
   /// Admission gate — exposed so tests can saturate it deterministically.
   AdmissionController& admission() { return admission_; }
-  DiskCache* disk_cache() { return disk_cache_.get(); }
   const ServerOptions& options() const { return options_; }
 
   /// The envelope answered to connections shed at the accept gate (and to
@@ -201,16 +210,35 @@ class Server {
     size_t checkpoint_records = 0;
   };
 
+  /// One admitted request: the architecture file content, read once, and
+  /// the keys derived from it. Every layer below uses these, so a file
+  /// edited mid-request can never file one content's result under the other
+  /// content's key. Status reads no file and has empty keys.
+  struct Job {
+    const Request& request;
+    std::string architecture;
+    JobIdentity identity;
+  };
+
   /// Engine work of one parsed request; returns the "result" payload.
   /// Throws util::Cancelled on deadline, RequestError for client mistakes
   /// discovered during dispatch, anything else maps to engine_error.
-  util::JsonValue dispatch(const Request& request, RequestMetrics& metrics);
+  util::JsonValue dispatch(const Job& job, RequestMetrics& metrics);
 
-  util::JsonValue run_analyze(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_check(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_sweep(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_diagnose(const Request& request, RequestMetrics& metrics);
-  util::JsonValue run_status(const Request& request, RequestMetrics& metrics);
+  util::JsonValue run_analyze(const Job& job, RequestMetrics& metrics);
+  util::JsonValue run_check(const Job& job, RequestMetrics& metrics);
+  util::JsonValue run_sweep(const Job& job, RequestMetrics& metrics);
+  util::JsonValue run_diagnose(const Job& job, RequestMetrics& metrics);
+  util::JsonValue run_status(RequestMetrics& metrics);
+
+  /// Fills the op-specific part of a check or sweep result.
+  using PairSolve = std::function<void(csl::EngineSession&, util::JsonValue&)>;
+  /// Run `solve` on the request's cached single-pair session — the one
+  /// session check and sweep share, built on a miss after the message is
+  /// checked against the architecture — with this request's deadline,
+  /// budget and ledger armed.
+  util::JsonValue run_on_pair_session(const Job& job, RequestMetrics& metrics,
+                                      const PairSolve& solve);
 
   /// Process every complete line currently in `buffer` (leaving a trailing
   /// partial line in place), writing responses in input order.
@@ -218,10 +246,9 @@ class Server {
 
   /// The request's effective timeout fallback (reloadable at runtime).
   std::optional<int64_t> effective_timeout() const;
-  /// Open (and load) the checkpoint ledger of one request identity; nullptr
-  /// when checkpointing is disabled or the ledger directory is unusable.
-  std::shared_ptr<csl::CheckpointLedger> make_ledger(const Request& request,
-                                                     uint64_t digest,
+  /// Open (and load) the checkpoint ledger of one job on the checkpoint
+  /// store; nullptr when checkpointing is disabled.
+  std::shared_ptr<csl::CheckpointLedger> make_ledger(const Job& job,
                                                      RequestMetrics& metrics);
   /// Background thread body: wait for SIGHUP ticks and re-apply the config
   /// file until reload_stop_ is set.
@@ -230,7 +257,8 @@ class Server {
   ServerOptions options_;
   SessionCache cache_;
   AdmissionController admission_;
-  std::unique_ptr<DiskCache> disk_cache_;
+  std::unique_ptr<util::DurableStore> disk_cache_;
+  std::shared_ptr<util::DurableStore> checkpoints_;
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> requests_{0};
   std::atomic<uint64_t> errors_{0};

@@ -5,15 +5,6 @@
 
 namespace autosec::service {
 
-uint64_t fnv1a64(std::string_view text) {
-  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
-  for (const char c : text) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ull;  // FNV prime
-  }
-  return hash;
-}
-
 std::shared_ptr<SessionCache::Entry> SessionCache::acquire(
     const std::string& key,
     const std::function<automotive::BatchSession()>& build, bool* hit) {

@@ -1,8 +1,8 @@
 // Bounded LRU cache of engine sessions for `autosec serve`. Entries are
-// keyed by (architecture content digest, engine-options key, model kind) —
-// see SessionCache::make_key — so a repeated request for the same
-// architecture and knobs reuses the session's cached compile/explore/
-// uniformize/steady stages instead of rebuilding them.
+// keyed by the session key of service/identity.hpp (architecture content
+// digest, the model and plan options, the message/category grid), so a
+// repeated request for the same architecture and knobs reuses the session's
+// cached compile/explore/uniformize/steady stages instead of rebuilding them.
 //
 // Thread model: the cache map is guarded by its own mutex; each entry
 // carries a per-entry mutex that the server locks for the duration of a
@@ -18,16 +18,11 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <functional>
 
 #include "automotive/analyzer.hpp"
 
 namespace autosec::service {
-
-/// FNV-1a 64-bit digest; used for architecture file contents so path-based
-/// repeats (and identical content under different paths) share a key.
-uint64_t fnv1a64(std::string_view text);
 
 class SessionCache {
  public:

@@ -29,6 +29,7 @@
 #include "util/json.hpp"
 #include "util/parallel.hpp"
 #include "util/progress.hpp"
+#include "util/strings.hpp"
 
 namespace autosec::service {
 
@@ -250,16 +251,6 @@ class ShardSupervisor {
   }
 
   int run() {
-    // Fail fast on a bad disk-cache directory here, in the parent, instead
-    // of letting every worker crash-loop on it after fork.
-    if (!worker_options_.disk_cache_dir.empty()) {
-      try {
-        DiskCache probe(worker_options_.disk_cache_dir);
-      } catch (const std::exception& error) {
-        log(std::string("serve: ") + error.what());
-        return 2;
-      }
-    }
     // The startup config travels to every worker (including respawned ones)
     // as a "!cfg" frame; a bad file fails startup loudly, like the Server.
     if (!options_.config_path.empty()) {
@@ -382,7 +373,7 @@ class ShardSupervisor {
       const util::JsonValue doc = util::JsonValue::parse(line);
       if (const util::JsonValue* arch = doc.find("architecture");
           arch != nullptr && arch->is_string() && !arch->as_string().empty()) {
-        return static_cast<size_t>(fnv1a64(arch->as_string()) % count);
+        return static_cast<size_t>(util::fnv1a64(arch->as_string()) % count);
       }
     } catch (const std::exception&) {
       // Unroutable request: the worker will answer bad_request.

@@ -424,7 +424,8 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
         fs::temp_directory_path() /
         ("autosec-differential-ckpt-" + std::to_string(static_cast<long>(::getpid())));
     csl::CheckpointOptions checkpoint_options;
-    checkpoint_options.dir = dir.string();
+    checkpoint_options.store =
+        std::make_shared<util::DurableStore>(dir.string(), util::kCheckpointStore);
     checkpoint_options.identity = "diff\x1f" + tag + '\x1f' + std::to_string(seed);
     checkpoint_options.interval_ms = 0;  // strongest durability: every record
 
@@ -455,7 +456,8 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
                              tag + "resumed run replayed every solve",
                              resumed->resumed_hits() >= all.size());
     std::error_code cleanup_error;
-    fs::remove(resumed->path(), cleanup_error);
+    fs::remove(checkpoint_options.store->entry_path(checkpoint_options.identity),
+               cleanup_error);
   }
 
   // --- (f) compact vs classic state store. Both stores are fed the same

@@ -58,4 +58,19 @@ std::string format_percent(double ratio, int significant_digits) {
   return format_sig(ratio * 100.0, significant_digits) + "%";
 }
 
+uint64_t fnv1a64(std::string_view text) {
+  uint64_t hash = 1469598103934665603ull;  // FNV offset basis
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;  // FNV prime
+  }
+  return hash;
+}
+
+std::string hex64(uint64_t value) {
+  char buffer[17];
+  std::snprintf(buffer, sizeof(buffer), "%016llx", static_cast<unsigned long long>(value));
+  return buffer;
+}
+
 }  // namespace autosec::util

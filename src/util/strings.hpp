@@ -1,6 +1,7 @@
 // Small string helpers shared by the parsers, writers and table printers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,5 +29,11 @@ std::string format_sig(double value, int significant_digits);
 
 /// Format a ratio as a percentage string, e.g. 0.122 -> "12.2%".
 std::string format_percent(double ratio, int significant_digits = 3);
+
+/// FNV-1a 64-bit digest (architecture contents, store identities, payloads).
+uint64_t fnv1a64(std::string_view text);
+
+/// `value` as 16 lower-case hex digits.
+std::string hex64(uint64_t value);
 
 }  // namespace autosec::util

@@ -270,6 +270,31 @@ TEST_F(CliFixture, SweepCheckpointFreshResumedAndInterruptedPrintTheSameTable) {
   std::filesystem::remove_all(interrupted_dir);
 }
 
+TEST_F(CliFixture, CompareCheckpointKeepsEachFileItsOwnJob) {
+  // The second file differs only in a patch rate, so both share their state
+  // and transition counts: one ledger for both would replay the first
+  // file's exposure as the second's.
+  automotive::Architecture variant =
+      automotive::casestudy::architecture(1, automotive::Protection::kUnencrypted);
+  variant.ecus.at(1).phi *= 10.0;
+  const std::string variant_path = temp_path("cli_arch1_phi.arch");
+  automotive::save_architecture_file(variant, variant_path);
+  const std::vector<std::string> compare = {"compare", *path_, variant_path,
+                                            "--message", "m", "--category", "conf"};
+  const Result plain = run(compare);
+  ASSERT_EQ(plain.exit_code, 0) << plain.err;
+
+  const std::string dir = temp_path("cli_compare_ckpt");
+  std::filesystem::remove_all(dir);
+  std::vector<std::string> checkpointed = compare;
+  checkpointed.insert(checkpointed.end(), {"--checkpoint", dir});
+  EXPECT_EQ(run(checkpointed).out, plain.out);
+  EXPECT_EQ(run(checkpointed).out, plain.out)
+      << "the resumed run replays each file's own value";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(variant_path);
+}
+
 TEST_F(CliFixture, SweepValidatesRange) {
   EXPECT_EQ(run({"sweep", *path_, "--message", "m", "--constant", "phi_3g",
                  "--from", "10", "--to", "1"})

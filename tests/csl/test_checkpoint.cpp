@@ -1,5 +1,5 @@
 // Crash-durable solves (csl/checkpoint.hpp): the ledger round-trips doubles
-// bit-exactly through its snapshot file, every fault-safepoint interruption
+// bit-exactly through its snapshot store entry, every fault-safepoint interruption
 // resumes to results bit-identical with an uninterrupted run (ctmc and mdp),
 // corruption degrades to cold recomputation (never a wrong answer), and a
 // changed job identity or changed stage identity misses instead of replaying
@@ -45,12 +45,20 @@ class CheckpointTest : public ::testing::Test {
     fs::remove_all(dir_);
   }
 
+  /// A ledger's options on a freshly opened store: each call models a
+  /// process restart over the same directory.
   CheckpointOptions options(const std::string& identity = "job-1") const {
     CheckpointOptions out;
-    out.dir = dir_.string();
+    out.store =
+        std::make_shared<util::DurableStore>(dir_.string(), util::kCheckpointStore);
     out.identity = identity;
     out.interval_ms = 0;  // persist on every record — what resume tests need
     return out;
+  }
+
+  /// The snapshot file of `identity`.
+  std::string snapshot_path(const std::string& identity = "job-1") const {
+    return options(identity).store->entry_path(identity);
   }
 
   fs::path dir_;
@@ -131,13 +139,12 @@ TEST_F(CheckpointTest, DifferentIdentitiesKeepSeparateSnapshots) {
 }
 
 TEST_F(CheckpointTest, CorruptSnapshotResumesColdAndIsUnlinked) {
-  std::string path;
   {
     CheckpointLedger ledger(options());
     ledger.record("k", 0.25);
     ledger.flush();
-    path = ledger.path();
   }
+  const std::string path = snapshot_path();
   ASSERT_TRUE(fs::exists(path));
   std::ofstream(path, std::ios::trunc) << "garbage, not a snapshot\n";
   CheckpointLedger resumed(options());
@@ -146,28 +153,27 @@ TEST_F(CheckpointTest, CorruptSnapshotResumesColdAndIsUnlinked) {
 }
 
 TEST_F(CheckpointTest, TamperedPayloadFailsTheDigestAndResumesCold) {
-  std::string path;
   {
     CheckpointLedger ledger(options());
     ledger.record("k", 0.25);
     ledger.flush();
-    path = ledger.path();
   }
-  std::ifstream in(path);
+  const std::string path = snapshot_path();
+  std::ifstream in(path, std::ios::binary);
   std::string header, identity, payload_digest, payload;
   std::getline(in, header);
   std::getline(in, identity);
   std::getline(in, payload_digest);
-  std::getline(in, payload);
+  std::getline(in, payload);  // the rest: the payload has no trailing newline
   in.close();
-  // Flip a recorded bit but keep the format shape: the payload digest
-  // mismatch must reject the whole snapshot.
+  // Flip a recorded bit but keep the format shape and the payload length:
+  // the payload digest mismatch must reject the whole snapshot.
   payload[payload.find(':') + 2] ^= 1;
-  std::ofstream(path, std::ios::trunc)
-      << header << "\n" << identity << "\n" << payload_digest << "\n"
-      << payload << "\n";
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << header << "\n" << identity << "\n" << payload_digest << "\n" << payload;
   CheckpointLedger resumed(options());
   EXPECT_EQ(resumed.load(), 0u);
+  EXPECT_FALSE(fs::exists(path)) << "a snapshot failing its digest is unlinked";
 }
 
 /// Interrupt a ctmc batch at every solve-stage safepoint, then resume: the

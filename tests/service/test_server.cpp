@@ -18,6 +18,7 @@
 #include "automotive/archfile.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace autosec::service {
 namespace {
@@ -578,6 +579,24 @@ TEST(ServerTest, StatusIsNeverDiskCached) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(ServerTest, UnknownMessageIsTheSameBadRequestForEveryPairOp) {
+  Server server(deterministic_options());
+  const std::string target = "\"architecture\": \"" + arch_path() +
+                             "\", \"message\": \"x\", \"category\": \"integrity\"";
+  const std::string property = R"("P=? [ F<=1 \"violated\" ]")";
+  for (const std::string& line :
+       {"{\"op\": \"check\", " + target + ", \"properties\": [" + property + "]}",
+        "{\"op\": \"sweep\", " + target +
+            ", \"constant\": \"phi_gw\", \"values\": [1, 2]}",
+        "{\"op\": \"diagnose\", " + target + "}"}) {
+    const JsonValue response = handle(server, line);
+    ASSERT_FALSE(response.bool_or("ok", true)) << response.dump();
+    const JsonValue* error = response.find("error");
+    EXPECT_EQ(error->string_or("code", ""), "bad_request") << line;
+    EXPECT_EQ(error->string_or("message", ""), "unknown message 'x'") << line;
+  }
+}
+
 TEST(ServerTest, UnusableDiskCacheDirFailsConstructionLoudly) {
   ServerOptions options = deterministic_options();
   options.disk_cache_dir = "/proc/definitely/not/writable";
@@ -829,9 +848,9 @@ TEST(SessionCacheTest, EvictsLeastRecentlyUsed) {
 }
 
 TEST(SessionCacheTest, DigestIsContentSensitive) {
-  EXPECT_EQ(fnv1a64("abc"), fnv1a64("abc"));
-  EXPECT_NE(fnv1a64("abc"), fnv1a64("abd"));
-  EXPECT_NE(fnv1a64(""), fnv1a64(" "));
+  EXPECT_EQ(util::fnv1a64("abc"), util::fnv1a64("abc"));
+  EXPECT_NE(util::fnv1a64("abc"), util::fnv1a64("abd"));
+  EXPECT_NE(util::fnv1a64(""), util::fnv1a64(" "));
 }
 
 }  // namespace

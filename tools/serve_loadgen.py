@@ -24,11 +24,13 @@ layer promises:
     SIGKILLs a random live worker (children of --chaos-parent, re-read from
     /proc each event so respawned workers are fair game), SIGHUPs the
     supervisor mid-load (hot config reload), and corrupts random disk-cache
-    entries under --chaos-corrupt-dir. The run then asserts the crash-
-    durability contract: no lost or duplicated envelopes, and every ok
-    response for the same (op, architecture) request carries a bit-identical
-    `result` payload — whether it was computed fresh, replayed from a
-    checkpoint, or served by a respawned worker.
+    entries under --chaos-corrupt-dir three ways: overwriting the whole file,
+    cutting its payload short, and changing one digit of the payload (the
+    last two only the store's payload digest can catch). The run then
+    asserts the crash-durability contract: no lost or duplicated envelopes,
+    and every ok response for the same (op, architecture) request carries a
+    bit-identical `result` payload — whether it was computed fresh, replayed
+    from a checkpoint, or served by a respawned worker.
 
 Request ids are deterministic ("c<client>-r<round>-<n>"), so a response file
 captured with --responses-out can be compared across transports. The
@@ -157,21 +159,66 @@ class Chaos(threading.Thread):
         except ProcessLookupError:
             self.log("supervisor gone?!")
 
-    def corrupt_cache_entry(self):
+    def cache_entry(self):
+        """A random disk-cache entry, or None when there is none yet."""
         entries = []
         for root, _, files in os.walk(self.args.chaos_corrupt_dir):
             entries.extend(os.path.join(root, f) for f in files
                            if f.endswith(".entry"))
         if not entries:
             self.log("no disk-cache entries to corrupt yet")
+            return None
+        return self.rng.choice(entries)
+
+    def rewrite_payload(self, what, damage):
+        """Replace an entry's payload (everything after the header, identity
+        and payload-digest lines) with damage(payload); the lines above it
+        stay intact, so only the payload digest can catch the change."""
+        victim = self.cache_entry()
+        if victim is None:
             return
-        victim = self.rng.choice(entries)
+        try:
+            with open(victim, "rb") as f:
+                text = f.read()
+            header, _, rest = text.partition(b"\n")
+            identity, _, rest = rest.partition(b"\n")
+            digest, _, payload = rest.partition(b"\n")
+            damaged = damage(payload)
+            if damaged is None:
+                self.log(f"nothing to {what} in {os.path.basename(victim)}")
+                return
+            with open(victim, "wb") as f:
+                f.write(b"\n".join([header, identity, digest, damaged]))
+            self.log(f"{what} {os.path.basename(victim)}")
+        except OSError as error:
+            self.log(f"{what} failed: {error}")
+
+    def corrupt_cache_entry(self):
+        victim = self.cache_entry()
+        if victim is None:
+            return
         try:
             with open(victim, "w", encoding="ascii") as f:
                 f.write("corrupted-by-chaos\n")
             self.log(f"corrupted {os.path.basename(victim)}")
         except OSError as error:
             self.log(f"corruption failed: {error}")
+
+    def truncate_cache_payload(self):
+        self.rewrite_payload(
+            "cut the payload of",
+            lambda payload: payload[:len(payload) // 2] if payload else None)
+
+    def change_cache_digit(self):
+        def change_one_digit(payload):
+            digits = [i for i, byte in enumerate(payload) if 0x30 <= byte <= 0x39]
+            if not digits:
+                return None
+            at = self.rng.choice(digits)
+            changed = bytearray(payload)
+            changed[at] = 0x30 + (payload[at] - 0x30 + 1) % 10
+            return bytes(changed)
+        self.rewrite_payload("changed a payload digit of", change_one_digit)
 
     def run(self):
         actions = []
@@ -180,6 +227,8 @@ class Chaos(threading.Thread):
             actions.append(self.sighup_parent)
         if self.args.chaos_corrupt_dir:
             actions.append(self.corrupt_cache_entry)
+            actions.append(self.truncate_cache_payload)
+            actions.append(self.change_cache_digit)
         if not actions:
             return
         while not self.stopping.wait(self.args.chaos_interval):
@@ -397,7 +446,8 @@ def main():
                         help="serve supervisor pid: chaos SIGKILLs its live "
                              "children (re-read each event) and SIGHUPs it")
     parser.add_argument("--chaos-corrupt-dir", default=None,
-                        help="disk-cache directory: chaos scribbles over "
+                        help="disk-cache directory: chaos overwrites, cuts "
+                             "short or changes a digit of "
                              "random .entry files")
     parser.add_argument("--chaos-interval", type=float, default=0.4,
                         help="seconds between chaos events")
