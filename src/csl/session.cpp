@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <stdexcept>
 
 #include <thread>
@@ -394,21 +395,40 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
     if (needs_steady) steady_of(stages);
   }
 
+  // Every C<=t on a moving chain walks the same iterates π₀Pᵏ, so they form
+  // one task sharing one pass. It goes first: it is the batch's longest.
+  std::vector<size_t> group;
+  std::vector<size_t> singles;
+  const bool moving_ctmc =
+      !stages.space->is_mdp() && stages.chain->max_exit_rate() > 0.0;
+  for (size_t i = 0; i < properties.size(); ++i) {
+    const bool shares_pass = moving_ctmc &&
+                             properties[i].kind == PropertyKind::kCumulativeReward &&
+                             properties[i].direction == OptDirection::kNone;
+    (shares_pass ? group : singles).push_back(i);
+  }
+  const size_t first_single = group.empty() ? 0 : 1;
+  const size_t tasks = first_single + singles.size();
+
   const auto start = std::chrono::steady_clock::now();
   util::metrics::ScopedSpan span("solve");
   std::vector<double> results(properties.size(), 0.0);
-  if (!options_.parallel_properties || properties.size() == 1) {
-    for (size_t i = 0; i < properties.size(); ++i) {
-      results[i] = evaluate(stages, properties[i]);
-    }
-  } else {
-    // Each slot writes only results[i]; evaluation order cannot change any
-    // value, so the batch is deterministic at every thread count.
-    util::parallel_for(0, properties.size(), 1, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
+  // Each task writes only its own results slots; evaluation order cannot
+  // change any value, so the batch is deterministic at every thread count.
+  const auto run_tasks = [&](size_t begin, size_t end) {
+    for (size_t task = begin; task < end; ++task) {
+      if (task < first_single) {
+        evaluate_cumulative_group(stages, properties, group, results);
+      } else {
+        const size_t i = singles[task - first_single];
         results[i] = evaluate(stages, properties[i]);
       }
-    });
+    }
+  };
+  if (!options_.parallel_properties || tasks == 1) {
+    run_tasks(0, tasks);
+  } else {
+    util::parallel_for(0, tasks, 1, run_tasks);
   }
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.solve_seconds += seconds_since(start);
@@ -487,7 +507,38 @@ std::string EngineSession::checkpoint_key(const Stages& stages,
   return key;
 }
 
+void EngineSession::evaluate_cumulative_group(Stages& stages,
+                                              std::span<const Property> properties,
+                                              std::span<const size_t> group,
+                                              std::vector<double>& results) {
+  std::vector<double> shared;  // values of group[solved_from..] once solved
+  size_t solved_from = 0;
+  for (size_t m = 0; m < group.size(); ++m) {
+    results[group[m]] = evaluate(stages, properties[group[m]], [&] {
+      if (shared.empty()) {
+        // One reward vector per structure, shared by the members naming it.
+        std::map<std::string, std::vector<double>> rewards;
+        std::vector<ctmc::CumulativeRewardMember> members;
+        for (const size_t i : group.subspan(m)) {
+          auto [it, inserted] = rewards.try_emplace(properties[i].reward_name);
+          if (inserted) it->second = stages.space->reward_vector(it->first);
+          members.push_back({it->second, time_bound_in(stages, properties[i])});
+        }
+        shared = ctmc::expected_cumulative_rewards(uniformized_of(stages), stages.initial,
+                                                   members, transient_options());
+        solved_from = m;
+      }
+      return shared[m - solved_from];
+    });
+  }
+}
+
 double EngineSession::evaluate(Stages& stages, const Property& property) {
+  return evaluate(stages, property, [&] { return evaluate_fresh(stages, property); });
+}
+
+double EngineSession::evaluate(Stages& stages, const Property& property,
+                               const std::function<double()>& solve) {
   check_cancel("solve");
   if (util::fault::triggered("solve.cancel")) throw util::Cancelled("solve");
   if (util::fault::triggered("solve.hang")) {
@@ -502,13 +553,13 @@ double EngineSession::evaluate(Stages& stages, const Property& property) {
     stats_.check_count += 1;
   }
   CheckpointLedger* const ledger = options_.checkpoint.get();
-  if (ledger == nullptr) return evaluate_fresh(stages, property);
+  if (ledger == nullptr) return solve();
   const std::string key = checkpoint_key(stages, property);
   if (double recorded = 0.0; ledger->lookup(key, &recorded)) {
     util::metrics::registry().add("session.checkpoint_hits");
     return recorded;  // bit-exact replay of the interrupted run's solve
   }
-  const double value = evaluate_fresh(stages, property);
+  const double value = solve();
   ledger->record(key, value);
   return value;
 }

@@ -17,13 +17,15 @@
 // all of an architecture's message properties through one session.
 //
 // Thread model: check_all() fans independent property solves across the
-// process-wide pool (util::parallel_for), and check_points() fans one
-// property's override points the same way; each solve then runs its numeric
-// kernels serially (nested parallel regions degrade to serial loops), while
-// single check() calls parallelize inside the kernels instead. Results are
-// deterministic either way.
+// process-wide pool (util::parallel_for) — its cumulative-reward properties
+// as one task that shares a single transient pass — and check_points() fans
+// one property's override points the same way; each solve then runs its
+// numeric kernels serially (nested parallel regions degrade to serial loops),
+// while single check() calls parallelize inside the kernels instead. Results
+// are deterministic either way.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -164,8 +166,13 @@ class EngineSession {
   bool satisfies(std::string_view property_text);
 
   /// Batch evaluation: builds the stages once, then solves every property —
-  /// in parallel across the pool when options().parallel_properties. Results
-  /// are positionally aligned with `properties`.
+  /// in parallel across the pool when options().parallel_properties. Every
+  /// non-directional R{..}=? [ C<=t ] of a ctmc whose chain moves joins one
+  /// task, scheduled first, that walks the uniformized chain once for all of
+  /// them (ctmc::expected_cumulative_rewards); its members still pass the
+  /// evaluate() safepoint and checkpoint one at a time in batch order.
+  /// Results are positionally aligned with `properties` and bit-identical to
+  /// one check() per property.
   std::vector<double> check_all(std::span<const Property> properties);
   std::vector<double> check_all(const std::vector<std::string>& property_texts);
 
@@ -253,8 +260,18 @@ class EngineSession {
   double time_bound_in(const Stages& stages, const Property& property) const;
 
   double evaluate(Stages& stages, const Property& property);
+  /// The safepoint and checkpoint wrapper every solve passes through: `solve`
+  /// computes the value when the ledger does not hold it.
+  double evaluate(Stages& stages, const Property& property,
+                  const std::function<double()>& solve);
   /// The solve dispatch below the checkpoint safepoint: always computes.
   double evaluate_fresh(Stages& stages, const Property& property);
+  /// check_all's cumulative-reward group: evaluates properties[i] for every
+  /// i of `group` in order into results[i]. The first member the ledger
+  /// misses solves itself and every later member in one shared pass.
+  void evaluate_cumulative_group(Stages& stages, std::span<const Property> properties,
+                                 std::span<const size_t> group,
+                                 std::vector<double>& results);
   /// Ledger key of one solve: the stage set's own override key + explored
   /// stage identity + property text — everything that determines the value.
   std::string checkpoint_key(const Stages& stages, const Property& property) const;

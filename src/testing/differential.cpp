@@ -23,6 +23,7 @@
 #include "symbolic/parser.hpp"
 #include "symbolic/writer.hpp"
 #include "testing/oracle.hpp"
+#include "util/json.hpp"
 #include "util/parallel.hpp"
 
 namespace autosec::testing {
@@ -406,6 +407,32 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     for (size_t i = 0; i < all.size(); ++i) {
       harness.compare_exact("parallel.determinism", seed, tag + all[i], serial[i],
                             parallel[i]);
+    }
+
+    // Shared vs single cumulative solves (bit-exact by contract): check_all
+    // answers every C<=t of a batch from one transient pass, whose members
+    // keep their own weights, detection test and accumulator. The batch also
+    // carries the other properties, so the pass runs as one task of the
+    // pool's fan-out.
+    std::vector<std::string> cumulative;
+    for (const symbolic::RewardStructDecl& reward : model.rewards) {
+      for (const double horizon : {t, t / 2.0, 2.0 * t}) {
+        cumulative.push_back("R{\"" + reward.name + "\"}=? [ C<=" +
+                             util::json_number(horizon) + " ]");
+      }
+    }
+    if (!cumulative.empty()) {
+      std::vector<std::string> batch = cumulative;
+      batch.insert(batch.end(), all.begin(), all.end());
+      util::set_thread_count(options.parallel_threads);
+      csl::EngineSession batch_session(space);
+      const std::vector<double> shared = batch_session.check_all(batch);
+      util::set_thread_count(1);
+      csl::EngineSession single_session(space);
+      for (size_t i = 0; i < cumulative.size(); ++i) {
+        harness.compare_exact("batch.shared_vs_single", seed, tag + cumulative[i],
+                              shared[i], single_session.check(cumulative[i]));
+      }
     }
   }
 

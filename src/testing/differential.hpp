@@ -12,7 +12,10 @@
 //               vs the direct serial sweep (solver tolerance);
 //   lumping     lumped-quotient checking vs the full-space engine;
 //   parallel    the whole property batch at 1 thread vs N threads, required
-//               to agree bit-for-bit (the engine's determinism contract);
+//               to agree bit-for-bit (the engine's determinism contract),
+//               and every reward's C<=t, C<=t/2 and C<=2t from check_all's
+//               shared transient pass vs one check() each, bit-for-bit too
+//               ("batch.shared_vs_single");
 //   roundtrip   write_model → parse_model → explore yields the identical
 //               state space, and write∘parse∘write is a fixpoint; same for
 //               write_architecture/parse_architecture plus the transformed

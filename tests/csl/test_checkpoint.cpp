@@ -24,6 +24,7 @@
 #include "symbolic/parser.hpp"
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
+#include "util/metrics.hpp"
 
 namespace autosec::csl {
 namespace {
@@ -309,6 +310,81 @@ TEST_F(CheckpointTest, ChangedStateSpaceMissesInsteadOfReplayingStaleValues) {
   }
   EXPECT_EQ(resumed->resumed_hits(), 0u)
       << "stale records must never replay against a changed state space";
+}
+
+/// check_all's C<=t properties share one transient pass, but each member
+/// still checkpoints on its own: a fully recorded group replays without the
+/// pass, and a partly recorded one replays the recorded members and solves
+/// the rest.
+const std::vector<std::string> kCumulativeGroup = {
+    "R{\"downtime\"}=? [ C<=1 ]",
+    "R{\"downtime\"}=? [ C<=0.5 ]",
+    "P=? [ F<=0.5 \"broken\" ]",
+    "R{\"downtime\"}=? [ C<=2 ]",
+    "R{\"downtime\"}=? [ C<=4 ]",
+};
+
+TEST_F(CheckpointTest, FullyRecordedCumulativeGroupReplaysWithoutAPass) {
+  std::vector<double> fresh;
+  {
+    auto ledger = std::make_shared<CheckpointLedger>(options("group-full"));
+    ledger->load();
+    EngineSession session(repair_model());
+    session.set_checkpoint(ledger);
+    fresh = session.check_all(kCumulativeGroup);
+  }
+  auto resumed = std::make_shared<CheckpointLedger>(options("group-full"));
+  EXPECT_EQ(resumed->load(), kCumulativeGroup.size());
+  EngineSession session(repair_model());
+  session.set_checkpoint(resumed);
+  util::metrics::registry().set_enabled(true);
+  util::metrics::registry().reset();
+  const std::vector<double> values = session.check_all(kCumulativeGroup);
+  const uint64_t products =
+      util::metrics::registry().counter_value("ctmc.matrix_vector_products");
+  const uint64_t passes =
+      util::metrics::registry().counter_value("ctmc.cumulative_reward_passes");
+  util::metrics::registry().set_enabled(false);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(values[i], fresh[i]) << kCumulativeGroup[i];
+  }
+  EXPECT_EQ(resumed->resumed_hits(), kCumulativeGroup.size());
+  EXPECT_EQ(products, 0u);
+  EXPECT_EQ(passes, 0u);
+}
+
+TEST_F(CheckpointTest, PartlyRecordedCumulativeGroupRecomputesOnlyTheRest) {
+  EngineSession reference(repair_model());
+  const std::vector<double> fresh = reference.check_all(kCumulativeGroup);
+  {
+    auto ledger = std::make_shared<CheckpointLedger>(options("group-part"));
+    ledger->load();
+    SessionOptions session_options;
+    session_options.parallel_properties = false;  // deterministic interrupt
+    EngineSession session(repair_model(), session_options);
+    session.set_checkpoint(ledger);
+    // The group runs first, its members in batch order: the two C<=t before
+    // the third member land, then its safepoint cancels.
+    util::fault::arm_site("solve.cancel", 3);
+    EXPECT_THROW(session.check_all(kCumulativeGroup), util::Cancelled);
+    util::fault::disarm_all();
+  }
+  auto resumed = std::make_shared<CheckpointLedger>(options("group-part"));
+  EXPECT_EQ(resumed->load(), 2u);
+  EngineSession session(repair_model());
+  session.set_checkpoint(resumed);
+  util::metrics::registry().set_enabled(true);
+  util::metrics::registry().reset();
+  const std::vector<double> values = session.check_all(kCumulativeGroup);
+  const uint64_t passes =
+      util::metrics::registry().counter_value("ctmc.cumulative_reward_passes");
+  util::metrics::registry().set_enabled(false);
+  for (size_t i = 0; i < fresh.size(); ++i) {
+    EXPECT_EQ(values[i], fresh[i]) << kCumulativeGroup[i];
+  }
+  EXPECT_EQ(resumed->resumed_hits(), 2u);
+  EXPECT_EQ(passes, 1u) << "the two unrecorded members share one pass";
+  EXPECT_EQ(resumed->size(), kCumulativeGroup.size());
 }
 
 /// Rate-only sweep points share the session's active key and their state

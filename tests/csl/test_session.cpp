@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "csl/checker.hpp"
 #include "symbolic/builder.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace autosec::csl {
@@ -147,6 +150,51 @@ symbolic::Model sized_repair_model() {
   builder.state_reward("downtime", Expr::ident("x") == Expr::ident("top"),
                        Expr::literal(1.0));
   return builder.build();
+}
+
+TEST(EngineSession, CheckAllSharesOneCumulativePassAndEqualsSingleChecks) {
+  // Several C<=t at two horizons (one repeated) among mixed properties.
+  const std::vector<std::string> properties = {
+      "R{\"downtime\"}=? [ C<=1.5 ]",
+      "P=? [ F<=0.5 \"broken\" ]",
+      "R{\"downtime\"}=? [ C<=4 ]",
+      "S=? [ \"broken\" ]",
+      "R{\"downtime\"}=? [ I=1 ]",
+      "R{\"downtime\"}=? [ C<=1.5 ]",
+      "R{\"downtime\"}=? [ F \"broken\" ]",
+  };
+  const OverrideSet larger = {{"top", symbolic::Value::of(int64_t{3})}};
+  SessionOptions reference_options;
+  reference_options.constant_overrides = larger;
+  EngineSession reference(sized_repair_model(), reference_options);
+  std::vector<double> expected;
+  for (const std::string& property : properties) {
+    expected.push_back(reference.check(property));
+  }
+
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    for (const bool parallel : {true, false}) {
+      util::set_thread_count(threads);
+      SessionOptions options;
+      options.constant_overrides = larger;
+      options.parallel_properties = parallel;
+      EngineSession session(sized_repair_model(), options);
+      util::metrics::registry().set_enabled(true);
+      util::metrics::registry().reset();
+      const std::vector<double> values = session.check_all(properties);
+      const uint64_t passes =
+          util::metrics::registry().counter_value("ctmc.cumulative_reward_passes");
+      util::metrics::registry().set_enabled(false);
+      ASSERT_EQ(values.size(), expected.size());
+      for (size_t i = 0; i < expected.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<uint64_t>(values[i]), std::bit_cast<uint64_t>(expected[i]))
+            << properties[i] << ", " << threads << " threads, parallel " << parallel;
+      }
+      EXPECT_EQ(passes, 1u) << "the three C<=t share one pass";
+      EXPECT_EQ(session.stats().check_count, properties.size());
+    }
+  }
+  util::set_thread_count(0);
 }
 
 TEST(EngineSession, CheckPointsEqualsPerPointRekeyedChecksAtOneAndFourThreads) {

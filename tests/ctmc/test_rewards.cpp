@@ -2,10 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "ctmc/poisson.hpp"
 #include "ctmc_test_helpers.hpp"
+#include "util/cancel.hpp"
+#include "util/failure.hpp"
+#include "util/metrics.hpp"
 
 namespace autosec::ctmc {
 namespace {
@@ -81,6 +89,17 @@ TEST(CumulativeReward, RejectsBadArguments) {
   EXPECT_THROW(
       expected_cumulative_reward(chain, start_in(2, 0), {1.0, 1.0}, -1.0),
       std::invalid_argument);
+  // A shared pass rejects a bad member even behind a good one.
+  const Uniformized uniformized = uniformize(chain);
+  const std::vector<double> good = {0.0, 1.0};
+  const std::vector<double> short_rewards = {1.0};
+  const std::vector<CumulativeRewardMember> mismatched = {{good, 1.0},
+                                                          {short_rewards, 1.0}};
+  EXPECT_THROW(expected_cumulative_rewards(uniformized, start_in(2, 0), mismatched),
+               std::invalid_argument);
+  const std::vector<CumulativeRewardMember> negative = {{good, 1.0}, {good, -1.0}};
+  EXPECT_THROW(expected_cumulative_rewards(uniformized, start_in(2, 0), negative),
+               std::invalid_argument);
 }
 
 TEST(InstantaneousReward, MatchesTransientDistribution) {
@@ -128,6 +147,97 @@ TEST(CumulativeReward, Figure3ExposureConsistentWithLongRun) {
   const double fraction =
       expected_time_fraction(chain, start_in(3, 0), {false, false, true}, 200.0);
   EXPECT_NEAR(fraction, 0.000699, 2e-5);
+}
+
+uint64_t bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+uint64_t counter(const char* name) {
+  return util::metrics::registry().counter_value(name);
+}
+
+TEST(CumulativeRewardPass, EveryMemberEqualsItsOneMemberCallBitForBit) {
+  // The repair chain (break 2, fix 6) mixes within a time unit, so at
+  // C<=100 steady-state detection collapses the tail; at C<=0.1 and C<=0.25
+  // it never fires. Members at three horizons, one of them t = 0.
+  const Uniformized uniformized = uniformize(two_state(2.0, 6.0));
+  const std::vector<double> initial = start_in(2, 0);
+  const std::vector<double> downtime = {0.0, 1.0};
+  const std::vector<double> weighted = {1.0, 5.0};
+  const std::vector<CumulativeRewardMember> members = {
+      {downtime, 100.0}, {weighted, 0.1}, {downtime, 0.0}, {weighted, 0.25}};
+
+  util::metrics::registry().set_enabled(true);
+  util::metrics::registry().reset();
+  std::vector<double> single;
+  std::vector<uint64_t> truncations;
+  std::vector<uint64_t> products;
+  for (const CumulativeRewardMember& member : members) {
+    const uint64_t truncations_before = counter("solve.steady_state_truncations");
+    const uint64_t products_before = counter("ctmc.matrix_vector_products");
+    single.push_back(expected_cumulative_reward(
+        uniformized, initial,
+        std::vector<double>(member.state_rewards.begin(), member.state_rewards.end()),
+        member.t));
+    truncations.push_back(counter("solve.steady_state_truncations") - truncations_before);
+    products.push_back(counter("ctmc.matrix_vector_products") - products_before);
+  }
+  const uint64_t products_before = counter("ctmc.matrix_vector_products");
+  const std::vector<double> shared =
+      expected_cumulative_rewards(uniformized, initial, members);
+  const uint64_t shared_products = counter("ctmc.matrix_vector_products") - products_before;
+  const uint64_t passes = counter("ctmc.cumulative_reward_passes");
+  util::metrics::registry().set_enabled(false);
+
+  EXPECT_EQ(truncations[0], 1u) << "C<=100 must exercise steady-state detection";
+  EXPECT_EQ(truncations[1], 0u);
+  EXPECT_EQ(truncations[3], 0u);
+  ASSERT_EQ(shared.size(), members.size());
+  for (size_t m = 0; m < members.size(); ++m) {
+    EXPECT_EQ(bits(shared[m]), bits(single[m])) << "member " << m;
+  }
+  EXPECT_EQ(bits(shared[2]), bits(0.0));
+  // One walk: the pass costs exactly the products of its longest member.
+  EXPECT_EQ(shared_products, *std::max_element(products.begin(), products.end()));
+  EXPECT_EQ(passes, members.size() + 1);
+}
+
+TEST(CumulativeRewardPass, NoMembersOrOnlyZeroHorizonsTakeNoStep) {
+  const Uniformized uniformized = uniformize(two_state(2.0, 6.0));
+  const std::vector<double> downtime = {0.0, 1.0};
+  EXPECT_TRUE(expected_cumulative_rewards(uniformized, start_in(2, 0), {}).empty());
+  const std::vector<CumulativeRewardMember> members = {{downtime, 0.0}, {downtime, 0.0}};
+  util::metrics::registry().set_enabled(true);
+  util::metrics::registry().reset();
+  const std::vector<double> values =
+      expected_cumulative_rewards(uniformized, start_in(2, 0), members);
+  EXPECT_EQ(counter("ctmc.matrix_vector_products"), 0u);
+  util::metrics::registry().set_enabled(false);
+  EXPECT_EQ(values, std::vector<double>({0.0, 0.0}));
+}
+
+TEST(CumulativeReward, PollsTheCancelHookEveryStep) {
+  // q·t = 12.24 here, so the solve takes about 35 steps: a hook that turns
+  // true on its 5th poll must stop it there.
+  const Uniformized uniformized = uniformize(two_state(2.0, 6.0));
+  size_t polls = 0;
+  TransientOptions options;
+  options.cancelled = [&polls] { return ++polls == 5; };
+  EXPECT_THROW(
+      expected_cumulative_reward(uniformized, start_in(2, 0), {0.0, 1.0}, 2.0, options),
+      util::Cancelled);
+  EXPECT_EQ(polls, 5u);
+}
+
+TEST(CumulativeReward, NonFiniteValueIsANumericalError) {
+  const Uniformized uniformized = uniformize(two_state(2.0, 6.0));
+  const std::vector<double> poisoned = {0.0, std::numeric_limits<double>::infinity()};
+  try {
+    expected_cumulative_reward(uniformized, start_in(2, 0), poisoned, 1.0);
+    ADD_FAILURE() << "a non-finite expected reward was returned";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kNumericalError);
+    EXPECT_EQ(failure.stage(), "cumulative_reward");
+  }
 }
 
 class OccupancySweep : public ::testing::TestWithParam<std::tuple<double, double>> {};

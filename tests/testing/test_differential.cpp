@@ -32,7 +32,8 @@ TEST(Differential, AllCheckFamiliesRun) {
         "oracle.instantaneous_reward", "oracle.bounded_reachability",
         "solver.krylov_vs_gauss_seidel", "solver.blocked_vs_csr",
         "solver.colored_vs_direct_gs", "lumping.quotient_vs_full",
-        "parallel.determinism", "roundtrip.model_text_fixpoint",
+        "parallel.determinism", "batch.shared_vs_single",
+        "roundtrip.model_text_fixpoint",
         "roundtrip.model_state_space", "roundtrip.arch_text_fixpoint",
         "engine.compact_vs_classic", "engine.reduced_vs_full"}) {
     const auto it = report.checks.find(family);

@@ -101,7 +101,9 @@ int main(int argc, char** argv) {
                    "kernels    blocked SELL-C-sigma vs CSR transient kernel (bit-exact)\n"
                    "           and multicolor vs direct Gauss-Seidel sweeps\n"
                    "lumping    lumped-quotient checking vs the full state space\n"
-                   "parallel   1-thread vs N-thread batch solves (bit-exact)\n"
+                   "parallel   1-thread vs N-thread batch solves (bit-exact), and\n"
+                   "           check_all's shared cumulative-reward pass vs one\n"
+                   "           check() per property (bit-exact)\n"
                    "roundtrip  writer -> parser identity for models and .arch files\n"
                    "engine     compact vs classic state store (bit-exact) and the\n"
                    "           symmetry-reduced quotient vs the full space\n"
