@@ -28,11 +28,7 @@ bool overrides_require_single_models(const AnalysisOptions& options) {
 }
 
 void accumulate(csl::SessionStats& total, const csl::SessionStats& part) {
-  if (total.engine.empty()) {
-    total.engine = part.engine;
-  } else if (!part.engine.empty() && part.engine != total.engine) {
-    total.engine = "mixed";  // kAuto may resolve differently per pair
-  }
+  if (!part.engine.empty()) total.engine = part.engine;
   total.compile_count += part.compile_count;
   total.explore_count += part.explore_count;
   total.uniformize_count += part.uniformize_count;

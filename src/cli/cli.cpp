@@ -727,15 +727,14 @@ void print_help(std::ostream& out) {
          "completed runs always flush). Works with analyze, check, sweep,\n"
          "and compare.\n"
          "\n"
-         "--engine auto|classic|compact picks the exploration state store\n"
-         "(docs/engine.md): classic keeps one valuation vector per state;\n"
-         "compact bit-packs and interns states (an order of magnitude less\n"
-         "memory on wide fleet models) and enables symmetry reduction over\n"
-         "interchangeable ECU modules. auto (the default) picks per model.\n"
-         "--reduction auto|on|off overrides when the symmetry reduction runs\n"
-         "(auto: only with an explicitly requested compact engine). Reduced\n"
-         "spaces answer symmetric properties exactly and reject asymmetric\n"
-         "ones with a typed error.\n"
+         "Exploration keeps every state bit-packed in one interning store\n"
+         "(docs/engine.md). --engine auto|classic|compact is accepted for one\n"
+         "more release: auto (the default) and classic are the same, and\n"
+         "compact enables symmetry reduction over interchangeable ECU modules\n"
+         "of ctmc models. --reduction auto|on|off overrides when the symmetry\n"
+         "reduction runs (auto: only with --engine compact). Reduced spaces\n"
+         "answer symmetric properties exactly and reject asymmetric ones with\n"
+         "a typed error.\n"
          "\n"
          "The solve kernels (CSR or SELL-C-sigma products, direct or colored\n"
          "Gauss-Seidel sweeps) are chosen from the matrix alone (docs/\n"

@@ -91,7 +91,7 @@ struct SessionStats {
   /// across every solve of the session — 0 when every solve converged on its
   /// first rung; surfaced per request by the serving layer.
   size_t solver_fallbacks = 0;
-  /// Resolved state-store backend of the last explore ("classic"/"compact");
+  /// State store of the last explore (always "compact", the one store);
   /// empty until the space is built. Surfaced per request by the serving
   /// layer and recorded in the metrics registry.
   std::string engine;

@@ -21,7 +21,9 @@ namespace autosec::csl {
 struct EngineOptions;
 
 struct SolverPlan {
-  /// State-store backend of exploration (classic | compact | auto).
+  /// Engine token of the request. Exploration has one state store, so auto
+  /// and classic are the same request; compact turns reduction auto on for
+  /// ctmc models (apply_plan). Accepted for one more release.
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
   /// On-the-fly symmetry reduction policy (ctmc models only).
   symbolic::SymmetryReduction reduction = symbolic::SymmetryReduction::kAuto;
@@ -36,6 +38,7 @@ struct SolverPlan {
 /// Fan the plan out onto the stage option structs it subsumes. The plan is
 /// authoritative: EngineSession applies it on construction, so callers set
 /// options.plan.* instead of poking transient/steady_state/explore fields.
+/// Reads options.model_type, which must already name the model's type.
 void apply_plan(const SolverPlan& plan, EngineOptions& options);
 
 }  // namespace autosec::csl

@@ -134,6 +134,20 @@ std::string CsrMatrix::to_dense_string(int precision) const {
   return os.str();
 }
 
+void sort_and_merge_row(std::vector<Entry>& entries) {
+  std::sort(entries.begin(), entries.end(),
+            [](const Entry& a, const Entry& b) { return a.column < b.column; });
+  size_t write = 0;
+  for (size_t read = 0; read < entries.size(); ++read) {
+    if (write > 0 && entries[write - 1].column == entries[read].column) {
+      entries[write - 1].value += entries[read].value;
+    } else {
+      entries[write++] = entries[read];
+    }
+  }
+  entries.resize(write);
+}
+
 CsrBuilder::CsrBuilder(size_t row_count, size_t column_count)
     : row_count_(row_count), column_count_(column_count), row_entries_(row_count) {}
 
@@ -148,19 +162,8 @@ CsrMatrix CsrBuilder::build() && {
   std::vector<uint32_t> offsets(row_count_ + 1, 0);
   size_t nnz = 0;
   for (auto& entries : row_entries_) {
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry& a, const Entry& b) { return a.column < b.column; });
-    // Merge duplicates in place.
-    size_t write = 0;
-    for (size_t read = 0; read < entries.size(); ++read) {
-      if (write > 0 && entries[write - 1].column == entries[read].column) {
-        entries[write - 1].value += entries[read].value;
-      } else {
-        entries[write++] = entries[read];
-      }
-    }
-    entries.resize(write);
-    nnz += write;
+    sort_and_merge_row(entries);
+    nnz += entries.size();
   }
   std::vector<uint32_t> columns;
   std::vector<double> values;

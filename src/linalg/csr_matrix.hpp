@@ -70,8 +70,14 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// Incremental builder: add entries row by row (rows in ascending order);
-/// entries within a row may arrive unordered and duplicates are summed.
+/// Sort one row's entries by column and sum the entries that share a
+/// column (in sorted order), in place. CsrBuilder::build finalizes every row
+/// with it, and the explorer each row it emits, so the same entry sequence
+/// gives the same bits either way.
+void sort_and_merge_row(std::vector<Entry>& entries);
+
+/// Incremental builder: entries may be added for any row in any order, and
+/// within a row they may arrive unordered; duplicates are summed.
 class CsrBuilder {
  public:
   CsrBuilder(size_t row_count, size_t column_count);

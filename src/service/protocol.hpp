@@ -40,8 +40,9 @@
 // result was replayed from disk (explores 0, no engine work), "none" means
 // no disk cache is configured or the op is not cacheable. "solver_fallbacks" counts
 // solver rungs taken beyond the first (a degraded but correct solve).
-// "engine" is the resolved state-store backend ("classic" | "compact";
-// "none" for requests that build no state space, e.g. status/diagnose).
+// "engine" is the state store that held the request's states ("compact",
+// the one store; "none" for requests that build no state space, e.g.
+// status/diagnose).
 #pragma once
 
 #include <optional>
@@ -110,7 +111,9 @@ struct Request {
   /// yields a typed state_budget_exceeded / memory_budget_exceeded error.
   std::optional<int64_t> max_states;
   std::optional<int64_t> max_memory_mb;
-  /// State-store backend for exploration ("auto" | "classic" | "compact").
+  /// Engine token ("auto" | "classic" | "compact"), kept for one release:
+  /// "compact" turns symmetry reduction on for ctmc models; the other two
+  /// are the same request.
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
   /// Steady-state truncation of long transient horizons (default on). The
   /// solve kernels themselves resolve from the matrix alone

@@ -194,7 +194,7 @@ class Server {
     size_t explores = 0;
     size_t states = 0;
     size_t solver_fallbacks = 0;
-    /// Resolved state-store backend ("classic" | "compact"); "none" for
+    /// State store that held the states ("compact"); "none" for
     /// requests that build no state space (status, diagnose, cache hits that
     /// never re-explore keep the session's recorded engine).
     std::string engine = "none";

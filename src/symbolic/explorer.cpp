@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 #include <new>
 
 #include "util/failure.hpp"
@@ -79,9 +78,10 @@ std::vector<bool> StateSpace::satisfying(const Expr& condition) const {
         "state formula '" + condition.to_string() +
         "' is not invariant under the symmetry reduction that built this "
         "state space; its value would depend on which orbit representative "
-        "was stored. Re-run with the classic engine or reduction off, or "
-        "phrase the property symmetrically (e.g. over all interchangeable "
-        "modules instead of one).");
+        "was stored. Re-run without the reduction (CLI: --reduction off; "
+        "serve: leave out \"engine\": \"compact\"), or phrase the property "
+        "symmetrically (e.g. over all interchangeable modules instead of "
+        "one).");
   }
   std::vector<bool> mask(state_count());
   std::vector<int32_t> values;
@@ -123,187 +123,260 @@ std::vector<double> StateSpace::reward_vector(const std::string& rewards_name) c
 
 namespace {
 
-// MDP exploration: same breadth-first enumeration, but every enabled command
-// becomes one row of a flattened (state, action) -> distribution matrix
-// instead of one rate entry. The FIFO frontier hands states out in intern
-// order, so rows are emitted state by state and the state_offsets array is
-// contiguous by construction. Self-loops are kept: an action that stays put
-// is a real choice for a nondeterministic attacker, unlike a CTMC rate onto
-// the diagonal which no transient analysis can observe.
-StateSpace explore_mdp(std::shared_ptr<const CompiledModel> model_ptr,
-                       std::shared_ptr<StateStore> store,
-                       const ExploreOptions& options) {
-  const CompiledModel& model = *model_ptr;
+/// One breadth-first exploration, shared by every model type. States are
+/// numbered in intern order and the frontier is the index range
+/// [next_, store size): a FIFO queue over dense ids pops states in exactly
+/// that order. A popped state's rows are therefore complete when the loop
+/// moves past it, and the row emitter of the model type (emit_ctmc_row /
+/// emit_mdp_rows) appends them straight onto the CSR arrays.
+class Explorer {
+ public:
+  Explorer(const CompiledModel& model, const ExploreOptions& options,
+           SymmetryGroup symmetry)
+      : model_(model),
+        options_(options),
+        symmetry_(std::move(symmetry)),
+        limit_(options.resolved_state_limit()),
+        store_(std::make_shared<StateStore>(model)) {}
 
-  std::deque<uint32_t> frontier;
+  void run() {
+    std::vector<int32_t> initial = model_.initial_state();
+    symmetry_.canonicalize(initial, scratch_);
+    initial_ = intern(initial);
 
-  struct Triplet {
-    uint32_t row;
-    uint32_t to;
-    double probability;
-  };
-  std::vector<Triplet> triplets;
-  std::vector<uint32_t> state_of_row;
-  std::vector<uint32_t> state_offsets{0};
-  std::vector<std::string> action_labels;
-
-  const ExploreOptions::ResolvedStateLimit limit = options.resolved_state_limit();
-  const std::string* last_module = nullptr;
-
-  const size_t state_bytes = store->bytes_per_state();
-  size_t charged_states = 0;
-  size_t charged_triplets = 0;
-  auto charge_growth = [&] {
-    if (!options.budget) return;
-    if (store->size() - charged_states < 4096 &&
-        triplets.size() - charged_triplets < 16384) {
-      return;
+    std::vector<int32_t> current;
+    while (next_ < store_->size()) {
+      if (util::fault::triggered("explore.alloc")) throw std::bad_alloc();
+      charge(kChargeStep);
+      const auto id = static_cast<uint32_t>(next_++);
+      store_->values_of(id, current);
+      if (model_.type == ModelType::kMdp) {
+        emit_mdp_rows(id, current);
+      } else {
+        emit_ctmc_row(id, current);
+      }
     }
-    options.budget->charge_bytes(
-        (store->size() - charged_states) * state_bytes +
-            (triplets.size() - charged_triplets) * sizeof(Triplet),
-        "explore");
-    charged_states = store->size();
-    charged_triplets = triplets.size();
-  };
+    charge(0);
+  }
 
-  auto intern = [&](std::span<const int32_t> state) -> uint32_t {
-    bool inserted = false;
-    const uint32_t id = store->intern(state, inserted);
-    if (!inserted) return id;
-    if (store->size() > limit.limit) {
-      util::FailureProgress progress;
-      progress.states_explored = store->size() - 1;
-      progress.frontier_size = frontier.size();
-      progress.limit = limit.limit;
-      if (last_module != nullptr) progress.last_command = *last_module;
-      throw util::EngineFailure(
-          util::FailureCode::kStateBudgetExceeded, "explore",
-          "explore: state count exceeds the configured maximum (" +
-              std::to_string(limit.limit) + ", set by " + limit.describe() + ")",
-          progress);
+  StateSpace finish(std::shared_ptr<const CompiledModel> model) && {
+    const size_t rows = offsets_.size() - 1;
+    const size_t states = store_->size();
+    linalg::CsrMatrix matrix(rows, states, std::move(offsets_), std::move(columns_),
+                             std::move(values_));
+    if (model_.type != ModelType::kMdp) {
+      AUTOSEC_LOG_INFO("explorer")
+          << "explored " << states << " states, " << transitions_ << " transitions";
+      return StateSpace(std::move(model), std::move(store_), initial_,
+                        std::move(matrix), transitions_, std::move(symmetry_));
     }
-    frontier.push_back(id);
-    return id;
-  };
+    auto flat = std::make_shared<mdp::Mdp>();
+    flat->transitions = std::move(matrix);
+    flat->state_of_row = std::move(state_of_row_);
+    flat->state_offsets = std::move(state_offsets_);
+    flat->state_offsets.push_back(static_cast<uint32_t>(rows));
+    flat->action_labels = std::move(action_labels_);
+    flat->validate();
+    const size_t entries = flat->transitions.nonzeros();
+    AUTOSEC_LOG_INFO("explorer") << "explored " << states << " states, " << rows
+                                 << " actions, " << entries << " transitions";
+    return StateSpace(std::move(model), std::move(store_), initial_, std::move(flat),
+                      entries);
+  }
 
-  std::vector<int32_t> initial = model.initial_state();
-  const uint32_t initial_id = intern(initial);
+ private:
+  static constexpr size_t kChargeStep = 64 * 1024;
 
-  // Per-action (successor, probability) accumulator, merged by successor
-  // before committing the row (two branches may land in the same state).
-  std::vector<std::pair<uint32_t, double>> outcomes;
-
-  std::vector<int32_t> current;
-  std::vector<int32_t> successor;
-  while (!frontier.empty()) {
-    if (util::fault::triggered("explore.alloc")) throw std::bad_alloc();
-    charge_growth();
-    const uint32_t current_id = frontier.front();
-    frontier.pop_front();
-    store->values_of(current_id, current);
-
-    size_t rows_of_state = 0;
-    for (size_t c = 0; c < model.commands.size(); ++c) {
-      const CompiledCommand& command = model.commands[c];
+  /// CTMC: one rate row per state. Parallel commands into the same state
+  /// (and, under reduction, into the same orbit) are summed by the shared
+  /// row merge; transitions count firings before merging.
+  void emit_ctmc_row(uint32_t id, const std::vector<int32_t>& current) {
+    row_.clear();
+    for (const CompiledCommand& command : model_.commands) {
       if (!command.guard.evaluate_bool(current)) continue;
-      last_module = &command.module;
+      last_module_ = &command.module;
+      const double rate = command.rate.evaluate_number(current);
+      if (rate < 0.0 || !std::isfinite(rate)) {
+        throw ModelError("explore: command in module '" + command.module +
+                         "' has invalid rate " + std::to_string(rate) + " in state " +
+                         std::to_string(id));
+      }
+      if (rate == 0.0) {
+        if (options_.allow_zero_rates) continue;
+        throw ModelError("explore: zero rate with enabled guard in module '" +
+                         command.module + "'");
+      }
+      update(command.module, command.assignments, current);
+      // `current` is already canonical (every interned state is), so the
+      // self-loop test compares canonical forms: transitions within one
+      // orbit fold onto the quotient's diagonal, which a CTMC never observes.
+      symmetry_.canonicalize(successor_, scratch_);
+      if (successor_ == current) continue;
+      row_.push_back({intern(successor_), rate});
+    }
+    transitions_ += row_.size();
+    linalg::sort_and_merge_row(row_);
+    for (const linalg::Entry& entry : row_) push_entry(entry.column, entry.value);
+    offsets_.push_back(static_cast<uint32_t>(columns_.size()));
+  }
+
+  /// MDP: every enabled command becomes one row of the flattened
+  /// (state, action) -> distribution matrix. Self-loops are kept: an action
+  /// that stays put is a real choice for a nondeterministic attacker, unlike
+  /// a CTMC rate onto the diagonal which no transient analysis can observe.
+  void emit_mdp_rows(uint32_t id, const std::vector<int32_t>& current) {
+    const size_t first_row = state_of_row_.size();
+    state_offsets_.push_back(static_cast<uint32_t>(first_row));
+    for (size_t c = 0; c < model_.commands.size(); ++c) {
+      const CompiledCommand& command = model_.commands[c];
+      if (!command.guard.evaluate_bool(current)) continue;
+      last_module_ = &command.module;
 
       double total = 0.0;
-      outcomes.clear();
+      outcomes_.clear();
       for (const CompiledBranch& branch : command.branches) {
         const double probability = branch.probability.evaluate_number(current);
         if (probability < 0.0 || !std::isfinite(probability)) {
           throw ModelError("explore: command in module '" + command.module +
                            "' has invalid branch probability " +
                            std::to_string(probability) + " in state " +
-                           std::to_string(current_id));
+                           std::to_string(id));
         }
         if (probability == 0.0) continue;
         total += probability;
-        successor = current;
-        for (const auto& [var_index, value_expr] : branch.assignments) {
-          const Value value = value_expr.evaluate(current);
-          if (!value.is_int()) {
-            throw ModelError("explore: non-integer update for variable '" +
-                             model.variables[var_index].name + "'");
-          }
-          const int64_t raw = value.as_int();
-          const CompiledVariable& var = model.variables[var_index];
-          if (raw < var.low || raw > var.high) {
-            throw ModelError("explore: update drives variable '" + var.name +
-                             "' to " + std::to_string(raw) + ", outside [" +
-                             std::to_string(var.low) + ".." + std::to_string(var.high) +
-                             "] (module '" + command.module + "')");
-          }
-          successor[var_index] = static_cast<int32_t>(raw);
-        }
-        outcomes.emplace_back(intern(successor), probability);
+        update(command.module, branch.assignments, current);
+        outcomes_.emplace_back(intern(successor_), probability);
       }
-      if (outcomes.empty()) {
+      if (outcomes_.empty()) {
         throw ModelError("explore: command in module '" + command.module +
                          "' has all-zero branch probabilities in state " +
-                         std::to_string(current_id));
+                         std::to_string(id));
       }
       if (std::abs(total - 1.0) > 1e-9) {
         throw ModelError("explore: branch probabilities of a command in module '" +
                          command.module + "' sum to " + std::to_string(total) +
-                         " (expected 1) in state " + std::to_string(current_id));
+                         " (expected 1) in state " + std::to_string(id));
       }
-      std::sort(outcomes.begin(), outcomes.end());
-      const uint32_t row = static_cast<uint32_t>(state_of_row.size());
-      state_of_row.push_back(current_id);
-      action_labels.push_back(command.action.empty()
-                                  ? command.module + "#" + std::to_string(c)
-                                  : command.action);
       // Merge duplicate successors and divide the float residue of `total`
       // back out, so every committed row is stochastic to machine precision.
-      for (size_t i = 0; i < outcomes.size();) {
+      // The sort key is (successor, probability), not the successor alone as
+      // in sort_and_merge_row: it fixes the order duplicates are summed in.
+      std::sort(outcomes_.begin(), outcomes_.end());
+      for (size_t i = 0; i < outcomes_.size();) {
         size_t j = i;
         double probability = 0.0;
-        while (j < outcomes.size() && outcomes[j].first == outcomes[i].first) {
-          probability += outcomes[j].second;
+        while (j < outcomes_.size() && outcomes_[j].first == outcomes_[i].first) {
+          probability += outcomes_[j].second;
           ++j;
         }
-        triplets.push_back({row, outcomes[i].first, probability / total});
+        push_entry(outcomes_[i].first, probability / total);
         i = j;
       }
-      ++rows_of_state;
+      end_action(id, command.action.empty() ? command.module + "#" + std::to_string(c)
+                                            : command.action);
     }
-    if (rows_of_state == 0) {
+    if (state_of_row_.size() == first_row) {
       // Deadlock state: implicit self-loop so every state has >= 1 action.
-      const uint32_t row = static_cast<uint32_t>(state_of_row.size());
-      state_of_row.push_back(current_id);
-      action_labels.push_back("(self-loop)");
-      triplets.push_back({row, current_id, 1.0});
+      push_entry(id, 1.0);
+      end_action(id, "(self-loop)");
     }
-    state_offsets.push_back(static_cast<uint32_t>(state_of_row.size()));
   }
 
-  if (options.budget) {
-    options.budget->charge_bytes(
-        (store->size() - charged_states) * state_bytes +
-            (triplets.size() - charged_triplets) * sizeof(Triplet),
-        "explore");
+  void push_entry(uint32_t column, double value) {
+    columns_.push_back(column);
+    values_.push_back(value);
   }
 
-  auto flat = std::make_shared<mdp::Mdp>();
-  linalg::CsrBuilder builder(state_of_row.size(), store->size());
-  for (const Triplet& t : triplets) builder.add(t.row, t.to, t.probability);
-  flat->transitions = std::move(builder).build();
-  flat->state_of_row = std::move(state_of_row);
-  flat->state_offsets = std::move(state_offsets);
-  flat->action_labels = std::move(action_labels);
-  flat->validate();
+  void end_action(uint32_t id, std::string label) {
+    offsets_.push_back(static_cast<uint32_t>(columns_.size()));
+    state_of_row_.push_back(id);
+    action_labels_.push_back(std::move(label));
+  }
 
-  AUTOSEC_LOG_INFO("explorer") << "explored " << store->size() << " states, "
-                               << flat->row_count() << " actions, "
-                               << triplets.size() << " transitions ("
-                               << store->name() << " store)";
-  const size_t transition_count = triplets.size();
-  return StateSpace(std::move(model_ptr), std::move(store), initial_id,
-                    std::move(flat), transition_count);
-}
+  /// successor_ = current with the assignments applied, each checked against
+  /// its variable's declared range.
+  void update(const std::string& module,
+              const std::vector<std::pair<uint32_t, Expr>>& assignments,
+              const std::vector<int32_t>& current) {
+    successor_ = current;
+    for (const auto& [var_index, value_expr] : assignments) {
+      const Value value = value_expr.evaluate(current);
+      const CompiledVariable& var = model_.variables[var_index];
+      if (!value.is_int()) {
+        throw ModelError("explore: non-integer update for variable '" + var.name + "'");
+      }
+      const int64_t raw = value.as_int();
+      if (raw < var.low || raw > var.high) {
+        throw ModelError("explore: update drives variable '" + var.name + "' to " +
+                         std::to_string(raw) + ", outside [" + std::to_string(var.low) +
+                         ".." + std::to_string(var.high) + "] (module '" + module +
+                         "')");
+      }
+      successor_[var_index] = static_cast<int32_t>(raw);
+    }
+  }
+
+  /// Index of `state`, interning it (and so queueing it) when unseen. A
+  /// fresh state beyond the resolved ceiling unwinds with a typed failure
+  /// naming the binding constraint and carrying the partial progress.
+  uint32_t intern(std::span<const int32_t> state) {
+    bool inserted = false;
+    const uint32_t id = store_->intern(state, inserted);
+    if (inserted && store_->size() > limit_.limit) {
+      util::FailureProgress progress;
+      progress.states_explored = store_->size() - 1;
+      progress.frontier_size = store_->size() - 1 - next_;
+      progress.limit = limit_.limit;
+      if (last_module_ != nullptr) progress.last_command = *last_module_;
+      throw util::EngineFailure(
+          util::FailureCode::kStateBudgetExceeded, "explore",
+          "explore: state count exceeds the configured maximum (" +
+              std::to_string(limit_.limit) + ", set by " + limit_.describe() + ")",
+          progress);
+    }
+    return id;
+  }
+
+  /// Charge the budget for what exploration holds once it has grown by at
+  /// least `step` bytes since the last charge: the store's per-state bytes,
+  /// the CSR arrays, and for mdp the per-row owner and label and the
+  /// per-state row offsets.
+  void charge(size_t step) {
+    if (!options_.budget) return;
+    const size_t held =
+        store_->size() * store_->bytes_per_state() +
+        offsets_.size() * sizeof(uint32_t) +
+        columns_.size() * (sizeof(uint32_t) + sizeof(double)) +
+        state_of_row_.size() * (sizeof(uint32_t) + sizeof(std::string)) +
+        state_offsets_.size() * sizeof(uint32_t);
+    if (held - charged_ < step) return;
+    options_.budget->charge_bytes(held - charged_, "explore");
+    charged_ = held;
+  }
+
+  const CompiledModel& model_;
+  const ExploreOptions& options_;
+  SymmetryGroup symmetry_;
+  CanonScratch scratch_;
+  const ExploreOptions::ResolvedStateLimit limit_;
+  std::shared_ptr<StateStore> store_;
+  size_t next_ = 0;  ///< next state to expand; [next_, size) is the frontier
+  uint32_t initial_ = 0;
+  const std::string* last_module_ = nullptr;  ///< module of the command firing now
+  size_t charged_ = 0;
+
+  std::vector<int32_t> successor_;
+  std::vector<linalg::Entry> row_;
+  std::vector<std::pair<uint32_t, double>> outcomes_;
+
+  std::vector<uint32_t> offsets_{0};
+  std::vector<uint32_t> columns_;
+  std::vector<double> values_;
+  size_t transitions_ = 0;                  ///< ctmc firings before merging
+  std::vector<uint32_t> state_of_row_;      ///< mdp only
+  std::vector<uint32_t> state_offsets_;     ///< mdp only: first row of each state
+  std::vector<std::string> action_labels_;  ///< mdp only
+};
 
 }  // namespace
 
@@ -314,33 +387,18 @@ StateSpace explore(CompiledModel model, const ExploreOptions& options) {
 StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
                    const ExploreOptions& options) {
   const CompiledModel& model = *model_ptr;
-  const size_t variable_count = model.variables.size();
-  if (variable_count == 0) throw ModelError("explore: model has no variables");
+  if (model.variables.empty()) throw ModelError("explore: model has no variables");
 
-  std::shared_ptr<StateStore> store =
-      make_store(resolve_engine(options.engine, model), model);
-
-  if (model.type == ModelType::kMdp) {
+  SymmetryGroup symmetry;
+  if (options.reduction == SymmetryReduction::kOn) {
     // Symmetry reduction folds orbit-internal transitions onto the diagonal,
     // which is exact for a CTMC but erases real choices of an MDP attacker.
-    if (options.reduction == SymmetryReduction::kOn) {
+    if (model.type == ModelType::kMdp) {
       throw ModelError(
           "symmetry reduction is not supported for mdp models; re-run with "
-          "reduction off (kAuto resolves to off for mdp)");
+          "reduction off (reduction auto never reduces an mdp model, "
+          "whatever the engine)");
     }
-    return explore_mdp(std::move(model_ptr), std::move(store), options);
-  }
-
-  // Symmetry reduction resolves from the *requested* engine, not the
-  // auto-resolved one: kAuto reduction turns on only when the caller
-  // explicitly picked the compact engine (the big-fleet path). A reduction
-  // changes which states exist, so it must never switch on silently.
-  SymmetryGroup symmetry;
-  const bool want_reduction =
-      options.reduction == SymmetryReduction::kOn ||
-      (options.reduction == SymmetryReduction::kAuto &&
-       options.engine == ExplorationEngine::kCompact);
-  if (want_reduction) {
     symmetry = detect_symmetries(model);
     if (!symmetry.trivial()) {
       AUTOSEC_LOG_INFO("explorer")
@@ -349,135 +407,10 @@ StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
           << " orbit(s)";
     }
   }
-  CanonScratch scratch;
 
-  std::deque<uint32_t> frontier;
-
-  // Transitions gathered as triplets; deduplication (summing parallel
-  // commands between the same state pair — and, under reduction, commands
-  // landing in the same orbit) happens in the CSR builder.
-  struct Triplet {
-    uint32_t from;
-    uint32_t to;
-    double rate;
-  };
-  std::vector<Triplet> triplets;
-
-  // The one resolved state ceiling (max_states vs budget); hitting it
-  // unwinds with a typed failure naming the binding constraint and carrying
-  // the partial progress — callers can report how far the model got.
-  const ExploreOptions::ResolvedStateLimit limit = options.resolved_state_limit();
-  const std::string* last_module = nullptr;  // module of the command firing now
-
-  // Incremental byte accounting against the budget: the store's own
-  // per-state cost plus one triplet per transition.
-  const size_t state_bytes = store->bytes_per_state();
-  size_t charged_states = 0;
-  size_t charged_triplets = 0;
-  auto charge_growth = [&] {
-    if (!options.budget) return;
-    if (store->size() - charged_states < 4096 &&
-        triplets.size() - charged_triplets < 16384) {
-      return;
-    }
-    options.budget->charge_bytes(
-        (store->size() - charged_states) * state_bytes +
-            (triplets.size() - charged_triplets) * sizeof(Triplet),
-        "explore");
-    charged_states = store->size();
-    charged_triplets = triplets.size();
-  };
-
-  auto intern = [&](std::span<const int32_t> state) -> uint32_t {
-    bool inserted = false;
-    const uint32_t id = store->intern(state, inserted);
-    if (!inserted) return id;
-    if (store->size() > limit.limit) {
-      util::FailureProgress progress;
-      progress.states_explored = store->size() - 1;
-      progress.frontier_size = frontier.size();
-      progress.limit = limit.limit;
-      if (last_module != nullptr) progress.last_command = *last_module;
-      throw util::EngineFailure(
-          util::FailureCode::kStateBudgetExceeded, "explore",
-          "explore: state count exceeds the configured maximum (" +
-              std::to_string(limit.limit) + ", set by " + limit.describe() + ")",
-          progress);
-    }
-    frontier.push_back(id);
-    return id;
-  };
-
-  std::vector<int32_t> initial = model.initial_state();
-  symmetry.canonicalize(initial, scratch);
-  const uint32_t initial_id = intern(initial);
-
-  std::vector<int32_t> current;
-  std::vector<int32_t> successor;
-  while (!frontier.empty()) {
-    if (util::fault::triggered("explore.alloc")) throw std::bad_alloc();
-    charge_growth();
-    const uint32_t current_id = frontier.front();
-    frontier.pop_front();
-    store->values_of(current_id, current);
-
-    for (const CompiledCommand& command : model.commands) {
-      if (!command.guard.evaluate_bool(current)) continue;
-      last_module = &command.module;
-      const double rate = command.rate.evaluate_number(current);
-      if (rate < 0.0 || !std::isfinite(rate)) {
-        throw ModelError("explore: command in module '" + command.module +
-                         "' has invalid rate " + std::to_string(rate) + " in state " +
-                         std::to_string(current_id));
-      }
-      if (rate == 0.0) {
-        if (options.allow_zero_rates) continue;
-        throw ModelError("explore: zero rate with enabled guard in module '" +
-                         command.module + "'");
-      }
-      successor = current;
-      for (const auto& [var_index, value_expr] : command.assignments) {
-        const Value value = value_expr.evaluate(current);
-        if (!value.is_int()) {
-          throw ModelError("explore: non-integer update for variable '" +
-                           model.variables[var_index].name + "'");
-        }
-        const int64_t raw = value.as_int();
-        const CompiledVariable& var = model.variables[var_index];
-        if (raw < var.low || raw > var.high) {
-          throw ModelError("explore: update drives variable '" + var.name +
-                           "' to " + std::to_string(raw) + ", outside [" +
-                           std::to_string(var.low) + ".." + std::to_string(var.high) +
-                           "] (module '" + command.module + "')");
-        }
-        successor[var_index] = static_cast<int32_t>(raw);
-      }
-      // `current` is already canonical (every interned state is), so the
-      // self-loop test compares canonical forms: transitions within one
-      // orbit fold onto the quotient's diagonal, which a CTMC never observes.
-      symmetry.canonicalize(successor, scratch);
-      if (successor == current) continue;
-      const uint32_t successor_id = intern(successor);
-      triplets.push_back({current_id, successor_id, rate});
-    }
-  }
-
-  if (options.budget) {
-    options.budget->charge_bytes(
-        (store->size() - charged_states) * state_bytes +
-            (triplets.size() - charged_triplets) * sizeof(Triplet),
-        "explore");
-  }
-
-  linalg::CsrBuilder builder(store->size(), store->size());
-  for (const Triplet& t : triplets) builder.add(t.from, t.to, t.rate);
-
-  AUTOSEC_LOG_INFO("explorer") << "explored " << store->size() << " states, "
-                               << triplets.size() << " transitions ("
-                               << store->name() << " store)";
-  return StateSpace(std::move(model_ptr), std::move(store), initial_id,
-                    std::move(builder).build(), triplets.size(),
-                    std::move(symmetry));
+  Explorer explorer(model, options, std::move(symmetry));
+  explorer.run();
+  return std::move(explorer).finish(std::move(model_ptr));
 }
 
 }  // namespace autosec::symbolic

@@ -5,11 +5,11 @@
 // when "building the model"; the paper's Section 4 reports its state counts
 // (4·10^5 – 1.2·10^6) and notes that runtime tracks the state count.
 //
-// Exploration is layered over two interchangeable state-store backends
-// (symbolic/state_store.hpp) selected by ExploreOptions::engine, plus an
-// optional on-the-fly symmetry reduction (symbolic/symmetry.hpp) that
-// collapses interchangeable ECU/stream modules during the BFS instead of
-// after full materialization.
+// One BFS loop serves both model types: states are interned in the
+// bit-packed StateStore (symbolic/state_store.hpp), and each expanded state's
+// rows go straight into the CSR arrays. An optional on-the-fly symmetry
+// reduction (symbolic/symmetry.hpp) collapses interchangeable ECU/stream
+// modules during the BFS instead of after full materialization.
 #pragma once
 
 #include <cstddef>
@@ -26,10 +26,10 @@
 
 namespace autosec::symbolic {
 
-/// On-the-fly symmetry reduction policy. kAuto enables the reduction only
-/// when the caller explicitly asked for the compact engine (the big-fleet
-/// path); kAuto under engine auto/classic resolves to off, so default
-/// exploration stays bit-identical to what it always produced.
+/// On-the-fly symmetry reduction policy. explore() treats kAuto as off;
+/// csl::apply_plan resolves it to kOn for ctmc models when the request names
+/// the compact engine (the big-fleet path), so default exploration never
+/// changes which states exist.
 enum class SymmetryReduction { kAuto, kOff, kOn };
 
 struct ExploreOptions {
@@ -40,9 +40,6 @@ struct ExploreOptions {
   /// Drop transitions whose rate evaluates to exactly 0 (guard enabled but
   /// rate zero). Rates < 0 always throw.
   bool allow_zero_rates = true;
-  /// State-store backend: classic (vector valuations), compact (bit-packed
-  /// hash-consed), or auto (compact iff the packed state exceeds 64 bits).
-  ExplorationEngine engine = ExplorationEngine::kAuto;
   /// Collapse verified-interchangeable modules during the BFS. Exact (an
   /// ordinary lumping) for every query whose state formula is invariant
   /// under the detected group; non-invariant queries on a reduced space
@@ -51,7 +48,7 @@ struct ExploreOptions {
   /// Optional per-request resource budget. Its state ceiling tightens
   /// max_states (resolved_state_limit() computes the binding constraint
   /// once); its byte ceiling is charged incrementally as the state store and
-  /// transition triplets grow.
+  /// the CSR arrays grow.
   std::shared_ptr<util::ResourceBudget> budget;
 
   /// The one resolved state ceiling: the tighter of max_states and the
@@ -75,7 +72,7 @@ struct ExploreOptions {
 };
 
 /// The explored model: states, transitions, and evaluators bound to the
-/// state enumeration. States live in a StateStore backend; when a symmetry
+/// state enumeration. States live in the StateStore; when a symmetry
 /// reduction was active, every stored state is the canonical representative
 /// of its orbit and the transition matrix is the exact lumped quotient.
 class StateSpace {
@@ -129,9 +126,10 @@ class StateSpace {
 
   const CompiledModel& model() const { return *model_; }
 
-  /// Backend that holds the states ("classic" | "compact").
-  const char* engine_name() const { return store_->name(); }
-  /// Tracked bytes per interned state of the active backend.
+  /// Name of the state store, as metrics and serve envelopes report it. The
+  /// bit-packed store is the only one, so this is always "compact".
+  const char* engine_name() const { return "compact"; }
+  /// Tracked bytes per interned state of the store.
   size_t bytes_per_state() const { return store_->bytes_per_state(); }
   /// True when an on-the-fly symmetry reduction collapsed this space.
   bool reduced() const { return !symmetry_.trivial(); }

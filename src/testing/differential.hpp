@@ -20,11 +20,8 @@
 //               state space, and write∘parse∘write is a fixpoint; same for
 //               write_architecture/parse_architecture plus the transformed
 //               models of both architectures;
-//   engine      the compact (bit-packed, hash-consed) state store vs the
-//               classic vector store, required to produce the identical
-//               state enumeration, rate matrix, masks, rewards and property
-//               values bit-for-bit; plus the symmetry-reduced quotient vs
-//               the full space on every group-invariant property;
+//   engine      the symmetry-reduced quotient vs the unreduced space on
+//               every group-invariant property ("engine.reduced_vs_full");
 //   mdp         value iteration on a tiny random MDP vs the exhaustive
 //               strategy-enumeration oracle (every memoryless scheduler's
 //               induced DTMC solved densely), for Pmax and Pmin

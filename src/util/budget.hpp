@@ -7,10 +7,10 @@
 // ceiling is exceeded, carrying the partial progress made so far.
 //
 // Byte accounting is approximate by design: stages charge the dominant
-// allocations (state table, transition triplets, CSR matrices), not every
-// byte, so the ceiling bounds the engine's working set to within a small
-// constant factor. Counters are relaxed atomics — safe to charge from the
-// parallel solver fan-out.
+// allocations (state table, CSR matrices), not every byte, so the ceiling
+// bounds the engine's working set to within a small constant factor.
+// Counters are relaxed atomics — safe to charge from the parallel solver
+// fan-out.
 #pragma once
 
 #include <atomic>

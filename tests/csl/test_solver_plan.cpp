@@ -30,7 +30,6 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
   options.plan.steady_state_detection = false;
 
   apply_plan(options.plan, options);
-  EXPECT_EQ(options.explore.engine, symbolic::ExplorationEngine::kCompact);
   EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kOff);
   EXPECT_FALSE(options.transient.steady_state_detection);
   EXPECT_EQ(options.steady_state.solver.method, linalg::FixpointMethod::kGaussSeidel);
@@ -53,13 +52,37 @@ TEST(SolverPlan, ApplyLeavesTheKernelChoicesToTheMatrix) {
   EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kDirect);
 }
 
+TEST(SolverPlan, CompactEngineTurnsReductionAutoOnForCtmcOnly) {
+  EngineOptions options;
+  options.plan.engine = symbolic::ExplorationEngine::kCompact;
+  apply_plan(options.plan, options);
+  EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kOn);
+
+  // An mdp model is never reduced: reduction auto stays off.
+  options.model_type = symbolic::ModelType::kMdp;
+  apply_plan(options.plan, options);
+  EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kAuto);
+
+  // auto and classic are the same request, and leave reduction auto off.
+  options.model_type = symbolic::ModelType::kCtmc;
+  for (const auto engine :
+       {symbolic::ExplorationEngine::kAuto, symbolic::ExplorationEngine::kClassic}) {
+    options.plan.engine = engine;
+    apply_plan(options.plan, options);
+    EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kAuto);
+  }
+}
+
 TEST(SolverPlan, SessionAppliesThePlanOnConstruction) {
   SessionOptions options;
   options.plan.engine = symbolic::ExplorationEngine::kClassic;
+  options.plan.steady_state_detection = false;
   EngineSession session(tiny_model(), options);
   session.space();
-  EXPECT_EQ(session.options().explore.engine, symbolic::ExplorationEngine::kClassic);
-  EXPECT_EQ(session.stats().engine, "classic");
+  EXPECT_FALSE(session.options().transient.steady_state_detection);
+  EXPECT_EQ(session.options().explore.reduction, symbolic::SymmetryReduction::kAuto);
+  // One store holds every space, whatever engine the request named.
+  EXPECT_EQ(session.stats().engine, "compact");
 }
 
 TEST(SolverPlan, DefaultPlansCompareEqual) {

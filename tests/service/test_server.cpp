@@ -399,12 +399,12 @@ TEST(ServerTest, BudgetKnobsDoNotChangeTheCacheKey) {
 
 TEST(ServerTest, EngineChoiceIsVisibleInMetricsAndSplitsTheCacheKey) {
   Server server(deterministic_options());
-  const JsonValue classic = handle(server, analyze_line("e1"));
-  ASSERT_TRUE(classic.bool_or("ok", false)) << classic.dump();
-  // The paper architectures pack under 64 bits, so auto resolves to classic.
-  EXPECT_EQ(classic.find("metrics")->string_or("engine", ""), "classic");
-  // An explicit compact request is a different state enumeration: its own
-  // session entry, freshly explored, reported as compact.
+  const JsonValue implicit = handle(server, analyze_line("e1"));
+  ASSERT_TRUE(implicit.bool_or("ok", false)) << implicit.dump();
+  // One store holds every space, so the envelope always names it.
+  EXPECT_EQ(implicit.find("metrics")->string_or("engine", ""), "compact");
+  // An explicit compact request may reduce the space: its own session
+  // entry, freshly explored.
   const JsonValue compact =
       handle(server, analyze_line("e2", ", \"engine\": \"compact\""));
   ASSERT_TRUE(compact.bool_or("ok", false)) << compact.dump();

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "symbolic/builder.hpp"
+#include "util/budget.hpp"
 #include "util/failure.hpp"
 
 namespace autosec::symbolic {
@@ -126,6 +127,62 @@ TEST(Explorer, MaxStatesEnforced) {
   }
 }
 
+/// Random-walk mdp on [0..n]: "up" moves right with probability 0.7 and
+/// stays put otherwise, "down" moves left; the right end is a deadlock.
+Model mdp_walk(int n) {
+  ModelBuilder b;
+  b.type(ModelType::kMdp);
+  auto& m = b.module("walk");
+  m.variable("x", 0, n, 0);
+  m.choice("up", Expr::ident("x") < Expr::literal(n),
+           {{Expr::literal(0.7), {{"x", Expr::ident("x") + Expr::literal(1)}}},
+            {Expr::literal(0.3), {}}});
+  m.choice("down",
+           Expr::ident("x") > Expr::literal(0) && Expr::ident("x") < Expr::literal(n),
+           {{Expr::literal(1.0), {{"x", Expr::ident("x") - Expr::literal(1)}}}});
+  return b.build();
+}
+
+/// What exploration charges: the store's bytes per state plus the CSR
+/// arrays, and for mdp the owner, label and first-row offset bookkeeping.
+size_t explored_bytes(const StateSpace& space) {
+  const size_t states = space.state_count();
+  const linalg::CsrMatrix& matrix =
+      space.is_mdp() ? space.mdp().transitions : space.rates();
+  size_t bytes = states * space.bytes_per_state() +
+                 (matrix.rows() + 1) * sizeof(uint32_t) +
+                 matrix.nonzeros() * (sizeof(uint32_t) + sizeof(double));
+  if (space.is_mdp()) {
+    bytes += matrix.rows() * (sizeof(uint32_t) + sizeof(std::string)) +
+             states * sizeof(uint32_t);
+  }
+  return bytes;
+}
+
+TEST(Explorer, ChargesStoreAndCsrArraysToTheByteBudget) {
+  for (const Model& model : {birth_death(2000), mdp_walk(500)}) {
+    const auto compiled = std::make_shared<const CompiledModel>(compile(model));
+
+    ExploreOptions unlimited;
+    unlimited.budget = std::make_shared<util::ResourceBudget>();
+    const StateSpace space = explore(compiled, unlimited);
+    const size_t footprint = explored_bytes(space);
+    EXPECT_EQ(unlimited.budget->charged_bytes(), footprint);
+
+    ExploreOptions tight;
+    tight.budget = std::make_shared<util::ResourceBudget>(0, footprint / 2);
+    try {
+      explore(compiled, tight);
+      FAIL() << "expected memory_budget_exceeded below the footprint";
+    } catch (const util::EngineFailure& failure) {
+      EXPECT_EQ(failure.code(), util::FailureCode::kMemoryBudgetExceeded);
+      EXPECT_EQ(failure.stage(), "explore");
+      ASSERT_TRUE(failure.progress().charged_bytes.has_value());
+      EXPECT_GT(*failure.progress().charged_bytes, footprint / 2);
+    }
+  }
+}
+
 TEST(Explorer, LabelMaskEvaluatesPerState) {
   const CompiledModel compiled = compile(birth_death(3));
   const StateSpace space = explore(compiled);
@@ -189,9 +246,9 @@ TEST(Explorer, GuardCouplingRestrictsProduct) {
 }
 
 TEST(Explorer, WidePackedAndUnpackedPathsAgree) {
-  // 40 variables of range [0..3] exceed the 64-bit packing budget, forcing
-  // the general hash path; 10 variables stay on the packed path. Both must
-  // produce the same state counts for the same per-variable structure.
+  // 40 variables of range [0..3] pack into two 64-bit words, 10 variables
+  // into one. The store's single- and multi-word states must produce the
+  // same state counts for the same per-variable structure.
   auto build = [](int vars) {
     ModelBuilder b;
     auto& m = b.module("wide");

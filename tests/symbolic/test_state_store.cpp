@@ -2,11 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <random>
-
-#include "symbolic/builder.hpp"
-#include "symbolic/explorer.hpp"
 
 namespace autosec::symbolic {
 namespace {
@@ -119,23 +115,22 @@ TEST(StateLayout, FieldsStraddlingWordBoundariesRoundTrip) {
 TEST(CompactStore, InternsDeduplicatesAndUnpacks) {
   const CompiledModel model =
       model_of({variable("x", 0, 100), variable("y", -50, 50, -50)});
-  const auto store = make_compact_store(model);
+  StateStore store(model);
   bool inserted = false;
   const std::vector<int32_t> first = {3, -7};
   const std::vector<int32_t> second = {3, 7};
-  EXPECT_EQ(store->intern(first, inserted), 0u);
+  EXPECT_EQ(store.intern(first, inserted), 0u);
   EXPECT_TRUE(inserted);
-  EXPECT_EQ(store->intern(second, inserted), 1u);
+  EXPECT_EQ(store.intern(second, inserted), 1u);
   EXPECT_TRUE(inserted);
-  EXPECT_EQ(store->intern(first, inserted), 0u);
+  EXPECT_EQ(store.intern(first, inserted), 0u);
   EXPECT_FALSE(inserted);
-  EXPECT_EQ(store->size(), 2u);
+  EXPECT_EQ(store.size(), 2u);
   std::vector<int32_t> out;
-  store->values_of(0, out);
+  store.values_of(0, out);
   EXPECT_EQ(out, first);
-  store->values_of(1, out);
+  store.values_of(1, out);
   EXPECT_EQ(out, second);
-  EXPECT_STREQ(store->name(), "compact");
 }
 
 TEST(CompactStore, TinyTableForcesCollisionsAndRehash) {
@@ -143,46 +138,22 @@ TEST(CompactStore, TinyTableForcesCollisionsAndRehash) {
   // probing, deep compares on colliding hashes, and repeated rehash growth.
   const CompiledModel model =
       model_of({variable("x", 0, 4999), variable("y", 0, 4999)});
-  const auto store = make_compact_store(model, 16);
+  StateStore store(model, 16);
   bool inserted = false;
   for (int32_t i = 0; i < 5000; ++i) {
     const std::vector<int32_t> values = {i, 4999 - i};
-    ASSERT_EQ(store->intern(values, inserted), static_cast<uint32_t>(i));
+    ASSERT_EQ(store.intern(values, inserted), static_cast<uint32_t>(i));
     ASSERT_TRUE(inserted);
   }
-  ASSERT_EQ(store->size(), 5000u);
+  ASSERT_EQ(store.size(), 5000u);
   // Every state survives the rehashes: ids are stable and dedup still works.
   std::vector<int32_t> out;
   for (int32_t i = 0; i < 5000; ++i) {
     const std::vector<int32_t> values = {i, 4999 - i};
-    ASSERT_EQ(store->intern(values, inserted), static_cast<uint32_t>(i));
+    ASSERT_EQ(store.intern(values, inserted), static_cast<uint32_t>(i));
     ASSERT_FALSE(inserted);
-    store->values_of(static_cast<size_t>(i), out);
+    store.values_of(static_cast<size_t>(i), out);
     ASSERT_EQ(out, values);
-  }
-}
-
-TEST(ClassicStore, MatchesCompactIdAssignment) {
-  // Same intern() sequence -> identical ids on both backends, across both
-  // classic paths (packable and wide).
-  for (const int32_t high : {7, INT32_MAX}) {
-    const CompiledModel model = model_of(
-        {variable("a", 0, high), variable("b", 0, high), variable("c", 0, high)});
-    const auto classic = make_classic_store(model);
-    const auto compact = make_compact_store(model);
-    std::mt19937_64 rng(11);
-    for (int i = 0; i < 500; ++i) {
-      const std::vector<int32_t> values = {
-          static_cast<int32_t>(rng() % 5), static_cast<int32_t>(rng() % 5),
-          static_cast<int32_t>(rng() % 5)};
-      bool classic_inserted = false;
-      bool compact_inserted = false;
-      const uint32_t classic_id = classic->intern(values, classic_inserted);
-      const uint32_t compact_id = compact->intern(values, compact_inserted);
-      ASSERT_EQ(classic_id, compact_id);
-      ASSERT_EQ(classic_inserted, compact_inserted);
-    }
-    ASSERT_EQ(classic->size(), compact->size());
   }
 }
 
@@ -191,85 +162,8 @@ TEST(CompactStore, BytesPerStateTracksPackedWidth) {
   const CompiledModel wide = model_of(
       {variable("a", 0, INT32_MAX), variable("b", 0, INT32_MAX),
        variable("c", 0, INT32_MAX)});
-  EXPECT_EQ(make_compact_store(narrow)->bytes_per_state(), 8u + 8u);
-  EXPECT_EQ(make_compact_store(wide)->bytes_per_state(), 16u + 8u);
-  // The classic representation charges the vector header + payload + map
-  // entry regardless of packed width.
-  EXPECT_EQ(make_classic_store(wide)->bytes_per_state(),
-            sizeof(std::vector<int32_t>) + 3 * sizeof(int32_t) + 16);
-}
-
-TEST(ResolveEngine, AutoPicksClassicUpTo64BitsCompactBeyond) {
-  const CompiledModel narrow =
-      model_of({variable("a", 0, INT32_MAX), variable("b", 0, INT32_MAX)});
-  // 31 + 31 + 3 = 65 bits: one past the classic packed-key fast path.
-  const CompiledModel wide = model_of(
-      {variable("a", 0, INT32_MAX), variable("b", 0, INT32_MAX),
-       variable("c", 0, 7)});
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kAuto, narrow),
-            ExplorationEngine::kClassic);
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kAuto, wide),
-            ExplorationEngine::kCompact);
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kClassic, wide),
-            ExplorationEngine::kClassic);
-  EXPECT_EQ(resolve_engine(ExplorationEngine::kCompact, narrow),
-            ExplorationEngine::kCompact);
-}
-
-/// A model wide enough (>64 packed bits) that classic interning takes its
-/// vector-hash path and engine auto resolves to compact.
-Model wide_chain_model() {
-  ModelBuilder b;
-  auto& m = b.module("p");
-  m.variable("x", 0, 1 << 20, 0);
-  m.variable("y", 0, 1 << 20, 0);
-  m.variable("z", 0, 1 << 20, 0);
-  m.variable("w", 0, 7, 0);
-  m.command(Expr::ident("x") < Expr::literal(40), Expr::literal(1.0),
-            {{"x", Expr::ident("x") + Expr::literal(1)}});
-  m.command(Expr::ident("y") < Expr::literal(10), Expr::literal(2.0),
-            {{"y", Expr::ident("y") + Expr::literal(1)}});
-  m.command(Expr::ident("w") < Expr::literal(7), Expr::literal(0.5),
-            {{"w", Expr::ident("w") + Expr::literal(1)}});
-  return b.build();
-}
-
-TEST(ExploreEngines, ClassicAndCompactProduceIdenticalSpaces) {
-  const auto compiled =
-      std::make_shared<const CompiledModel>(compile(wide_chain_model()));
-  ExploreOptions classic_options;
-  classic_options.engine = ExplorationEngine::kClassic;
-  ExploreOptions compact_options;
-  compact_options.engine = ExplorationEngine::kCompact;
-  const StateSpace classic = explore(compiled, classic_options);
-  const StateSpace compact = explore(compiled, compact_options);
-
-  EXPECT_STREQ(classic.engine_name(), "classic");
-  EXPECT_STREQ(compact.engine_name(), "compact");
-  ASSERT_EQ(classic.state_count(), compact.state_count());
-  EXPECT_EQ(classic.transition_count(), compact.transition_count());
-  EXPECT_EQ(classic.initial_state(), compact.initial_state());
-  for (size_t i = 0; i < classic.state_count(); ++i) {
-    ASSERT_EQ(classic.state_values(i), compact.state_values(i));
-  }
-  for (size_t r = 0; r < classic.state_count(); ++r) {
-    const auto cc = classic.rates().row_columns(r);
-    const auto kc = compact.rates().row_columns(r);
-    ASSERT_EQ(std::vector<uint32_t>(cc.begin(), cc.end()),
-              std::vector<uint32_t>(kc.begin(), kc.end()));
-    const auto cv = classic.rates().row_values(r);
-    const auto kv = compact.rates().row_values(r);
-    for (size_t k = 0; k < cv.size(); ++k) ASSERT_EQ(cv[k], kv[k]);
-  }
-}
-
-TEST(ExploreEngines, AutoResolvesCompactBeyondSixtyFourBits) {
-  const auto compiled =
-      std::make_shared<const CompiledModel>(compile(wide_chain_model()));
-  const StateSpace space = explore(compiled);  // engine = kAuto
-  EXPECT_STREQ(space.engine_name(), "compact");
-  EXPECT_FALSE(space.reduced());  // auto engine never enables reduction
-  EXPECT_LT(space.bytes_per_state(), 32u);
+  EXPECT_EQ(StateStore(narrow).bytes_per_state(), 8u + 8u);
+  EXPECT_EQ(StateStore(wide).bytes_per_state(), 16u + 8u);
 }
 
 }  // namespace

@@ -142,6 +142,8 @@ TEST(Symmetry, ReducedExplorationCountsMultisets) {
   EXPECT_TRUE(reduced.reduced());
   EXPECT_EQ(full.state_count(), 48u);
   EXPECT_EQ(reduced.state_count(), 15u);
+  // explore() treats reduction auto as off; only csl::apply_plan turns it on.
+  EXPECT_FALSE(explore(compiled).reduced());
   // The quotient preserves the symmetric label's exit rate structure: total
   // outgoing rate from the initial (all-down) state is unchanged because the
   // lumped transition aggregates the four symmetric up-moves.
@@ -175,8 +177,10 @@ TEST(Symmetry, ReducedSpaceRejectsNonInvariantQueries) {
     space.satisfying(Expr::var_ref(x1, "x1") == Expr::literal(1));
     FAIL() << "expected ModelError for a non-invariant query";
   } catch (const ModelError& error) {
-    EXPECT_NE(std::string(error.what()).find("not invariant"),
-              std::string::npos);
+    const std::string message = error.what();
+    EXPECT_NE(message.find("not invariant"), std::string::npos);
+    // The fix it names must still exist: the CLI switch, not a removed store.
+    EXPECT_NE(message.find("--reduction off"), std::string::npos) << message;
   }
 }
 

@@ -35,7 +35,7 @@ TEST(Differential, AllCheckFamiliesRun) {
         "parallel.determinism", "batch.shared_vs_single",
         "roundtrip.model_text_fixpoint",
         "roundtrip.model_state_space", "roundtrip.arch_text_fixpoint",
-        "engine.compact_vs_classic", "engine.reduced_vs_full"}) {
+        "engine.reduced_vs_full"}) {
     const auto it = report.checks.find(family);
     ASSERT_NE(it, report.checks.end()) << family << " never ran";
     EXPECT_GT(it->second.runs, 0u) << family;

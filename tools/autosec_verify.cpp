@@ -105,8 +105,7 @@ int main(int argc, char** argv) {
                    "           check_all's shared cumulative-reward pass vs one\n"
                    "           check() per property (bit-exact)\n"
                    "roundtrip  writer -> parser identity for models and .arch files\n"
-                   "engine     compact vs classic state store (bit-exact) and the\n"
-                   "           symmetry-reduced quotient vs the full space\n"
+                   "engine     symmetry-reduced quotient vs the unreduced space\n"
                    "mdp        MDP value iteration vs the exhaustive scheduler-\n"
                    "           enumeration oracle, and interval-iteration brackets\n"
                    "           vs the plain fixpoint\n"
