@@ -8,7 +8,7 @@
 
 #include "automotive/casestudy.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "ctmc/lumping.hpp"
 #include "ctmc/poisson.hpp"
 #include "ctmc/rewards.hpp"
@@ -85,9 +85,9 @@ BENCHMARK(BM_SteadyState)->Arg(1)->Arg(2);
 
 void BM_FullPropertyCheck(benchmark::State& state) {
   const symbolic::StateSpace space = symbolic::explore(case_study_model(2));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(checker.check("R{\"exposure\"}=? [ C<=1 ]"));
+    benchmark::DoNotOptimize(session.check("R{\"exposure\"}=? [ C<=1 ]"));
   }
 }
 BENCHMARK(BM_FullPropertyCheck);

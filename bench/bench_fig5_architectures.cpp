@@ -95,8 +95,6 @@ std::vector<Task> tasks() {
 AnalysisOptions pair_options() {
   AnalysisOptions options;
   options.nmax = 2;
-  options.batch_model = false;
-  options.parallel_solves = false;
   return options;
 }
 
@@ -140,7 +138,7 @@ std::vector<AnalysisResult> run_batch_sessions(
     std::shared_ptr<csl::CheckpointLedger> checkpoint) {
   util::set_thread_count(4);
   AnalysisOptions options;
-  options.nmax = 2;  // batch_model + parallel_solves on by default
+  options.nmax = 2;
   options.checkpoint = std::move(checkpoint);
   std::vector<AnalysisResult> results;
   for (const Protection protection : kProtections) {

@@ -7,7 +7,7 @@
 #include <iostream>
 
 #include "automotive/casestudy.hpp"
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "symbolic/explorer.hpp"
 
 using namespace autosec;
@@ -27,10 +27,10 @@ int main() {
             << chain.generator().to_dense_string(4)
             << "paper:  -2 2 0 / 52 -54 2 / 52 52 -104\n\n";
 
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  const double s0 = checker.check("S=? [ \"s0\" ]");
-  const double s1 = checker.check("S=? [ \"s1\" ]");
-  const double s2 = checker.check("S=? [ \"s2\" ]");
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  const double s0 = session.check("S=? [ \"s0\" ]");
+  const double s1 = session.check("S=? [ \"s1\" ]");
+  const double s2 = session.check("S=? [ \"s2\" ]");
   std::cout << "Stationary distribution pi (paper Eq. 15):\n";
   std::printf("  pi(s0) = %.6f   (paper 0.96296)\n", s0);
   std::printf("  pi(s1) = %.6f   (paper 0.036338)\n", s1);
@@ -38,10 +38,10 @@ int main() {
 
   std::cout << "Reward-based property (Section 3.3): expected cumulated time in s2\n"
                "within one year, starting secure (the paper's R{s2}=?[F<1] reward):\n";
-  const double cumulated = checker.check("R{\"in_s2\"}=? [ C<=1 ]");
+  const double cumulated = session.check("R{\"in_s2\"}=? [ C<=1 ]");
   std::printf("  R{\"in_s2\"}=?[C<=1] = %.3e years (%.5f%% of the year)\n", cumulated,
               cumulated * 100.0);
-  const double breach = checker.check("P=? [ F<=1 \"s2\" ]");
+  const double breach = session.check("P=? [ F<=1 \"s2\" ]");
   std::printf("  P=?[F<=1 \"s2\"]     = %.5f (probability s2 is ever reached in year 1)\n",
               breach);
   std::cout << "\nAs the paper argues, the transient reward view differs from the\n"

@@ -49,9 +49,9 @@ int main() {
       symbolic::explore(symbolic::compile(generated));
   const symbolic::StateSpace reparsed_space =
       symbolic::explore(symbolic::compile(reparsed));
-  const csl::Checker original(
+  csl::EngineSession original(
       std::make_shared<const symbolic::StateSpace>(original_space));
-  const csl::Checker roundtripped(
+  csl::EngineSession roundtripped(
       std::make_shared<const symbolic::StateSpace>(reparsed_space));
 
   util::TextTable table({"Property", "generated", "reparsed"});

@@ -18,26 +18,27 @@ void apply_thread_option(const AnalysisOptions& options) {
   }
 }
 
-/// The single-model constant names do not exist in the batch model, so
-/// overrides targeting them force the per-pair path.
-bool overrides_require_single_models(const AnalysisOptions& options) {
-  for (const auto& [name, value] : options.constant_overrides) {
-    if (name == kMessageEtaConstant || name == kMessagePhiConstant) return true;
+/// The batch model's override set for a request: the single-model protection
+/// constants "eta_msg"/"phi_msg" become each grid pair's own constant, every
+/// other override passes through.
+csl::OverrideSet batch_overrides(const BatchSession& batch,
+                                 const csl::OverrideSet& overrides) {
+  csl::OverrideSet renamed;
+  for (const auto& [name, value] : overrides) {
+    const bool eta = name == kMessageEtaConstant;
+    if (!eta && name != kMessagePhiConstant) {
+      renamed.emplace_back(name, value);
+      continue;
+    }
+    for (const std::string& message : batch.messages) {
+      for (const SecurityCategory category : batch.categories) {
+        renamed.emplace_back(eta ? batch_message_eta_constant(message, category)
+                                 : batch_message_phi_constant(message, category),
+                             value);
+      }
+    }
   }
-  return false;
-}
-
-void accumulate(csl::SessionStats& total, const csl::SessionStats& part) {
-  if (!part.engine.empty()) total.engine = part.engine;
-  total.compile_count += part.compile_count;
-  total.explore_count += part.explore_count;
-  total.uniformize_count += part.uniformize_count;
-  total.steady_state_count += part.steady_state_count;
-  total.check_count += part.check_count;
-  total.solver_fallbacks += part.solver_fallbacks;
-  total.compile_seconds += part.compile_seconds;
-  total.explore_seconds += part.explore_seconds;
-  total.solve_seconds += part.solve_seconds;
+  return renamed;
 }
 
 /// Counter/timing delta `after - before` — what one request added to a
@@ -81,7 +82,6 @@ symbolic::Model pair_model(const Architecture& architecture, const std::string& 
 csl::SessionOptions session_options(const AnalysisOptions& options) {
   csl::SessionOptions session;
   static_cast<csl::EngineOptions&>(session) = options;
-  session.parallel_properties = options.parallel_solves;
   return session;
 }
 
@@ -93,8 +93,7 @@ SecurityAnalysis::SecurityAnalysis(const Architecture& architecture,
       message_(message),
       category_(category),
       model_(pair_model(architecture, message, category, options)),
-      session_(std::make_shared<csl::EngineSession>(model_, session_options(options))),
-      checker_(session_) {
+      session_(std::make_shared<csl::EngineSession>(model_, session_options(options))) {
   apply_thread_option(options_);
   session_->space();  // explore eagerly, matching the historical behaviour
 }
@@ -132,7 +131,7 @@ AnalysisResult SecurityAnalysis::result() const {
 }
 
 double SecurityAnalysis::check(const std::string& property) const {
-  return checker_.check(property);
+  return session_->check(property);
 }
 
 AnalysisResult analyze_message(const Architecture& architecture,
@@ -146,66 +145,14 @@ ArchitectureReport analyze_architecture_report(
     const Architecture& architecture, const AnalysisOptions& options,
     const std::vector<SecurityCategory>& categories,
     const std::vector<std::string>& messages) {
-  apply_thread_option(options);
-
-  std::vector<std::string> message_names = messages;
-  if (message_names.empty()) {
-    for (const Message& message : architecture.messages) {
-      message_names.push_back(message.name);
-    }
+  // An empty grid has nothing to analyze, and no batch model to build.
+  if (categories.empty() || (messages.empty() && architecture.messages.empty())) {
+    return {};
   }
-
-  ArchitectureReport report;
-  const size_t pair_count = message_names.size() * categories.size();
-  if (pair_count == 0) return report;
-
-  if (!options.batch_model || overrides_require_single_models(options)) {
-    // Per-pair path: nest the stage spans under "analyze/..." like the batch
-    // path (analyze_batch_session) does for itself.
-    util::metrics::ScopedSpan span("analyze");
-    {
-      util::metrics::Registry& metrics = util::metrics::registry();
-      if (metrics.enabled()) {
-        metrics.add("analyze.architectures");
-        metrics.add("analyze.pairs", pair_count);
-      }
-    }
-    // Legacy path: one model per (message, category) pair. The pairs are
-    // independent, so they can still fan across the pool; each slot writes
-    // only its own result, keeping the report deterministic.
-    std::vector<std::pair<std::string, SecurityCategory>> pairs;
-    pairs.reserve(pair_count);
-    for (const std::string& message : message_names) {
-      for (const SecurityCategory category : categories) {
-        pairs.emplace_back(message, category);
-      }
-    }
-    report.results.resize(pairs.size());
-    std::vector<csl::SessionStats> stats(pairs.size());
-    AnalysisOptions pair_options = options;
-    pair_options.threads = 0;  // already applied process-wide
-    const auto analyze_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const SecurityAnalysis analysis(architecture, pairs[i].first, pairs[i].second,
-                                        pair_options);
-        report.results[i] = analysis.result();
-        stats[i] = analysis.session()->stats();
-      }
-    };
-    if (options.parallel_solves) {
-      util::parallel_for(0, pairs.size(), 1, analyze_range);
-    } else {
-      analyze_range(0, pairs.size());
-    }
-    for (const csl::SessionStats& part : stats) accumulate(report.stats, part);
-    return report;
-  }
-
-  // Staged path: one combined model for every pair — exactly one compile and
-  // one explore per constant-override set, all properties solved against the
-  // shared state space.
-  BatchSession batch = make_batch_session(architecture, options, categories,
-                                          message_names);
+  // One combined model for every pair: exactly one compile and one explore
+  // per constant-override set, all properties solved against the shared
+  // state space.
+  BatchSession batch = make_batch_session(architecture, options, categories, messages);
   return analyze_batch_session(batch, options);
 }
 
@@ -256,9 +203,10 @@ ArchitectureReport analyze_batch_session(BatchSession& batch,
   // Per-request knobs: re-key the stage cache when the override set changed
   // (same-key repeats reuse every cached stage) and arm this request's cancel
   // token on the long-lived session.
-  if (csl::override_cache_key(options.constant_overrides) !=
+  csl::OverrideSet overrides = batch_overrides(batch, options.constant_overrides);
+  if (csl::override_cache_key(overrides) !=
       csl::override_cache_key(session.options().constant_overrides)) {
-    session.set_constant_overrides(options.constant_overrides);
+    session.set_constant_overrides(std::move(overrides));
   }
   session.set_cancel_token(options.cancel);
   session.set_resource_budget(options.budget);
@@ -311,12 +259,6 @@ ArchitectureReport analyze_batch_session(BatchSession& batch,
     }
   }
   return report;
-}
-
-std::vector<AnalysisResult> analyze_architecture(
-    const Architecture& architecture, const AnalysisOptions& options,
-    const std::vector<SecurityCategory>& categories) {
-  return analyze_architecture_report(architecture, options, categories).results;
 }
 
 }  // namespace autosec::automotive

@@ -7,11 +7,12 @@
 // message m is exploitable within 1 year", i.e. the expected cumulated
 // violation time R{"exposure"}=?[C<=1] divided by the horizon.
 //
-// Whole-vehicle reports run on the staged engine (csl::EngineSession): the
-// architecture is transformed into ONE batch model covering every
-// (message, category) pair, compiled and explored once per constant-override
-// set, and all properties are evaluated against the shared state space —
-// optionally fanned across the thread pool.
+// Every measure is solved by the staged engine (csl::EngineSession). A
+// whole-vehicle report — on the CLI and in serve alike — transforms the
+// architecture into ONE batch model covering every (message, category) pair,
+// compiles and explores it once per constant-override set, and fans all
+// properties across the thread pool against the shared state space; a
+// SecurityAnalysis holds the session of one pair's own model.
 #pragma once
 
 #include <memory>
@@ -20,7 +21,6 @@
 
 #include "automotive/architecture.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
 #include "csl/session.hpp"
 
 namespace autosec::automotive {
@@ -33,16 +33,6 @@ struct AnalysisOptions : csl::EngineOptions {
   bool literal_patch_guard = false;
   bool guardian_requires_foothold = false;  // see TransformOptions
   bool include_reliability = true;          // see TransformOptions
-  /// Fan independent per-message/per-property solves across the thread pool.
-  /// Results are deterministic regardless of thread count.
-  bool parallel_solves = true;
-  /// Whole-vehicle reports: combine all (message, category) measures into one
-  /// batch model so the architecture is compiled and explored exactly once
-  /// per constant-override set. When false — or when constant_overrides
-  /// reference the single-model "eta_msg"/"phi_msg" names, which do not exist
-  /// in the batch model — each pair is analyzed on its own model (the legacy
-  /// path).
-  bool batch_model = true;
 };
 
 struct AnalysisResult {
@@ -64,7 +54,7 @@ struct AnalysisResult {
   double mean_time_to_breach = 0.0;
 
   /// Size of the state space the result was computed on (the shared batch
-  /// model's for whole-vehicle reports, the per-pair model's otherwise).
+  /// model's for whole-vehicle reports, the pair model's for analyze_message).
   size_t state_count = 0;
   size_t transition_count = 0;
   double build_seconds = 0.0;
@@ -72,8 +62,8 @@ struct AnalysisResult {
 };
 
 /// A whole-vehicle report plus the engine counters that produced it. The
-/// stats expose the staged pipeline's cache behaviour: on the batch path
-/// explore_count == number of constant-override sets (1 for a plain report).
+/// stats expose the staged pipeline's cache behaviour: explore_count ==
+/// number of constant-override sets (1 for a plain report).
 struct ArchitectureReport {
   std::vector<AnalysisResult> results;
   csl::SessionStats stats;
@@ -90,11 +80,10 @@ std::string exposure_property(double horizon_years);
 symbolic::Model pair_model(const Architecture& architecture, const std::string& message,
                            SecurityCategory category, const AnalysisOptions& options);
 
-/// The engine-session options an analysis runs with: the shared engine knobs
-/// plus parallel_solves as parallel_properties. A session built from
-/// pair_model() and these options compiles and explores nothing until first
-/// use, so a check_points() caller (sweeps, criticality) explores only its
-/// points' override keys.
+/// The engine-session options an analysis runs with: the shared engine
+/// knobs. A session built from pair_model() and these options compiles and
+/// explores nothing until first use, so a check_points() caller (sweeps,
+/// criticality) explores only its points' override keys.
 csl::SessionOptions session_options(const AnalysisOptions& options);
 
 /// A reusable analysis session over one (message, category) pair: the model
@@ -119,8 +108,8 @@ class SecurityAnalysis {
   double check(const std::string& property) const;
 
   const symbolic::Model& model() const { return model_; }
+  const AnalysisOptions& options() const { return options_; }
   const symbolic::StateSpace& space() const { return session_->space(); }
-  const csl::Checker& checker() const { return checker_; }
   const std::shared_ptr<csl::EngineSession>& session() const { return session_; }
   double build_seconds() const;
 
@@ -131,7 +120,6 @@ class SecurityAnalysis {
   SecurityCategory category_;
   symbolic::Model model_;
   std::shared_ptr<csl::EngineSession> session_;
-  csl::Checker checker_;
 };
 
 /// One-shot convenience wrapper.
@@ -161,31 +149,29 @@ BatchSession make_batch_session(
         SecurityCategory::kAvailability},
     const std::vector<std::string>& messages = {});
 
-/// Whole-vehicle report from a prepared batch session. `options` supplies the
-/// per-request knobs (horizon_years, constant_overrides — re-keying the
-/// session's stage cache when they change). The returned stats are the DELTA
-/// this call added to the session: a report answered entirely from cache has
-/// stats.explore_count == 0.
+/// Whole-vehicle report from a prepared batch session — the one analyze path
+/// of the CLI and serve. `options` supplies the per-request knobs
+/// (horizon_years, constant_overrides — re-keying the session's stage cache
+/// when they change). The single-model protection constants "eta_msg" /
+/// "phi_msg" apply to every (message, category) pair of the grid: they are
+/// renamed to each pair's batch_message_eta_constant /
+/// batch_message_phi_constant before re-keying, so a pair without a
+/// protection module fails with the undeclared-constant ModelError. The
+/// returned stats are the DELTA this call added to the session: a report
+/// answered entirely from cache has stats.explore_count == 0.
 ArchitectureReport analyze_batch_session(BatchSession& batch,
                                          const AnalysisOptions& options = {});
 
 /// Whole-vehicle report: every message in the architecture (or `messages`
 /// when non-empty), across the given categories. Results are ordered
 /// message-major in declaration order — the table a decision maker compares
-/// variants with. One compile + explore serves all pairs (see
-/// AnalysisOptions::batch_model); per-pair solves can run in parallel.
+/// variants with. make_batch_session + analyze_batch_session: one compile +
+/// explore serves all pairs.
 ArchitectureReport analyze_architecture_report(
     const Architecture& architecture, const AnalysisOptions& options = {},
     const std::vector<SecurityCategory>& categories = {
         SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
         SecurityCategory::kAvailability},
     const std::vector<std::string>& messages = {});
-
-/// Results-only wrapper kept for existing call sites.
-std::vector<AnalysisResult> analyze_architecture(
-    const Architecture& architecture, const AnalysisOptions& options = {},
-    const std::vector<SecurityCategory>& categories = {
-        SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
-        SecurityCategory::kAvailability});
 
 }  // namespace autosec::automotive

@@ -60,20 +60,18 @@ std::vector<Criticality> criticality_analysis(const Architecture& architecture,
 }
 
 BreachAttributionResult first_breach_attribution(const Architecture& architecture,
-                                                 const std::string& message,
-                                                 SecurityCategory category,
-                                                 const AnalysisOptions& options) {
-  const SecurityAnalysis analysis(architecture, message, category, options);
+                                                 const SecurityAnalysis& analysis) {
+  csl::EngineSession& session = *analysis.session();
   const symbolic::StateSpace& space = analysis.space();
-  const ctmc::Ctmc chain = space.to_ctmc();
   const std::vector<bool> violated = space.label_mask(kViolatedLabel);
 
   // Make violated states absorbing: the transient mass in a violated state at
   // the horizon is then the probability that the *first* breach happened in
   // exactly that state.
-  const ctmc::Ctmc stopped = chain.with_absorbing(violated);
+  const ctmc::Ctmc stopped = session.chain().with_absorbing(violated);
   const std::vector<double> mass = ctmc::transient_distribution(
-      stopped, space.initial_distribution(), options.horizon_years);
+      stopped, space.initial_distribution(), analysis.options().horizon_years,
+      session.transient_options());
 
   BreachAttributionResult result;
   for (size_t s = 0; s < mass.size(); ++s) {

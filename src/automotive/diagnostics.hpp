@@ -62,10 +62,12 @@ struct BreachAttributionResult {
   std::vector<BreachAttribution> attributions;
 };
 
+/// Evaluated on `analysis`, the pair session of `architecture` that
+/// breach_time_quantile also takes: its cached chain, and its transient
+/// options (cancel token, budget, steady-state detection) at the analysis
+/// horizon.
 BreachAttributionResult first_breach_attribution(const Architecture& architecture,
-                                                 const std::string& message,
-                                                 SecurityCategory category,
-                                                 const AnalysisOptions& options = {});
+                                                 const SecurityAnalysis& analysis);
 
 /// Breach-time quantile: the time t (years) by which the message has been
 /// violated at least once with probability `quantile` — "by when are q% of

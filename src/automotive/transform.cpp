@@ -721,7 +721,7 @@ symbolic::Model transform_batch(const Architecture& architecture,
   }
 
   // --- one measure per (message, category) pair, message-major like
-  // analyze_architecture's result order.
+  // analyze_architecture_report's result order.
   for (const Message* message : messages) {
     for (const SecurityCategory category : options.categories) {
       const MessageMeasure measure = emit_attack_measure(

@@ -4,7 +4,8 @@
 //   linalg     sparse matrices + iterative solvers
 //   ctmc       CTMC engine: transient / steady-state / reward analysis
 //   symbolic   PRISM-subset modeling language (AST, parser, writer, explorer)
-//   csl        CSL properties and the model checker binding
+//   csl        CSL properties and the model checker: EngineSession, which
+//              solves every property, and lumped (quotient) checking
 //   assess     CVSS exploitability and ASIL patch-rate assessment
 //   automotive architecture description, transformation, analysis driver,
 //              and the DAC'15 case study
@@ -16,7 +17,7 @@
 #include "automotive/architecture.hpp"
 #include "automotive/casestudy.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
+#include "csl/lumped.hpp"
 #include "csl/session.hpp"
 #include "csl/property.hpp"
 #include "csl/property_parser.hpp"

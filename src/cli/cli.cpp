@@ -349,6 +349,7 @@ int command_check(Args& args, std::ostream& out) {
   const automotive::SecurityAnalysis analysis(arch, options.message,
                                               options.categories.front(),
                                               options.analysis);
+  csl::EngineSession& session = *analysis.session();
 
   // --strategy-json: solve with scheduler export, write the document, then
   // prove the round trip — parse the file back and re-check the Markov chain
@@ -358,7 +359,6 @@ int command_check(Args& args, std::ostream& out) {
       throw UsageError("--strategy-json needs a single --property");
     }
     const csl::Property property = csl::parse_property(options.property);
-    csl::EngineSession& session = *analysis.session();
     const csl::StrategyCheck checked = session.check_with_strategy(property);
     const util::JsonValue document =
         session.strategy_document(property, checked.strategy);
@@ -383,10 +383,10 @@ int command_check(Args& args, std::ostream& out) {
   if (!options.property.empty()) {
     const csl::Property property = csl::parse_property(options.property);
     if (property.is_query()) {
-      out << util::format_sig(analysis.checker().check(property), 10) << "\n";
+      out << util::format_sig(session.check(property), 10) << "\n";
       return 0;
     }
-    const bool satisfied = analysis.checker().satisfies(property);
+    const bool satisfied = session.satisfies(property);
     out << (satisfied ? "true" : "false") << "\n";
     return satisfied ? 0 : 2;
   }
@@ -405,9 +405,9 @@ int command_check(Args& args, std::ostream& out) {
     const csl::Property property = csl::parse_property(text);
     std::string result;
     if (property.is_query()) {
-      result = util::format_sig(analysis.checker().check(property), 8);
+      result = util::format_sig(session.check(property), 8);
     } else {
-      const bool satisfied = analysis.checker().satisfies(property);
+      const bool satisfied = session.satisfies(property);
       any_violated = any_violated || !satisfied;
       result = satisfied ? "true" : "FALSE";
     }
@@ -425,18 +425,17 @@ int command_simulate(Args& args, std::ostream& out) {
   const automotive::SecurityAnalysis analysis(arch, options.message,
                                               options.categories.front(),
                                               options.analysis);
-  const ctmc::Ctmc chain = analysis.space().to_ctmc();
   const std::vector<bool> violated =
       analysis.space().label_mask(automotive::kViolatedLabel);
   ctmc::SimulationOptions simulation;
   simulation.samples = options.samples;
   simulation.seed = options.seed;
   const ctmc::SimulationEstimate estimate = ctmc::estimate_time_fraction(
-      chain, static_cast<uint32_t>(analysis.space().initial_state()), violated,
+      analysis.session()->chain(),
+      static_cast<uint32_t>(analysis.space().initial_state()), violated,
       options.analysis.horizon_years, simulation);
   const double numeric =
-      analysis.checker().check(
-          automotive::exposure_property(options.analysis.horizon_years)) /
+      analysis.check(automotive::exposure_property(options.analysis.horizon_years)) /
       options.analysis.horizon_years;
 
   out << "statistical: " << util::format_percent(estimate.mean) << " +/- "
@@ -537,8 +536,10 @@ int command_diagnose(Args& args, std::ostream& out) {
 
   out << "\n== first-breach attribution ==\n";
   out << "(which components are exploited when the first violation occurs)\n\n";
-  const auto attribution = automotive::first_breach_attribution(
-      arch, options.message, category, options.analysis);
+  // One pair session answers the attribution and the quantiles.
+  const automotive::SecurityAnalysis analysis(arch, options.message, category,
+                                              options.analysis);
+  const auto attribution = automotive::first_breach_attribution(arch, analysis);
   util::TextTable attribution_table({"component", "P[first breach involves it]",
                                      "share"});
   for (const automotive::BreachAttribution& a : attribution.attributions) {
@@ -554,8 +555,6 @@ int command_diagnose(Args& args, std::ostream& out) {
       << "\n";
 
   out << "\n== breach-time quantiles ==\n";
-  const automotive::SecurityAnalysis analysis(arch, options.message, category,
-                                              options.analysis);
   util::TextTable quantile_table({"quantile", "breached by (years)"});
   for (const double q : {0.05, 0.25, 0.5, 0.95}) {
     const double t = automotive::breach_time_quantile(analysis, q);

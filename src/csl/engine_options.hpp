@@ -1,9 +1,9 @@
 // The one place engine knobs are defined. EngineOptions collects every
-// setting that used to be duplicated across CheckerOptions, SessionOptions
-// and automotive::AnalysisOptions — solver choice and tolerances, transient
-// truncation, exploration limits, constant overrides, the attacker bound
-// nmax, the analysis horizon, the worker-thread count, and the cooperative
-// cancellation token. The three option structs embed it as their base, so
+// setting shared by csl::SessionOptions and automotive::AnalysisOptions —
+// solver choice and tolerances, transient truncation, exploration limits,
+// constant overrides, the attacker bound nmax, the analysis horizon, the
+// worker-thread count, and the cooperative cancellation token. Both option
+// structs embed it as their base, so
 // the CLI, the serving layer, and library callers all configure the engine
 // through the same fields, and converting between layers is a slice
 // assignment:

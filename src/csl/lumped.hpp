@@ -2,14 +2,15 @@
 // of the paper's Section 5: before running the numerical engine, the state
 // space is reduced by ordinary lumping w.r.t. exactly the observations the
 // property needs (its state formulas, its reward structure, and the initial
-// state). The quotient result is exact, so this is a pure performance
-// optimization; bench_ablation_lumping quantifies the reduction on the
-// case-study models.
+// state). The quotient is then checked like any explored model: as a state
+// space with one representative state per block, by an EngineSession. The
+// quotient result is exact, so this is a pure performance optimization;
+// bench_ablation_lumping quantifies the reduction on the case-study models.
 #pragma once
 
 #include <string_view>
 
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "ctmc/lumping.hpp"
 
 namespace autosec::csl {
@@ -26,13 +27,13 @@ struct LumpedCheckResult {
 };
 
 /// Check `property` on the ordinary-lumping quotient of the state space.
-/// Equal to Checker(space).check(property) up to solver tolerances.
+/// Equal to EngineSession(space).check(property) up to solver tolerances.
 LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
                                const Property& property,
-                               const CheckerOptions& options = {});
+                               const SessionOptions& options = {});
 
 LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
                                std::string_view property_text,
-                               const CheckerOptions& options = {});
+                               const SessionOptions& options = {});
 
 }  // namespace autosec::csl

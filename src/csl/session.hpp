@@ -12,9 +12,11 @@
 // built; switching constant overrides re-keys the pipeline but keeps earlier
 // stage sets cached for when a sweep returns to a value.
 //
-// This is the single implementation path of the CSL engine: csl::Checker is
-// a thin facade over a session, and automotive::analyze_architecture batches
-// all of an architecture's message properties through one session.
+// This is the one checker of the engine: every property is solved by a
+// session. Callers that already hold an explored space adopt it
+// (EngineSession(space, options)), csl::check_lumped checks the quotient of a
+// lumping as such a space, and automotive::analyze_architecture_report
+// batches all of an architecture's message properties through one session.
 //
 // Thread model: check_all() fans independent property solves across the
 // process-wide pool (util::parallel_for) — its cumulative-reward properties
@@ -34,7 +36,6 @@
 #include <string_view>
 #include <vector>
 
-#include "csl/checker.hpp"
 #include "csl/engine_options.hpp"
 #include "csl/property.hpp"
 #include "csl/strategy_export.hpp"
@@ -105,9 +106,9 @@ class EngineSession {
   /// Session over a symbolic model; nothing is built until first use.
   explicit EngineSession(symbolic::Model model, SessionOptions options = {});
 
-  /// Session adopting an already-explored state space (the Checker facade
-  /// path). Compile/explore stages are pinned; constant overrides cannot be
-  /// re-keyed.
+  /// Session adopting an already-explored state space (callers that explored
+  /// it themselves, and check_lumped's quotient). Compile/explore stages are
+  /// pinned; constant overrides cannot be re-keyed.
   explicit EngineSession(std::shared_ptr<const symbolic::StateSpace> space,
                          SessionOptions options = {});
 

@@ -41,16 +41,16 @@ std::string model_key(const automotive::AnalysisOptions& options) {
   key += ";solver=" + std::to_string(static_cast<int>(method));
   key += ";ssd=";
   key += flag(steady_state_detection);
-  // AnalysisOptions' own transform knobs. parallel_solves is left out:
-  // results are identical with or without the fan-out.
+  // AnalysisOptions' own transform knobs.
   key += ";literal_patch_guard=";
   key += flag(options.literal_patch_guard);
   key += ";guardian_requires_foothold=";
   key += flag(options.guardian_requires_foothold);
   key += ";reliability=";
   key += flag(options.include_reliability);
-  key += ";batch_model=";
-  key += flag(options.batch_model);
+  // The text of the retired batch-model switch stays, constant, so disk-cache
+  // entries and checkpoints written while it existed keep their keys.
+  key += ";batch_model=1";
   return key;
 }
 

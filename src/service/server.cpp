@@ -523,11 +523,11 @@ util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
   const std::vector<automotive::Criticality> criticalities =
       automotive::criticality_analysis(arch, request.message, request.category,
                                        criticality_options);
-  const automotive::BreachAttributionResult attribution =
-      automotive::first_breach_attribution(arch, request.message, request.category,
-                                           options);
+  // One pair session answers the attribution and the quantiles.
   const automotive::SecurityAnalysis analysis(arch, request.message,
                                               request.category, options);
+  const automotive::BreachAttributionResult attribution =
+      automotive::first_breach_attribution(arch, analysis);
 
   JsonValue result = JsonValue::object();
   result["architecture"] = JsonValue::string(arch.name);

@@ -125,6 +125,7 @@ class StateSpace {
   std::vector<double> reward_vector(const std::string& rewards_name) const;
 
   const CompiledModel& model() const { return *model_; }
+  std::shared_ptr<const CompiledModel> model_ptr() const { return model_; }
 
   /// Name of the state store, as metrics and serve envelopes report it. The
   /// bit-packed store is the only one, so this is always "compact".

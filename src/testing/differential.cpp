@@ -10,7 +10,6 @@
 
 #include "automotive/archfile.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
 #include "csl/checkpoint.hpp"
 #include "csl/lumped.hpp"
 #include "csl/session.hpp"
@@ -261,8 +260,8 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   if (options.check_oracle && !model.labels.empty() && !model.rewards.empty()) {
     const bool well_posed =
         almost_surely_reaches(chain, initial, space->label_mask(model.labels[0].name));
-    const csl::Checker checker(space);
-    const double value = checker.check("R{\"" + model.rewards[0].name + "\"}=? [ F \"" +
+    csl::EngineSession session(space);
+    const double value = session.check("R{\"" + model.rewards[0].name + "\"}=? [ F \"" +
                                        model.labels[0].name + "\" ]");
     harness.record_pass_fail(
         "oracle.reward_finiteness", seed,
@@ -314,16 +313,16 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
 
   // --- (b) Krylov-first vs pure Gauss-Seidel on the unbounded properties.
   if (options.check_solvers) {
-    csl::CheckerOptions krylov;
+    csl::SessionOptions krylov;
     krylov.plan.method = linalg::FixpointMethod::kAuto;
-    csl::CheckerOptions gauss_seidel;
+    csl::SessionOptions gauss_seidel;
     gauss_seidel.plan.method = linalg::FixpointMethod::kGaussSeidel;
-    const csl::Checker krylov_checker(space, krylov);
-    const csl::Checker gs_checker(space, gauss_seidel);
+    csl::EngineSession krylov_session(space, krylov);
+    csl::EngineSession gs_session(space, gauss_seidel);
     for (const std::string& text : properties.unbounded) {
       try {
         harness.compare("solver.krylov_vs_gauss_seidel", seed, tag + text,
-                        krylov_checker.check(text), gs_checker.check(text),
+                        krylov_session.check(text), gs_session.check(text),
                         options.solver_tolerance);
       } catch (const csl::PropertyError& error) {
         // Pure Gauss-Seidel legitimately runs out of sweeps on very stiff
@@ -344,29 +343,29 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   //   colored vs direct   solver tolerance — the multicolor sweep visits rows
   //                       in color order, a genuinely different iteration.
   if (options.check_kernels) {
-    csl::CheckerOptions blocked_options;
+    csl::SessionOptions blocked_options;
     blocked_options.transient.layout = linalg::MatrixLayout::kBlocked;
-    csl::CheckerOptions csr_options;
+    csl::SessionOptions csr_options;
     csr_options.transient.layout = linalg::MatrixLayout::kCsr;
-    const csl::Checker blocked_checker(space, blocked_options);
-    const csl::Checker csr_checker(space, csr_options);
+    csl::EngineSession blocked_session(space, blocked_options);
+    csl::EngineSession csr_session(space, csr_options);
     for (const std::string& text : properties.bounded) {
       harness.compare_exact("solver.blocked_vs_csr", seed, tag + text,
-                            blocked_checker.check(text), csr_checker.check(text));
+                            blocked_session.check(text), csr_session.check(text));
     }
 
-    csl::CheckerOptions colored_options;
+    csl::SessionOptions colored_options;
     colored_options.plan.method = linalg::FixpointMethod::kGaussSeidel;
     colored_options.steady_state.solver.ordering = linalg::GsOrdering::kColored;
-    csl::CheckerOptions direct_options;
+    csl::SessionOptions direct_options;
     direct_options.plan.method = linalg::FixpointMethod::kGaussSeidel;
     direct_options.steady_state.solver.ordering = linalg::GsOrdering::kDirect;
-    const csl::Checker colored_checker(space, colored_options);
-    const csl::Checker direct_checker(space, direct_options);
+    csl::EngineSession colored_session(space, colored_options);
+    csl::EngineSession direct_session(space, direct_options);
     for (const std::string& text : properties.unbounded) {
       try {
         harness.compare("solver.colored_vs_direct_gs", seed, tag + text,
-                        colored_checker.check(text), direct_checker.check(text),
+                        colored_session.check(text), direct_session.check(text),
                         options.solver_tolerance);
       } catch (const csl::PropertyError& error) {
         // Same skip rule as the solvers family: pure Gauss-Seidel may honestly
@@ -379,14 +378,14 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
 
   // --- (c) lumped quotient vs full state space.
   if (options.check_lumping) {
-    const csl::Checker checker(space);
+    csl::EngineSession session(space);
     std::vector<std::string> lumping_properties = properties.bounded;
     for (const std::string& text : properties.unbounded) {
       lumping_properties.push_back(text);
     }
     for (const std::string& text : lumping_properties) {
       harness.compare("lumping.quotient_vs_full", seed, tag + text,
-                      csl::check_lumped(*space, text).value, checker.check(text));
+                      csl::check_lumped(*space, text).value, session.check(text));
     }
   }
 

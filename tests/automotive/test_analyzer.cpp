@@ -169,7 +169,7 @@ TEST(Analyzer, AnalyzeArchitectureCoversAllMessagesAndCategories) {
   second.protection = Protection::kAes128;
   arch.messages.push_back(second);
 
-  const auto results = analyze_architecture(arch, fast_options());
+  const auto results = analyze_architecture_report(arch, fast_options()).results;
   ASSERT_EQ(results.size(), 6u);  // 2 messages x 3 categories
   EXPECT_EQ(results[0].message, "m");
   EXPECT_EQ(results[3].message, "m2");
@@ -181,8 +181,9 @@ TEST(Analyzer, AnalyzeArchitectureCoversAllMessagesAndCategories) {
 
 TEST(Analyzer, AnalyzeArchitectureWithCategorySubset) {
   const Architecture arch = casestudy::architecture(1, Protection::kUnencrypted);
-  const auto results = analyze_architecture(arch, fast_options(),
-                                            {SecurityCategory::kAvailability});
+  const auto results =
+      analyze_architecture_report(arch, fast_options(), {SecurityCategory::kAvailability})
+          .results;
   ASSERT_EQ(results.size(), 1u);
   EXPECT_EQ(results[0].category, SecurityCategory::kAvailability);
 }
@@ -220,13 +221,18 @@ TEST(Analyzer, BatchReportExploresExactlyOncePerOverrideSet) {
 TEST(Analyzer, BatchReportMatchesLegacyPerPairModels) {
   const Architecture arch = casestudy::architecture(2, Protection::kCmac128);
 
-  AnalysisOptions legacy = fast_options();
-  legacy.batch_model = false;
-  legacy.parallel_solves = false;
-  const std::vector<AnalysisResult> reference = analyze_architecture(arch, legacy);
+  // Reference: each pair analyzed on its own single-pair model.
+  std::vector<AnalysisResult> reference;
+  for (const Message& message : arch.messages) {
+    for (const SecurityCategory category :
+         {SecurityCategory::kConfidentiality, SecurityCategory::kIntegrity,
+          SecurityCategory::kAvailability}) {
+      reference.push_back(analyze_message(arch, message.name, category, fast_options()));
+    }
+  }
 
   const std::vector<AnalysisResult> batch =
-      analyze_architecture(arch, fast_options());
+      analyze_architecture_report(arch, fast_options()).results;
 
   ASSERT_EQ(batch.size(), reference.size());
   for (size_t i = 0; i < reference.size(); ++i) {
@@ -246,16 +252,43 @@ TEST(Analyzer, BatchReportMatchesLegacyPerPairModels) {
   }
 }
 
-TEST(Analyzer, SingleModelOverridesForceLegacyPath) {
+TEST(Analyzer, SingleModelOverridesApplyToEveryPair) {
   const Architecture arch = casestudy::architecture(1, Protection::kAes128);
-  AnalysisOptions options = fast_options();
-  options.constant_overrides = {{kMessageEtaConstant, symbolic::Value::of(0.5)}};
-  // The per-message constants only exist in single-pair models; the report
-  // must fall back to one model per pair instead of failing to compile.
-  const ArchitectureReport report = analyze_architecture_report(
-      arch, options, {SecurityCategory::kConfidentiality});
-  EXPECT_EQ(report.results.size(), arch.messages.size());
-  EXPECT_EQ(report.stats.explore_count, arch.messages.size());
+  for (const char* constant : {kMessageEtaConstant, kMessagePhiConstant}) {
+    AnalysisOptions options = fast_options();
+    options.constant_overrides = {{constant, symbolic::Value::of(0.5)}};
+    // The single-model name reaches every pair's own protection constant of
+    // the one batch model.
+    const ArchitectureReport report = analyze_architecture_report(
+        arch, options, {SecurityCategory::kConfidentiality});
+    EXPECT_EQ(report.stats.explore_count, 1u) << constant;
+    ASSERT_EQ(report.results.size(), arch.messages.size()) << constant;
+    for (const AnalysisResult& result : report.results) {
+      const AnalysisResult reference = analyze_message(
+          arch, result.message, SecurityCategory::kConfidentiality, options);
+      EXPECT_NEAR(result.exploitable_fraction, reference.exploitable_fraction, 1e-9)
+          << constant;
+      EXPECT_NEAR(result.breach_probability, reference.breach_probability, 1e-9)
+          << constant;
+      EXPECT_NEAR(result.steady_state_fraction, reference.steady_state_fraction, 1e-9)
+          << constant;
+      if (std::isinf(reference.mean_time_to_breach)) {
+        EXPECT_TRUE(std::isinf(result.mean_time_to_breach)) << constant;
+      } else {
+        EXPECT_NEAR(result.mean_time_to_breach, reference.mean_time_to_breach,
+                    1e-9 * std::max(1.0, reference.mean_time_to_breach))
+            << constant;
+      }
+    }
+
+    // Availability has no protection module, so its pair does not declare
+    // the constant: the same typed error a single-pair model raises.
+    EXPECT_THROW(analyze_architecture_report(arch, options,
+                                             {SecurityCategory::kConfidentiality,
+                                              SecurityCategory::kAvailability}),
+                 symbolic::ModelError)
+        << constant;
+  }
 }
 
 }  // namespace

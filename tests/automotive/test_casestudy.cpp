@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "symbolic/explorer.hpp"
 
 namespace autosec::automotive::casestudy {
@@ -119,10 +119,10 @@ TEST(Figure3, StateSpaceIsThreeStates) {
 TEST(Figure3, SteadyStateMatchesEq15) {
   const symbolic::Model model = figure3_example();
   const auto space = symbolic::explore(symbolic::compile(model));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("S=? [ \"s0\" ]"), 0.96296, 5e-6);
-  EXPECT_NEAR(checker.check("S=? [ \"s1\" ]"), 0.036338, 5e-7);
-  EXPECT_NEAR(checker.check("S=? [ \"s2\" ]"), 0.000699, 5e-7);
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("S=? [ \"s0\" ]"), 0.96296, 5e-6);
+  EXPECT_NEAR(session.check("S=? [ \"s1\" ]"), 0.036338, 5e-7);
+  EXPECT_NEAR(session.check("S=? [ \"s2\" ]"), 0.000699, 5e-7);
 }
 
 TEST(Figure3, RewardPropertyEq16Style) {
@@ -132,8 +132,8 @@ TEST(Figure3, RewardPropertyEq16Style) {
   // stationary probability.
   const symbolic::Model model = figure3_example();
   const auto space = symbolic::explore(symbolic::compile(model));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  const double cumulated = checker.check("R{\"in_s2\"}=? [ C<=1 ]");
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  const double cumulated = session.check("R{\"in_s2\"}=? [ C<=1 ]");
   EXPECT_GT(cumulated, 0.0);
   EXPECT_LT(cumulated, 0.000699);
 }
@@ -144,8 +144,8 @@ TEST(Figure3, ConstantOverridesChangeTheChain) {
       model, {{"eta3g", symbolic::Value::of(0.2)}}));
   const auto space_fast = symbolic::explore(symbolic::compile(
       model, {{"eta3g", symbolic::Value::of(20.0)}}));
-  const double p_slow = csl::Checker(std::make_shared<const symbolic::StateSpace>(space_slow)).check("S=? [ \"s2\" ]");
-  const double p_fast = csl::Checker(std::make_shared<const symbolic::StateSpace>(space_fast)).check("S=? [ \"s2\" ]");
+  const double p_slow = csl::EngineSession(std::make_shared<const symbolic::StateSpace>(space_slow)).check("S=? [ \"s2\" ]");
+  const double p_fast = csl::EngineSession(std::make_shared<const symbolic::StateSpace>(space_fast)).check("S=? [ \"s2\" ]");
   EXPECT_LT(p_slow, p_fast);
 }
 

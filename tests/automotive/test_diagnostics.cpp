@@ -168,23 +168,29 @@ TEST(Criticality, AesModelIncludesMessageEta) {
   EXPECT_FALSE(has_phi_msg);
 }
 
+/// First-breach attribution of `category` for the case-study message, on a
+/// pair session built the way diagnose builds it.
+BreachAttributionResult attribution_of(const Architecture& arch,
+                                       SecurityCategory category) {
+  AnalysisOptions options;
+  options.nmax = 1;
+  const SecurityAnalysis analysis(arch, cs::kMessage, category, options);
+  return first_breach_attribution(arch, analysis);
+}
+
 TEST(BreachAttribution, TotalMatchesBreachProbability) {
   AnalysisOptions options;
   options.nmax = 1;
   const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
-  const auto attribution = first_breach_attribution(
-      arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
+  const auto attribution = attribution_of(arch, SecurityCategory::kConfidentiality);
   const AnalysisResult result = analyze_message(
       arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
   EXPECT_NEAR(attribution.total_breach_probability, result.breach_probability, 1e-9);
 }
 
 TEST(BreachAttribution, TelematicsIsTheDoorInArchitecture1) {
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-      SecurityCategory::kConfidentiality, options);
+  const auto attribution = attribution_of(cs::architecture(1, Protection::kUnencrypted),
+                                          SecurityCategory::kConfidentiality);
   ASSERT_FALSE(attribution.attributions.empty());
   EXPECT_EQ(attribution.attributions[0].component, cs::kTelematics);
   // Nearly every first breach involves the compromised telematics unit.
@@ -193,11 +199,8 @@ TEST(BreachAttribution, TelematicsIsTheDoorInArchitecture1) {
 }
 
 TEST(BreachAttribution, SharesAreProbabilities) {
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      cs::architecture(2, Protection::kAes128), cs::kMessage,
-      SecurityCategory::kIntegrity, options);
+  const auto attribution = attribution_of(cs::architecture(2, Protection::kAes128),
+                                          SecurityCategory::kIntegrity);
   for (const BreachAttribution& a : attribution.attributions) {
     EXPECT_GT(a.probability, 0.0);
     EXPECT_LE(a.probability, attribution.total_breach_probability + 1e-12);
@@ -205,11 +208,8 @@ TEST(BreachAttribution, SharesAreProbabilities) {
 }
 
 TEST(BreachAttribution, GuardianShowsUpInArchitecture3) {
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      cs::architecture(3, Protection::kUnencrypted), cs::kMessage,
-      SecurityCategory::kAvailability, options);
+  const auto attribution = attribution_of(cs::architecture(3, Protection::kUnencrypted),
+                                          SecurityCategory::kAvailability);
   const bool has_guardian = std::any_of(
       attribution.attributions.begin(), attribution.attributions.end(),
       [](const BreachAttribution& a) { return a.component == "guardian FR"; });
@@ -222,14 +222,24 @@ TEST(BreachAttribution, ProtectionAttributedWhenBroken) {
   Architecture arch = cs::architecture(1, Protection::kAes128);
   arch.messages[0].rates_override =
       ProtectionRates{.integrity_eta = 1.2, .confidentiality_eta = 10000.0};
-  AnalysisOptions options;
-  options.nmax = 1;
-  const auto attribution = first_breach_attribution(
-      arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
+  const auto attribution = attribution_of(arch, SecurityCategory::kConfidentiality);
   const bool has_protection = std::any_of(
       attribution.attributions.begin(), attribution.attributions.end(),
       [](const BreachAttribution& a) { return a.component == "protection"; });
   EXPECT_TRUE(has_protection);
+}
+
+TEST(BreachAttribution, HonoursTheSessionCancelToken) {
+  // The token expires after the pair space is built: the attribution's own
+  // transient solve must stop, not run to the horizon.
+  const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
+  AnalysisOptions options;
+  options.nmax = 1;
+  options.cancel = std::make_shared<util::CancelToken>();
+  const SecurityAnalysis analysis(arch, cs::kMessage,
+                                  SecurityCategory::kConfidentiality, options);
+  options.cancel->cancel();
+  EXPECT_THROW(first_breach_attribution(arch, analysis), util::Cancelled);
 }
 
 TEST(BreachQuantile, MatchesBoundedReachabilityInversion) {

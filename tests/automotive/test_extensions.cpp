@@ -6,7 +6,6 @@
 
 #include "automotive/analyzer.hpp"
 #include "automotive/casestudy.hpp"
-#include "csl/checker.hpp"
 #include "symbolic/explorer.hpp"
 
 namespace autosec::automotive {

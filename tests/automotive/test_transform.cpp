@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "symbolic/explorer.hpp"
 
 namespace autosec::automotive {
@@ -139,8 +139,8 @@ TEST(Transform, CmacConfidentialityBehavesLikeUnencrypted) {
   const auto sa = symbolic::explore(symbolic::compile(a));
   const auto sb = symbolic::explore(symbolic::compile(b));
   EXPECT_EQ(sa.state_count(), sb.state_count());
-  const csl::Checker ca(std::make_shared<const symbolic::StateSpace>(sa));
-  const csl::Checker cb(std::make_shared<const symbolic::StateSpace>(sb));
+  csl::EngineSession ca(std::make_shared<const symbolic::StateSpace>(sa));
+  csl::EngineSession cb(std::make_shared<const symbolic::StateSpace>(sb));
   EXPECT_NEAR(ca.check("R{\"exposure\"}=? [ C<=1 ]"),
               cb.check("R{\"exposure\"}=? [ C<=1 ]"), 1e-12);
 }
@@ -214,9 +214,9 @@ TEST(Transform, LiteralPatchGuardIsVacuousOnCanTopologies) {
   const auto literal_space =
       symbolic::explore(symbolic::compile(transform(arch, literal)));
   const double frac_corr =
-      csl::Checker(std::make_shared<const symbolic::StateSpace>(corrected_space)).check("R{\"exposure\"}=? [ C<=1 ]");
+      csl::EngineSession(std::make_shared<const symbolic::StateSpace>(corrected_space)).check("R{\"exposure\"}=? [ C<=1 ]");
   const double frac_lit =
-      csl::Checker(std::make_shared<const symbolic::StateSpace>(literal_space)).check("R{\"exposure\"}=? [ C<=1 ]");
+      csl::EngineSession(std::make_shared<const symbolic::StateSpace>(literal_space)).check("R{\"exposure\"}=? [ C<=1 ]");
   EXPECT_NEAR(frac_lit, frac_corr, 1e-12);
 }
 
@@ -236,9 +236,9 @@ TEST(Transform, LiteralPatchGuardBitesOnFlexRay) {
   const auto literal_space =
       symbolic::explore(symbolic::compile(transform(arch, literal)));
   const double frac_corr =
-      csl::Checker(std::make_shared<const symbolic::StateSpace>(corrected_space)).check("R{\"exposure\"}=? [ C<=1 ]");
+      csl::EngineSession(std::make_shared<const symbolic::StateSpace>(corrected_space)).check("R{\"exposure\"}=? [ C<=1 ]");
   const double frac_lit =
-      csl::Checker(std::make_shared<const symbolic::StateSpace>(literal_space)).check("R{\"exposure\"}=? [ C<=1 ]");
+      csl::EngineSession(std::make_shared<const symbolic::StateSpace>(literal_space)).check("R{\"exposure\"}=? [ C<=1 ]");
   EXPECT_GT(frac_lit, frac_corr * 1.01);
 }
 
@@ -252,8 +252,8 @@ TEST(Transform, GuardianFootholdOptionReducesExposure) {
   const auto space_u =
       symbolic::explore(symbolic::compile(transform(arch, unconditional)));
   const auto space_f = symbolic::explore(symbolic::compile(transform(arch, foothold)));
-  const double frac_u = csl::Checker(std::make_shared<const symbolic::StateSpace>(space_u)).check("R{\"exposure\"}=? [ C<=1 ]");
-  const double frac_f = csl::Checker(std::make_shared<const symbolic::StateSpace>(space_f)).check("R{\"exposure\"}=? [ C<=1 ]");
+  const double frac_u = csl::EngineSession(std::make_shared<const symbolic::StateSpace>(space_u)).check("R{\"exposure\"}=? [ C<=1 ]");
+  const double frac_f = csl::EngineSession(std::make_shared<const symbolic::StateSpace>(space_f)).check("R{\"exposure\"}=? [ C<=1 ]");
   EXPECT_LT(frac_f, frac_u);
 }
 
@@ -284,8 +284,8 @@ TEST(Transform, FlexRayRequiresGuardianExploit) {
   const auto fr_space = symbolic::explore(
       symbolic::compile(transform(fr_arch, options_for("m", SecurityCategory::kAvailability))));
   const double can_frac =
-      csl::Checker(std::make_shared<const symbolic::StateSpace>(can_space)).check("R{\"exposure\"}=? [ C<=1 ]");
-  const double fr_frac = csl::Checker(std::make_shared<const symbolic::StateSpace>(fr_space)).check("R{\"exposure\"}=? [ C<=1 ]");
+      csl::EngineSession(std::make_shared<const symbolic::StateSpace>(can_space)).check("R{\"exposure\"}=? [ C<=1 ]");
+  const double fr_frac = csl::EngineSession(std::make_shared<const symbolic::StateSpace>(fr_space)).check("R{\"exposure\"}=? [ C<=1 ]");
   EXPECT_LT(fr_frac, can_frac);
   EXPECT_GT(fr_frac, 0.0);
   // The guardian adds a state variable.

@@ -4,7 +4,7 @@
 #include <cmath>
 #include <memory>
 
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "csl/property_parser.hpp"
 #include "symbolic/builder.hpp"
 #include "symbolic/explorer.hpp"
@@ -33,9 +33,9 @@ class BoundsFixture : public ::testing::Test {
  protected:
   BoundsFixture()
       : space_(symbolic::explore(symbolic::compile(repair_model()))),
-        checker_(std::make_shared<const symbolic::StateSpace>(space_)) {}
+        session_(std::make_shared<const symbolic::StateSpace>(space_)) {}
   symbolic::StateSpace space_;
-  Checker checker_;
+  EngineSession session_;
 };
 
 TEST_F(BoundsFixture, ParserRecordsBoundKind) {
@@ -49,40 +49,40 @@ TEST_F(BoundsFixture, ParserRecordsBoundKind) {
 
 TEST_F(BoundsFixture, ProbabilityBounds) {
   // P(F<=1 broken) = 1 - e^{-2} ~ 0.8647.
-  EXPECT_TRUE(checker_.satisfies("P>=0.8 [ F<=1 \"broken\" ]"));
-  EXPECT_TRUE(checker_.satisfies("P<0.9 [ F<=1 \"broken\" ]"));
-  EXPECT_FALSE(checker_.satisfies("P<=0.5 [ F<=1 \"broken\" ]"));
-  EXPECT_FALSE(checker_.satisfies("P>0.99 [ F<=1 \"broken\" ]"));
+  EXPECT_TRUE(session_.satisfies("P>=0.8 [ F<=1 \"broken\" ]"));
+  EXPECT_TRUE(session_.satisfies("P<0.9 [ F<=1 \"broken\" ]"));
+  EXPECT_FALSE(session_.satisfies("P<=0.5 [ F<=1 \"broken\" ]"));
+  EXPECT_FALSE(session_.satisfies("P>0.99 [ F<=1 \"broken\" ]"));
 }
 
 TEST_F(BoundsFixture, SteadyStateBounds) {
   // pi(broken) = 0.25.
-  EXPECT_TRUE(checker_.satisfies("S<=0.25 [ \"broken\" ]"));
-  EXPECT_TRUE(checker_.satisfies("S>0.2 [ \"broken\" ]"));
-  EXPECT_FALSE(checker_.satisfies("S<0.2 [ \"broken\" ]"));
+  EXPECT_TRUE(session_.satisfies("S<=0.25 [ \"broken\" ]"));
+  EXPECT_TRUE(session_.satisfies("S>0.2 [ \"broken\" ]"));
+  EXPECT_FALSE(session_.satisfies("S<0.2 [ \"broken\" ]"));
 }
 
 TEST_F(BoundsFixture, RewardBounds) {
-  EXPECT_TRUE(checker_.satisfies("R{\"downtime\"}<=1 [ C<=1 ]"));
-  EXPECT_FALSE(checker_.satisfies("R{\"downtime\"}>1 [ C<=1 ]"));
+  EXPECT_TRUE(session_.satisfies("R{\"downtime\"}<=1 [ C<=1 ]"));
+  EXPECT_FALSE(session_.satisfies("R{\"downtime\"}>1 [ C<=1 ]"));
 }
 
 TEST_F(BoundsFixture, BoundsMayUseModelConstants) {
   // BUDGET = 0.3 > cumulated downtime in year 1 (~0.22).
-  EXPECT_TRUE(checker_.satisfies("R{\"downtime\"}<=BUDGET [ C<=1 ]"));
+  EXPECT_TRUE(session_.satisfies("R{\"downtime\"}<=BUDGET [ C<=1 ]"));
 }
 
 TEST_F(BoundsFixture, SatisfiesOnQueryThrows) {
-  EXPECT_THROW(checker_.satisfies("P=? [ F<=1 \"broken\" ]"), PropertyError);
+  EXPECT_THROW(session_.satisfies("P=? [ F<=1 \"broken\" ]"), PropertyError);
 }
 
 TEST_F(BoundsFixture, CheckOnBoundedReturnsQuantitativeValue) {
   const Property p = parse_property("P<=0.5 [ F<=1 \"broken\" ]");
-  EXPECT_NEAR(checker_.check(p), 1.0 - std::exp(-2.0), 1e-10);
+  EXPECT_NEAR(session_.check(p), 1.0 - std::exp(-2.0), 1e-10);
 }
 
 TEST_F(BoundsFixture, NonNumericBoundRejected) {
-  EXPECT_THROW(checker_.satisfies("P<=\"broken\" [ F<=1 \"broken\" ]"),
+  EXPECT_THROW(session_.satisfies("P<=\"broken\" [ F<=1 \"broken\" ]"),
                PropertyError);
 }
 

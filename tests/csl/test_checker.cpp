@@ -1,4 +1,4 @@
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 
 #include <gtest/gtest.h>
 
@@ -37,77 +37,77 @@ class CheckerFixture : public ::testing::Test {
   CheckerFixture()
       : compiled_(symbolic::compile(repair_model(2.0, 6.0))),
         space_(symbolic::explore(compiled_)),
-        checker_(std::make_shared<const symbolic::StateSpace>(space_)) {}
+        session_(std::make_shared<const symbolic::StateSpace>(space_)) {}
 
   symbolic::CompiledModel compiled_;
   symbolic::StateSpace space_;
-  Checker checker_;
+  EngineSession session_;
 };
 
 TEST_F(CheckerFixture, BoundedReachabilityMatchesExponential) {
   // First transition 0->1 at rate 2: P(F<=t broken) = 1 - e^{-2t}.
-  const double p = checker_.check("P=? [ F<=0.5 \"broken\" ]");
+  const double p = session_.check("P=? [ F<=0.5 \"broken\" ]");
   EXPECT_NEAR(p, 1.0 - std::exp(-1.0), 1e-10);
 }
 
 TEST_F(CheckerFixture, RawExpressionInsteadOfLabel) {
-  const double p1 = checker_.check("P=? [ F<=0.5 x=1 ]");
-  const double p2 = checker_.check("P=? [ F<=0.5 \"broken\" ]");
+  const double p1 = session_.check("P=? [ F<=0.5 x=1 ]");
+  const double p2 = session_.check("P=? [ F<=0.5 \"broken\" ]");
   EXPECT_NEAR(p1, p2, 1e-14);
 }
 
 TEST_F(CheckerFixture, UnboundedReachabilityIsOneInRecurrentChain) {
-  EXPECT_NEAR(checker_.check("P=? [ F \"broken\" ]"), 1.0, 1e-9);
+  EXPECT_NEAR(session_.check("P=? [ F \"broken\" ]"), 1.0, 1e-9);
 }
 
 TEST_F(CheckerFixture, GloballyIsComplementOfEventuallyNot) {
-  const double g = checker_.check("P=? [ G<=0.5 x=0 ]");
-  const double f = checker_.check("P=? [ F<=0.5 x=1 ]");
+  const double g = session_.check("P=? [ G<=0.5 x=0 ]");
+  const double f = session_.check("P=? [ F<=0.5 x=1 ]");
   EXPECT_NEAR(g, 1.0 - f, 1e-12);
 }
 
 TEST_F(CheckerFixture, SteadyStateProbability) {
   // pi(broken) = a/(a+b) = 0.25.
-  EXPECT_NEAR(checker_.check("S=? [ \"broken\" ]"), 0.25, 1e-9);
+  EXPECT_NEAR(session_.check("S=? [ \"broken\" ]"), 0.25, 1e-9);
 }
 
 TEST_F(CheckerFixture, CumulativeRewardMatchesOccupancy) {
   const double a = 2.0, b = 6.0, T = 1.0, s = a + b;
   const double expected = a / s * (T - (1.0 - std::exp(-s * T)) / s);
-  EXPECT_NEAR(checker_.check("R{\"downtime\"}=? [ C<=1 ]"), expected, 1e-10);
+  EXPECT_NEAR(session_.check("R{\"downtime\"}=? [ C<=1 ]"), expected, 1e-10);
 }
 
 TEST_F(CheckerFixture, DefaultRewardStructureAccessible) {
   // Constant reward 2 everywhere accumulates to 2*T.
-  EXPECT_NEAR(checker_.check("R=? [ C<=1.5 ]"), 3.0, 1e-9);
+  EXPECT_NEAR(session_.check("R=? [ C<=1.5 ]"), 3.0, 1e-9);
 }
 
 TEST_F(CheckerFixture, InstantaneousReward) {
   const double t = 0.3;
   const double p1 = 2.0 / 8.0 * (1.0 - std::exp(-8.0 * t));
-  EXPECT_NEAR(checker_.check("R{\"downtime\"}=? [ I=0.3 ]"), p1, 1e-10);
+  EXPECT_NEAR(session_.check("R{\"downtime\"}=? [ I=0.3 ]"), p1, 1e-10);
 }
 
 TEST_F(CheckerFixture, SteadyStateReward) {
-  EXPECT_NEAR(checker_.check("R{\"downtime\"}=? [ S ]"), 0.25, 1e-9);
+  EXPECT_NEAR(session_.check("R{\"downtime\"}=? [ S ]"), 0.25, 1e-9);
 }
 
 TEST_F(CheckerFixture, TimeBoundFromModelConstant) {
-  const double p1 = checker_.check("P=? [ F<=HORIZON \"broken\" ]");
-  const double p2 = checker_.check("P=? [ F<=1.0 \"broken\" ]");
+  const double p1 = session_.check("P=? [ F<=HORIZON \"broken\" ]");
+  const double p2 = session_.check("P=? [ F<=1.0 \"broken\" ]");
   EXPECT_NEAR(p1, p2, 1e-14);
 }
 
 TEST_F(CheckerFixture, UnknownLabelThrows) {
-  EXPECT_THROW(checker_.check("P=? [ F<=1 \"ghost\" ]"), PropertyError);
+  EXPECT_THROW(session_.check("P=? [ F<=1 \"ghost\" ]"), PropertyError);
 }
 
 TEST_F(CheckerFixture, UnknownRewardStructureThrows) {
-  EXPECT_THROW(checker_.check("R{\"ghost\"}=? [ C<=1 ]"), symbolic::ModelError);
+  EXPECT_THROW(session_.check("R{\"ghost\"}=? [ C<=1 ]"), symbolic::ModelError);
 }
 
 TEST_F(CheckerFixture, NegativeTimeBoundThrows) {
-  EXPECT_THROW(checker_.check("P=? [ F<=-1 \"broken\" ]"), PropertyError);
+  EXPECT_THROW(session_.check("P=? [ F<=-1 \"broken\" ]"), PropertyError);
 }
 
 TEST(CheckerUntil, UntilRespectsLeftOperand) {
@@ -120,10 +120,10 @@ TEST(CheckerUntil, UntilRespectsLeftOperand) {
             {{"x", Expr::ident("x") + Expr::literal(1)}});
   const symbolic::CompiledModel compiled = symbolic::compile(builder.build());
   const symbolic::StateSpace space = symbolic::explore(compiled);
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("P=? [ x=0 U<=5 x=2 ]"), 0.0, 1e-12);
-  EXPECT_GT(checker.check("P=? [ F<=5 x=2 ]"), 0.9);
-  EXPECT_GT(checker.check("P=? [ x<2 U<=5 x=2 ]"), 0.9);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("P=? [ x=0 U<=5 x=2 ]"), 0.0, 1e-12);
+  EXPECT_GT(session.check("P=? [ F<=5 x=2 ]"), 0.9);
+  EXPECT_GT(session.check("P=? [ x<2 U<=5 x=2 ]"), 0.9);
 }
 
 TEST(CheckerUntil, UnboundedUntilWithForbiddenRegion) {
@@ -139,11 +139,11 @@ TEST(CheckerUntil, UnboundedUntilWithForbiddenRegion) {
             {{"x", Expr::literal(1)}});
   const symbolic::CompiledModel compiled = symbolic::compile(builder.build());
   const symbolic::StateSpace space = symbolic::explore(compiled);
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   // Unrestricted: reach 1 with probability 1.
-  EXPECT_NEAR(checker.check("P=? [ F x=1 ]"), 1.0, 1e-9);
+  EXPECT_NEAR(session.check("P=? [ F x=1 ]"), 1.0, 1e-9);
   // Forbidding x=2: only the direct branch counts (rate 3 of total 4).
-  EXPECT_NEAR(checker.check("P=? [ x=0 U x=1 ]"), 0.75, 1e-9);
+  EXPECT_NEAR(session.check("P=? [ x=0 U x=1 ]"), 0.75, 1e-9);
 }
 
 TEST(CheckerReward, ReachabilityRewardExpectedTimeToAbsorption) {
@@ -156,8 +156,8 @@ TEST(CheckerReward, ReachabilityRewardExpectedTimeToAbsorption) {
   builder.state_reward("time", Expr::literal(true), Expr::literal(1.0));
   const symbolic::CompiledModel compiled = symbolic::compile(builder.build());
   const symbolic::StateSpace space = symbolic::explore(compiled);
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("R{\"time\"}=? [ F x=1 ]"), 0.25, 1e-10);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("R{\"time\"}=? [ F x=1 ]"), 0.25, 1e-10);
 }
 
 TEST(CheckerReward, ReachabilityRewardInfiniteWhenTargetMissable) {
@@ -172,8 +172,8 @@ TEST(CheckerReward, ReachabilityRewardInfiniteWhenTargetMissable) {
   builder.state_reward("time", Expr::literal(true), Expr::literal(1.0));
   const symbolic::CompiledModel compiled = symbolic::compile(builder.build());
   const symbolic::StateSpace space = symbolic::explore(compiled);
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_TRUE(std::isinf(checker.check("R{\"time\"}=? [ F x=1 ]")));
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_TRUE(std::isinf(session.check("R{\"time\"}=? [ F x=1 ]")));
 }
 
 TEST(CheckerReward, ErlangExpectedTimeThroughChain) {
@@ -186,8 +186,8 @@ TEST(CheckerReward, ErlangExpectedTimeThroughChain) {
   builder.state_reward("time", Expr::literal(true), Expr::literal(1.0));
   const symbolic::CompiledModel compiled = symbolic::compile(builder.build());
   const symbolic::StateSpace space = symbolic::explore(compiled);
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("R{\"time\"}=? [ F x=2 ]"), 0.4, 1e-10);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("R{\"time\"}=? [ F x=2 ]"), 0.4, 1e-10);
 }
 
 TEST(CheckerParsedModel, WorksOnTextualModels) {
@@ -201,8 +201,8 @@ label "done" = x=1;
 )");
   const symbolic::CompiledModel compiled = symbolic::compile(model);
   const symbolic::StateSpace space = symbolic::explore(compiled);
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("P=? [ F<=1 \"done\" ]"), 1.0 - std::exp(-3.0), 1e-10);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("P=? [ F<=1 \"done\" ]"), 1.0 - std::exp(-3.0), 1e-10);
 }
 
 }  // namespace

@@ -4,8 +4,8 @@
 #include <cmath>
 #include <memory>
 
-#include "csl/checker.hpp"
 #include "csl/lumped.hpp"
+#include "csl/session.hpp"
 #include "csl/property_parser.hpp"
 #include "symbolic/builder.hpp"
 #include "symbolic/explorer.hpp"
@@ -61,35 +61,35 @@ TEST(IntervalParser, MalformedIntervalsRejected) {
 TEST(IntervalUntil, AbsorbingTargetEqualsUpperBoundOnly) {
   // Once absorbed, the target holds forever: F[t1,t2] == F<=t2.
   const auto space = symbolic::explore(symbolic::compile(decay_model(2.0)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  const double interval = checker.check("P=? [ F[0.5,1.5] \"done\" ]");
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  const double interval = session.check("P=? [ F[0.5,1.5] \"done\" ]");
   EXPECT_NEAR(interval, 1.0 - std::exp(-2.0 * 1.5), 1e-10);
 }
 
 TEST(IntervalUntil, ZeroLowerBoundEqualsPlainBound) {
   const auto space = symbolic::explore(symbolic::compile(repair_model(2.0, 6.0)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("P=? [ F[0,0.8] \"broken\" ]"),
-              checker.check("P=? [ F<=0.8 \"broken\" ]"), 1e-12);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("P=? [ F[0,0.8] \"broken\" ]"),
+              session.check("P=? [ F<=0.8 \"broken\" ]"), 1e-12);
 }
 
 TEST(IntervalUntil, DegenerateIntervalIsTransientProbability) {
   // F[t,t] phi == phi holds at exactly time t (for left = true).
   const double up = 2.0, down = 6.0, t = 0.7;
   const auto space = symbolic::explore(symbolic::compile(repair_model(up, down)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   const double expected = up / (up + down) * (1.0 - std::exp(-(up + down) * t));
-  EXPECT_NEAR(checker.check("P=? [ F[0.7,0.7] \"broken\" ]"), expected, 1e-10);
+  EXPECT_NEAR(session.check("P=? [ F[0.7,0.7] \"broken\" ]"), expected, 1e-10);
 }
 
 TEST(IntervalUntil, MonotoneInUpperBound) {
   const auto space = symbolic::explore(symbolic::compile(repair_model(1.0, 3.0)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   double previous = 0.0;
   for (const char* property : {"P=? [ F[0.5,0.6] \"broken\" ]",
                                "P=? [ F[0.5,1.0] \"broken\" ]",
                                "P=? [ F[0.5,2.0] \"broken\" ]"}) {
-    const double value = checker.check(property);
+    const double value = session.check(property);
     EXPECT_GE(value, previous - 1e-12);
     previous = value;
   }
@@ -104,16 +104,16 @@ TEST(IntervalUntil, LeftOperandMustHoldThroughPhaseOne) {
   m.command(Expr::ident("x") < Expr::literal(2), Expr::literal(5.0),
             {{"x", Expr::ident("x") + Expr::literal(1)}});
   const auto space = symbolic::explore(symbolic::compile(builder.build()));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_NEAR(checker.check("P=? [ x<1 U[0.2,1] x=2 ]"), 0.0, 1e-12);
-  EXPECT_GT(checker.check("P=? [ x<2 U[0.2,1] x=2 ]"), 0.5);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_NEAR(session.check("P=? [ x<1 U[0.2,1] x=2 ]"), 0.0, 1e-12);
+  EXPECT_GT(session.check("P=? [ x<2 U[0.2,1] x=2 ]"), 0.5);
 }
 
 TEST(IntervalGlobally, ComplementOfEventuallyNot) {
   const auto space = symbolic::explore(symbolic::compile(repair_model(2.0, 6.0)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  const double g = checker.check("P=? [ G[0.2,0.8] x=0 ]");
-  const double f = checker.check("P=? [ F[0.2,0.8] x=1 ]");
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  const double g = session.check("P=? [ G[0.2,0.8] x=0 ]");
+  const double f = session.check("P=? [ F[0.2,0.8] x=1 ]");
   EXPECT_NEAR(g, 1.0 - f, 1e-12);
   EXPECT_GT(g, 0.0);
   EXPECT_LT(g, 1.0);
@@ -121,16 +121,16 @@ TEST(IntervalGlobally, ComplementOfEventuallyNot) {
 
 TEST(IntervalUntil, InvalidIntervalRejectedAtCheckTime) {
   const auto space = symbolic::explore(symbolic::compile(repair_model(1.0, 1.0)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
-  EXPECT_THROW(checker.check("P=? [ F[2,1] \"broken\" ]"), PropertyError);
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
+  EXPECT_THROW(session.check("P=? [ F[2,1] \"broken\" ]"), PropertyError);
 }
 
 TEST(IntervalUntil, LumpedPathAgrees) {
   const auto space = symbolic::explore(symbolic::compile(repair_model(2.0, 6.0)));
-  const Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   for (const char* property :
        {"P=? [ F[0.3,1.2] \"broken\" ]", "P=? [ G[0.3,1.2] x=0 ]"}) {
-    EXPECT_NEAR(check_lumped(space, property).value, checker.check(property), 1e-10)
+    EXPECT_NEAR(check_lumped(space, property).value, session.check(property), 1e-10)
         << property;
   }
 }

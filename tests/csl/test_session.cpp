@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "csl/checker.hpp"
 #include "symbolic/builder.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -107,17 +106,6 @@ TEST(EngineSession, OverrideCacheKeyIsOrderInsensitive) {
       {"b", symbolic::Value::of(2.0)}, {"a", symbolic::Value::of(1.0)}};
   EXPECT_EQ(override_cache_key(ab), override_cache_key(ba));
   EXPECT_NE(override_cache_key(ab), override_cache_key({}));
-}
-
-TEST(EngineSession, CheckerFacadeDelegatesToSession) {
-  auto session = std::make_shared<EngineSession>(repair_model(2.0, 6.0));
-  Checker checker(session);
-  const double via_facade = checker.check("S=? [ \"broken\" ]");
-  const double direct = session->check("S=? [ \"broken\" ]");
-  EXPECT_DOUBLE_EQ(via_facade, direct);
-  // Both calls hit the same cached pipeline.
-  EXPECT_EQ(session->stats().explore_count, 1u);
-  EXPECT_EQ(session->stats().steady_state_count, 1u);
 }
 
 TEST(EngineSession, SpaceAdoptingSessionRejectsOverrides) {

@@ -9,7 +9,7 @@
 #include "automotive/analyzer.hpp"
 #include "automotive/casestudy.hpp"
 #include "automotive/transform.hpp"
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "symbolic/explorer.hpp"
 #include "symbolic/parser.hpp"
 #include "symbolic/writer.hpp"
@@ -45,9 +45,9 @@ endrewards
   const symbolic::CompiledModel compiled = symbolic::compile(model);
   const symbolic::StateSpace space = symbolic::explore(compiled);
   ASSERT_EQ(space.state_count(), 3u);
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   // Eq. (15): steady-state probability of s2.
-  EXPECT_NEAR(checker.check("S=? [ \"s2\" ]"), 0.000699, 5e-7);
+  EXPECT_NEAR(session.check("S=? [ \"s2\" ]"), 0.000699, 5e-7);
 }
 
 TEST(EndToEnd, GeneratedAutomotiveModelSurvivesPrismRoundTrip) {
@@ -69,10 +69,10 @@ TEST(EndToEnd, GeneratedAutomotiveModelSurvivesPrismRoundTrip) {
   ASSERT_EQ(sa.state_count(), sb.state_count());
   ASSERT_EQ(sa.transition_count(), sb.transition_count());
 
-  const csl::Checker checker_a(std::make_shared<const symbolic::StateSpace>(sa));
-  const csl::Checker checker_b(std::make_shared<const symbolic::StateSpace>(sb));
+  csl::EngineSession session_a(std::make_shared<const symbolic::StateSpace>(sa));
+  csl::EngineSession session_b(std::make_shared<const symbolic::StateSpace>(sb));
   const char* property = "R{\"exposure\"}=? [ C<=1 ]";
-  EXPECT_NEAR(checker_a.check(property), checker_b.check(property), 1e-12);
+  EXPECT_NEAR(session_a.check(property), session_b.check(property), 1e-12);
 }
 
 TEST(EndToEnd, CheckerAgreesWithAnalyzerDriver) {

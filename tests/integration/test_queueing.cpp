@@ -8,7 +8,7 @@
 #include <memory>
 #include <string>
 
-#include "csl/checker.hpp"
+#include "csl/session.hpp"
 #include "symbolic/explorer.hpp"
 #include "symbolic/parser.hpp"
 
@@ -42,19 +42,19 @@ TEST_P(Mm1kQueue, SteadyStateMatchesClosedForm) {
   const symbolic::StateSpace space =
       symbolic::explore(symbolic::compile(symbolic::parse_model(source)));
   ASSERT_EQ(space.state_count(), static_cast<size_t>(capacity + 1));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
 
   const double rho = lambda / mu;
   auto pi = [&](int i) {
     if (std::abs(rho - 1.0) < 1e-12) return 1.0 / (capacity + 1);
     return std::pow(rho, i) * (1.0 - rho) / (1.0 - std::pow(rho, capacity + 1));
   };
-  EXPECT_NEAR(checker.check("S=? [ \"full\" ]"), pi(capacity), 1e-9);
-  EXPECT_NEAR(checker.check("S=? [ \"empty\" ]"), pi(0), 1e-9);
+  EXPECT_NEAR(session.check("S=? [ \"full\" ]"), pi(capacity), 1e-9);
+  EXPECT_NEAR(session.check("S=? [ \"empty\" ]"), pi(0), 1e-9);
 
   double expected_length = 0.0;
   for (int i = 0; i <= capacity; ++i) expected_length += i * pi(i);
-  EXPECT_NEAR(checker.check("R{\"length\"}=? [ S ]"), expected_length, 1e-8);
+  EXPECT_NEAR(session.check("R{\"length\"}=? [ S ]"), expected_length, 1e-8);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -81,13 +81,13 @@ TEST_P(ErlangLoss, BlockingProbabilityMatchesErlangB) {
       "label \"blocked\" = n = C;\n";
   const symbolic::StateSpace space =
       symbolic::explore(symbolic::compile(symbolic::parse_model(source)));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
 
   const double a = lambda / mu;
   double denominator = 0.0;
   for (int k = 0; k <= servers; ++k) denominator += std::pow(a, k) / factorial(k);
   const double erlang_b = std::pow(a, servers) / factorial(servers) / denominator;
-  EXPECT_NEAR(checker.check("S=? [ \"blocked\" ]"), erlang_b, 1e-9);
+  EXPECT_NEAR(session.check("S=? [ \"blocked\" ]"), erlang_b, 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -109,7 +109,7 @@ TEST(MachineRepairman, UtilizationMatchesBirthDeathSolution) {
       "label \"idle\" = broken = 0;\n";
   const symbolic::StateSpace space =
       symbolic::explore(symbolic::compile(symbolic::parse_model(source)));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
 
   // Birth-death stationary: pi_n ∝ prod_{k=0}^{n-1} (M-k) f / r.
   std::vector<double> pi(machines + 1, 1.0);
@@ -118,9 +118,9 @@ TEST(MachineRepairman, UtilizationMatchesBirthDeathSolution) {
   }
   double total = 0.0;
   for (double p : pi) total += p;
-  EXPECT_NEAR(checker.check("S=? [ \"idle\" ]"), pi[0] / total, 1e-9);
+  EXPECT_NEAR(session.check("S=? [ \"idle\" ]"), pi[0] / total, 1e-9);
   // Repairman busy = 1 - pi_0.
-  EXPECT_NEAR(checker.check("S=? [ broken > 0 ]"), 1.0 - pi[0] / total, 1e-9);
+  EXPECT_NEAR(session.check("S=? [ broken > 0 ]"), 1.0 - pi[0] / total, 1e-9);
 }
 
 /// Transient anchor: the M/M/1/K queue's expected length accumulated over a
@@ -137,10 +137,10 @@ rewards "length"
   true : n;
 endrewards
 )")));
-  const csl::Checker checker(std::make_shared<const symbolic::StateSpace>(space));
+  csl::EngineSession session(std::make_shared<const symbolic::StateSpace>(space));
   const double horizon = 0.8;
-  const double cumulative = checker.check("R{\"length\"}=? [ C<=0.8 ]");
-  const double stationary = checker.check("R{\"length\"}=? [ S ]");
+  const double cumulative = session.check("R{\"length\"}=? [ C<=0.8 ]");
+  const double stationary = session.check("R{\"length\"}=? [ S ]");
   EXPECT_GT(cumulative, 0.0);
   EXPECT_LT(cumulative, stationary * horizon);
 }

@@ -67,7 +67,6 @@ TEST(JobIdentityTest, EveryKeyedOptionChangesTheIdentity) {
        [](Job& j) { j.options.guardian_requires_foothold = true; }, true},
       {"include_reliability",
        [](Job& j) { j.options.include_reliability = false; }, true},
-      {"batch_model", [](Job& j) { j.options.batch_model = false; }, true},
       {"horizon_years", [](Job& j) { j.options.horizon_years = 2.0; }, false},
       {"constant_overrides",
        [](Job& j) {
@@ -93,7 +92,6 @@ TEST(JobIdentityTest, KnobsThatDoNotChangeResultsAreNotKeyed) {
   const JobIdentity base = Job{}.identity();
   Job job;
   job.options.threads = 8;
-  job.options.parallel_solves = false;
   job.options.cancel = std::make_shared<util::CancelToken>();
   EXPECT_EQ(job.identity().job, base.job);
 }
@@ -140,6 +138,44 @@ TEST(JobIdentityTest, SweepValuesAndStrategyAreKeyedExactly) {
   EXPECT_NE(request_identity(check, 1).job, request_identity(with_strategy, 1).job);
   EXPECT_EQ(request_identity(check, 1).session_key,
             request_identity(with_strategy, 1).session_key);
+}
+
+TEST(JobIdentityTest, KeysOfAnAnalyzeAndACheckArePinned) {
+  // Byte-for-byte what earlier releases wrote: disk-cache entries and
+  // checkpoint snapshots written by them must still be found.
+  Request analyze;
+  analyze.op = Op::kAnalyze;
+  analyze.messages = {"steer"};
+  analyze.categories = {SecurityCategory::kConfidentiality};
+  analyze.nmax = 2;
+  analyze.overrides = {{"eta_msg", symbolic::Value::of(0.5)}};
+  const JobIdentity analyze_identity = request_identity(analyze, 0xabc);
+  EXPECT_EQ(analyze_identity.session_key,
+            "batch|arch=0000000000000abc|model=ctmc;nmax=2;engine=auto;reduction=0;"
+            "solver=0;ssd=1;literal_patch_guard=0;guardian_requires_foothold=0;"
+            "reliability=1;batch_model=1|messages=\"steer\",|categories=conf,");
+  EXPECT_EQ(analyze_identity.job,
+            "analyze|batch|arch=0000000000000abc|model=ctmc;nmax=2;engine=auto;"
+            "reduction=0;solver=0;ssd=1;literal_patch_guard=0;"
+            "guardian_requires_foothold=0;reliability=1;batch_model=1|"
+            "messages=\"steer\",|categories=conf,|horizon=1|overrides=eta_msg=0.5;|");
+
+  Request check;
+  check.op = Op::kCheck;
+  check.message = "m";
+  check.category = SecurityCategory::kIntegrity;
+  check.properties = {"P=? [ F<=1 \"violated\" ]"};
+  const JobIdentity check_identity = request_identity(check, 0xabc);
+  EXPECT_EQ(check_identity.session_key,
+            "pair|arch=0000000000000abc|model=ctmc;nmax=1;engine=auto;reduction=0;"
+            "solver=0;ssd=1;literal_patch_guard=0;guardian_requires_foothold=0;"
+            "reliability=1;batch_model=1|messages=\"m\",|categories=integ,");
+  EXPECT_EQ(check_identity.job,
+            "check|pair|arch=0000000000000abc|model=ctmc;nmax=1;engine=auto;"
+            "reduction=0;solver=0;ssd=1;literal_patch_guard=0;"
+            "guardian_requires_foothold=0;reliability=1;batch_model=1|"
+            "messages=\"m\",|categories=integ,|horizon=1|overrides=|"
+            "properties=\"P=? [ F<=1 \\\"violated\\\" ]\",");
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -159,6 +160,39 @@ TEST(ServerTest, ServedNumbersMatchOneShotAnalysisBitExactly) {
     EXPECT_EQ(row.number_or("mean_time_to_breach", -1.0),
               expected.mean_time_to_breach);
   }
+}
+
+TEST(ServerTest, SingleModelProtectionOverrideAppliesToTheGrid) {
+  // "eta_msg" is the single-pair model's name for the protection rate; an
+  // analyze applies it to every (message, category) pair of its grid, the
+  // way the CLI's --set does.
+  Server server(deterministic_options());
+  const std::string path = source_path("data/zonal_ethernet.arch");
+  const JsonValue response = handle(
+      server, "{\"id\": \"z\", \"op\": \"analyze\", \"architecture\": \"" + path +
+                  "\", \"messages\": [\"steer\"], \"categories\": "
+                  "[\"confidentiality\"], \"nmax\": 2, "
+                  "\"overrides\": {\"eta_msg\": 0.5}}");
+  ASSERT_TRUE(response.bool_or("ok", false)) << response.dump();
+  const JsonValue* rows = response.find("result")->find("results");
+  ASSERT_NE(rows, nullptr);
+  ASSERT_EQ(rows->size(), 1u);
+
+  automotive::AnalysisOptions options;
+  options.nmax = 2;
+  options.constant_overrides = {{"eta_msg", symbolic::Value::of(0.5)}};
+  const automotive::AnalysisResult expected = automotive::analyze_message(
+      automotive::load_architecture_file(path), "steer",
+      automotive::SecurityCategory::kConfidentiality, options);
+  const JsonValue& row = rows->at(0);
+  EXPECT_NEAR(row.number_or("exploitable_fraction", -1.0),
+              expected.exploitable_fraction, 1e-9);
+  EXPECT_NEAR(row.number_or("breach_probability", -1.0), expected.breach_probability,
+              1e-9);
+  EXPECT_NEAR(row.number_or("steady_state_fraction", -1.0),
+              expected.steady_state_fraction, 1e-9);
+  EXPECT_NEAR(row.number_or("mean_time_to_breach", -1.0), expected.mean_time_to_breach,
+              1e-9 * std::max(1.0, expected.mean_time_to_breach));
 }
 
 TEST(ServerTest, SweepReusesStagesAcrossRepeats) {
