@@ -21,10 +21,12 @@
 // Thread model: check_all() fans independent property solves across the
 // process-wide pool (util::parallel_for) — its cumulative-reward properties
 // as one task that shares a single transient pass — and check_points() fans
-// one property's override points the same way; each solve then runs its
-// numeric kernels serially (nested parallel regions degrade to serial loops),
-// while single check() calls parallelize inside the kernels instead. Results
-// are deterministic either way.
+// one property's override points the same way, one task per claim; each
+// solve then runs its numeric kernels serially (nested parallel regions
+// degrade to serial loops), while single check() calls parallelize inside
+// the kernels instead. Sessions on different threads open their own pool
+// jobs and never wait for each other's. Results are deterministic either
+// way.
 #pragma once
 
 #include <functional>

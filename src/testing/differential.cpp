@@ -3,9 +3,11 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <exception>
 #include <filesystem>
 #include <memory>
 #include <sstream>
+#include <thread>
 #include <utility>
 
 #include "automotive/archfile.hpp"
@@ -406,6 +408,36 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     for (size_t i = 0; i < all.size(); ++i) {
       harness.compare_exact("parallel.determinism", seed, tag + all[i], serial[i],
                             parallel[i]);
+    }
+
+    // Concurrent callers (bit-exact by contract): two threads each run the
+    // batch on their own session over the same space, so both fan-outs share
+    // the N-lane pool at once.
+    std::vector<double> concurrent[2];
+    std::exception_ptr concurrent_error[2];
+    util::set_thread_count(options.parallel_threads);
+    {
+      std::vector<std::thread> callers;
+      for (size_t c = 0; c < 2; ++c) {
+        callers.emplace_back([&, c] {
+          try {
+            csl::EngineSession session(space);
+            concurrent[c] = session.check_all(all);
+          } catch (...) {
+            concurrent_error[c] = std::current_exception();
+          }
+        });
+      }
+      for (std::thread& caller : callers) caller.join();
+    }
+    util::set_thread_count(1);
+    for (size_t c = 0; c < 2; ++c) {
+      if (concurrent_error[c]) std::rethrow_exception(concurrent_error[c]);
+      for (size_t i = 0; i < all.size(); ++i) {
+        harness.compare_exact("parallel.concurrent_callers", seed,
+                              tag + "caller " + std::to_string(c) + ": " + all[i],
+                              serial[i], concurrent[c][i]);
+      }
     }
 
     // Shared vs single cumulative solves (bit-exact by contract): check_all

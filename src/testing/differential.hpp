@@ -13,6 +13,8 @@
 //   lumping     lumped-quotient checking vs the full-space engine;
 //   parallel    the whole property batch at 1 thread vs N threads, required
 //               to agree bit-for-bit (the engine's determinism contract),
+//               the same batch run at once by two threads on their own
+//               sessions at N threads ("parallel.concurrent_callers"),
 //               and every reward's C<=t, C<=t/2 and C<=2t from check_all's
 //               shared transient pass vs one check() each, bit-for-bit too
 //               ("batch.shared_vs_single");

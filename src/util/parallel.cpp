@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 #include <new>
 #include <string>
@@ -19,6 +20,18 @@ namespace {
 thread_local bool t_in_parallel_region = false;
 
 }  // namespace
+
+// One parallel_for call. It lives on its caller's stack and sits in the
+// pool's open list from posting until its caller has drawn its last chunk;
+// the caller then waits only for the workers still inside it.
+struct ThreadPool::Job {
+  std::atomic<size_t> next{0};
+  size_t end = 0;
+  size_t chunk = 1;
+  const ChunkFn* fn = nullptr;
+  std::exception_ptr error;   // first exception of a chunk; guarded by mutex_
+  size_t workers_inside = 0;  // guarded by mutex_
+};
 
 ThreadPool::ThreadPool(size_t threads) {
   const size_t lanes = std::max<size_t>(threads, 1);
@@ -37,18 +50,18 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-size_t ThreadPool::run_chunks() {
+size_t ThreadPool::run_chunks(Job& job) {
   size_t chunks = 0;
   while (true) {
-    const size_t start = next_.fetch_add(chunk_, std::memory_order_relaxed);
-    if (start >= end_) break;
-    const size_t stop = std::min(start + chunk_, end_);
+    const size_t start = job.next.fetch_add(job.chunk, std::memory_order_relaxed);
+    if (start >= job.end) break;
+    const size_t stop = std::min(start + job.chunk, job.end);
     ++chunks;
     try {
-      (*fn_)(start, stop);
+      (*job.fn)(start, stop);
     } catch (...) {
       std::lock_guard<std::mutex> lock(mutex_);
-      if (!error_) error_ = std::current_exception();
+      if (!job.error) job.error = std::current_exception();
     }
   }
   return chunks;
@@ -56,28 +69,41 @@ size_t ThreadPool::run_chunks() {
 
 void ThreadPool::worker_loop() {
   t_in_parallel_region = true;  // workers never open their own region
-  uint64_t seen = 0;
   while (true) {
+    Job* job = nullptr;
     {
+      // Help the oldest open job with chunks left. The predicate turns true
+      // only when a job opens, which notifies; cursors run out without the
+      // lock, which only turns it false.
       std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [&] { return stop_ || job_id_ != seen; });
+      work_cv_.wait(lock, [&] {
+        for (Job* open : open_jobs_) {
+          if (open->next.load(std::memory_order_relaxed) < open->end) {
+            job = open;
+            return true;
+          }
+        }
+        return stop_;
+      });
       if (stop_) return;
-      seen = job_id_;
+      ++job->workers_inside;
     }
-    const size_t chunks = run_chunks();
-    // Lane occupancy: a worker that drew zero chunks was an idle lane for
-    // this job — the gap between jobs and busy lanes is pool oversizing.
+    const size_t chunks = run_chunks(*job);
+    // Lane occupancy of the workers that entered a job: one that drew zero
+    // chunks found the job's cursor drained by the other lanes.
     if (chunks > 0) {
       metrics::registry().add("pool.worker_chunks", chunks);
       metrics::registry().add("pool.busy_worker_lanes");
     } else {
       metrics::registry().add("pool.idle_worker_lanes");
     }
+    bool last_out = false;
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      ++workers_done_;
+      last_out = --job->workers_inside == 0;
     }
-    done_cv_.notify_one();
+    // `job` may be gone once the lock is released; only the pool is touched.
+    if (last_out) done_cv_.notify_all();
   }
 }
 
@@ -91,39 +117,45 @@ void ThreadPool::parallel_for(size_t begin, size_t end, size_t grain,
     return;
   }
 
-  std::lock_guard<std::mutex> call_lock(call_mutex_);
-  // ~4 chunks per lane for load balance; never below the grain.
-  const size_t chunk =
-      std::max(min_chunk, (count + 4 * size() - 1) / (4 * size()));
+  Job job;
+  job.next.store(begin, std::memory_order_relaxed);
+  job.end = end;
+  // Grain 1 is a fan-out of coarse tasks (properties, points, BSCCs,
+  // requests): one task per claim, so the longest never queues behind
+  // another in one chunk. Kernel grains keep ~4 chunks per lane for load
+  // balance, never below the grain.
+  job.chunk = grain <= 1
+                  ? 1
+                  : std::max(min_chunk, (count + 4 * size() - 1) / (4 * size()));
+  job.fn = &fn;
+  bool overlapped = false;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    next_.store(begin, std::memory_order_relaxed);
-    end_ = end;
-    chunk_ = chunk;
-    fn_ = &fn;
-    error_ = nullptr;
-    workers_done_ = 0;
-    ++job_id_;
+    overlapped = !open_jobs_.empty();
+    open_jobs_.push_back(&job);
   }
   work_cv_.notify_all();
+
+  // Nothing between linking and unlinking may throw: run_chunks catches
+  // every exception of a chunk, so the list never keeps a dead frame.
+  t_in_parallel_region = true;
+  const size_t caller_chunks = run_chunks(job);
+  t_in_parallel_region = false;
   {
-    metrics::Registry& metrics = metrics::registry();
-    if (metrics.enabled()) {
-      metrics.add("pool.jobs");
-      metrics.add("pool.indices", count);
-      metrics.gauge("pool.lanes", static_cast<double>(size()));
-    }
+    std::unique_lock<std::mutex> lock(mutex_);
+    open_jobs_.erase(std::find(open_jobs_.begin(), open_jobs_.end(), &job));
+    done_cv_.wait(lock, [&] { return job.workers_inside == 0; });
   }
 
-  t_in_parallel_region = true;
-  const size_t caller_chunks = run_chunks();
-  t_in_parallel_region = false;
-  metrics::registry().add("pool.caller_chunks", caller_chunks);
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  done_cv_.wait(lock, [&] { return workers_done_ == workers_.size(); });
-  fn_ = nullptr;
-  if (error_) std::rethrow_exception(error_);
+  metrics::Registry& metrics = metrics::registry();
+  if (metrics.enabled()) {
+    metrics.add("pool.jobs");
+    metrics.add("pool.indices", count);
+    metrics.gauge("pool.lanes", static_cast<double>(size()));
+    metrics.add("pool.caller_chunks", caller_chunks);
+    if (overlapped) metrics.add("pool.overlapped_jobs");
+  }
+  if (job.error) std::rethrow_exception(job.error);
 }
 
 namespace {

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "symbolic/builder.hpp"
@@ -235,6 +236,73 @@ TEST(EngineSession, CheckPointsEqualsPerPointRekeyedChecksAtOneAndFourThreads) {
       EXPECT_EQ(again[i].value, values[i].value);
     }
     EXPECT_EQ(session.stats().explore_count, 4u);
+  }
+  util::set_thread_count(0);
+}
+
+TEST(EngineSession, ConcurrentSessionsMatchSerialBitForBit) {
+  // Two sessions fan their tasks across one 4-lane pool at the same time:
+  // one thread's check_all, another's check_points. Each answers exactly
+  // what it answers alone on one lane.
+  const std::vector<std::string> properties = {
+      "R{\"downtime\"}=? [ C<=1.5 ]", "P=? [ F<=0.5 \"broken\" ]",
+      "R{\"downtime\"}=? [ C<=4 ]",   "S=? [ \"broken\" ]",
+      "R{\"downtime\"}=? [ I=1 ]",    "P=? [ F \"broken\" ]",
+      "R{\"downtime\"}=? [ F \"broken\" ]",
+  };
+  const std::string point_property = "P=? [ F<=2 \"broken\" ]";
+  std::vector<OverrideSet> points;
+  for (const int64_t top : {40, 150, 300}) {
+    for (const double a : {0.5, 2.0, 7.0}) {
+      points.push_back({{"top", symbolic::Value::of(top)}, {"a", symbolic::Value::of(a)}});
+    }
+  }
+  const auto run_all = [&] {
+    SessionOptions options;
+    options.constant_overrides = {{"top", symbolic::Value::of(int64_t{400})}};
+    EngineSession session(sized_repair_model(), options);
+    return session.check_all(properties);
+  };
+  const auto run_points = [&] {
+    EngineSession session(sized_repair_model());
+    std::vector<double> values;
+    for (const PointValue& point : session.check_points(point_property, points)) {
+      values.push_back(point.value);
+    }
+    return values;
+  };
+
+  util::set_thread_count(1);
+  const std::vector<double> serial_all = run_all();
+  const std::vector<double> serial_points = run_points();
+
+  util::set_thread_count(4);
+  constexpr int kRounds = 10;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<double> concurrent_points;
+    std::string points_error;
+    std::thread other([&] {
+      try {
+        concurrent_points = run_points();
+      } catch (const std::exception& error) {
+        points_error = error.what();
+      }
+    });
+    const std::vector<double> concurrent_all = run_all();
+    other.join();
+    ASSERT_EQ(points_error, "");
+    ASSERT_EQ(concurrent_all.size(), serial_all.size());
+    ASSERT_EQ(concurrent_points.size(), serial_points.size());
+    for (size_t i = 0; i < serial_all.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(concurrent_all[i]),
+                std::bit_cast<uint64_t>(serial_all[i]))
+          << properties[i] << ", round " << round;
+    }
+    for (size_t i = 0; i < serial_points.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(concurrent_points[i]),
+                std::bit_cast<uint64_t>(serial_points[i]))
+          << "point " << i << ", round " << round;
+    }
   }
   util::set_thread_count(0);
 }

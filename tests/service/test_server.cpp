@@ -19,6 +19,7 @@
 #include "automotive/archfile.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
+#include "util/parallel.hpp"
 #include "util/strings.hpp"
 
 namespace autosec::service {
@@ -128,20 +129,20 @@ TEST(ServerTest, OverrideChangeReExploresButKeepsSession) {
   EXPECT_EQ(back.find("metrics")->int_or("explores", -1), 0);
 }
 
-TEST(ServerTest, ServedNumbersMatchOneShotAnalysisBitExactly) {
-  Server server(deterministic_options());
-  const JsonValue response = handle(server, analyze_line("r1"));
-
-  std::ifstream file(arch_path());
-  ASSERT_TRUE(file.is_open());
+automotive::Architecture load_architecture(const std::string& path) {
+  std::ifstream file(path);
+  EXPECT_TRUE(file.is_open()) << "missing architecture " << path;
   std::ostringstream text;
   text << file.rdbuf();
-  const automotive::Architecture arch =
-      automotive::parse_architecture(text.str());
-  const automotive::ArchitectureReport report =
-      automotive::analyze_architecture_report(arch);
+  return automotive::parse_architecture(text.str());
+}
 
-  const JsonValue* rows = response.find("result")->find("results");
+/// Every served analyze row equals the one-shot report's row bit for bit.
+void expect_rows_match_report(const JsonValue& response,
+                              const automotive::ArchitectureReport& report) {
+  const JsonValue* result = response.find("result");
+  ASSERT_NE(result, nullptr) << response.dump();
+  const JsonValue* rows = result->find("results");
   ASSERT_NE(rows, nullptr);
   ASSERT_EQ(rows->size(), report.results.size());
   for (size_t i = 0; i < report.results.size(); ++i) {
@@ -160,6 +161,44 @@ TEST(ServerTest, ServedNumbersMatchOneShotAnalysisBitExactly) {
     EXPECT_EQ(row.number_or("mean_time_to_breach", -1.0),
               expected.mean_time_to_breach);
   }
+}
+
+TEST(ServerTest, ServedNumbersMatchOneShotAnalysisBitExactly) {
+  Server server(deterministic_options());
+  const JsonValue response = handle(server, analyze_line("r1"));
+  expect_rows_match_report(
+      response, automotive::analyze_architecture_report(load_architecture(arch_path())));
+}
+
+TEST(ServerTest, ConcurrentRequestsOnDistinctSessionsMatchOneShot) {
+  // Four requests on four sessions compute at once on one 4-lane pool, each
+  // fanning its property tasks across it; every served value still equals
+  // the one-shot analysis of its architecture.
+  util::set_thread_count(4);
+  const std::vector<std::string> paths = {
+      source_path("data/arch1.arch"), source_path("data/arch2.arch"),
+      source_path("data/arch3.arch"), source_path("data/zonal_ethernet.arch")};
+  Server server(deterministic_options());
+  std::vector<std::string> responses(paths.size());
+  std::vector<std::thread> clients;
+  for (size_t c = 0; c < paths.size(); ++c) {
+    clients.emplace_back([&, c] {
+      responses[c] = server.handle_line(
+          "{\"id\": \"c" + std::to_string(c) +
+          "\", \"op\": \"analyze\", \"architecture\": \"" + paths[c] + "\"}");
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  util::set_thread_count(0);
+
+  for (size_t c = 0; c < paths.size(); ++c) {
+    SCOPED_TRACE(paths[c]);
+    const JsonValue response = JsonValue::parse(responses[c]);
+    ASSERT_TRUE(response.bool_or("ok", false)) << responses[c];
+    expect_rows_match_report(
+        response, automotive::analyze_architecture_report(load_architecture(paths[c])));
+  }
+  EXPECT_EQ(server.cache_stats().entries, paths.size());
 }
 
 TEST(ServerTest, SingleModelProtectionOverrideAppliesToTheGrid) {
@@ -223,10 +262,7 @@ TEST(ServerTest, NonRoundHorizonsIntegrateToTheExactBound) {
   // divided by.
   const double horizon = 1.0 / 3.0;
   const std::string h = exact_text(horizon);
-  std::ifstream file(arch_path());
-  std::ostringstream text;
-  text << file.rdbuf();
-  const automotive::Architecture arch = automotive::parse_architecture(text.str());
+  const automotive::Architecture arch = load_architecture(arch_path());
   automotive::AnalysisOptions options;
   options.horizon_years = horizon;
   const auto category = automotive::SecurityCategory::kConfidentiality;

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <limits>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -160,6 +163,43 @@ TEST_F(MetricsTest, PoolRecordsJobsAndChunks) {
     EXPECT_GE(registry().counter_value("pool.jobs"), 1u);
     EXPECT_GE(registry().counter_value("pool.indices"), 4096u);
   }
+}
+
+TEST_F(MetricsTest, PoolCountsOverlappedJobs) {
+  util::set_thread_count(4);
+  // One caller: each job is closed before the next one opens.
+  for (int i = 0; i < 8; ++i) util::parallel_for(0, 64, 1, [](size_t, size_t) {});
+  EXPECT_EQ(registry().counter_value("pool.jobs"), 8u);
+  EXPECT_EQ(registry().counter_value("pool.overlapped_jobs"), 0u);
+
+  // Two callers: every chunk of the first caller's job blocks until the
+  // second caller's job has run. Its 4 lanes hold 4 of its 8 chunks, so the
+  // job still has chunks left, and stays open, while the second one opens.
+  std::mutex mutex;
+  std::condition_variable cv;
+  bool started = false;
+  bool released = false;
+  std::thread first([&] {
+    util::parallel_for(0, 8, 1, [&](size_t, size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      started = true;
+      cv.notify_all();
+      cv.wait_for(lock, std::chrono::seconds(10), [&] { return released; });
+    });
+  });
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10), [&] { return started; }));
+  }
+  util::parallel_for(0, 64, 1, [](size_t, size_t) {});
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    released = true;
+  }
+  cv.notify_all();
+  first.join();
+  util::set_thread_count(0);
+  EXPECT_GE(registry().counter_value("pool.overlapped_jobs"), 1u);
 }
 
 }  // namespace

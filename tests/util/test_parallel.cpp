@@ -3,9 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
@@ -72,6 +77,164 @@ TEST(ParallelFor, PropagatesFirstException) {
                    }),
       std::runtime_error);
   // The pool must stay usable after an exception drained the range.
+  std::atomic<size_t> count{0};
+  parallel_for(0, 64, 1, [&](size_t b, size_t e) { count.fetch_add(e - b); });
+  EXPECT_EQ(count.load(), 64u);
+}
+
+TEST(ParallelFor, CoarseFanOutsClaimOneIndexAtATime) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  // Grain 1 is a fan-out of coarse tasks: pairing two of them in one chunk
+  // would make the longest task wait for its neighbour.
+  std::atomic<size_t> claims{0};
+  parallel_for(0, 40, 1, [&](size_t, size_t) { claims.fetch_add(1); });
+  EXPECT_EQ(claims.load(), 40u) << "40 indices, so every claim must be one index";
+}
+
+// --- concurrent callers ---------------------------------------------------
+
+/// A one-shot flag a thread can wait on with a deadline.
+class Latch {
+ public:
+  void open() {
+    {
+      std::lock_guard<std::mutex> lock(mutex_);
+      open_ = true;
+    }
+    cv_.notify_all();
+  }
+  /// False when the deadline passed with the latch still closed.
+  bool wait_for(std::chrono::seconds timeout) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return cv_.wait_for(lock, timeout, [&] { return open_; });
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable cv_;
+  bool open_ = false;
+};
+
+constexpr std::chrono::seconds kBlockBound{10};
+
+double seconds_since(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+TEST(ParallelFor, SecondCallerDoesNotWaitForAnotherCallersJob) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  // Thread A's job holds one chunk open until the main thread's own
+  // parallel_for has returned. A pool that serialized its callers would make
+  // the main thread wait for A's job, so A's chunk would run into its bound.
+  Latch a_started;
+  Latch main_returned;
+  std::atomic<bool> a_timed_out{false};
+  std::thread a([&] {
+    parallel_for(0, 8, 1, [&](size_t begin, size_t) {
+      if (begin != 0) return;
+      a_started.open();
+      if (!main_returned.wait_for(kBlockBound)) a_timed_out = true;
+    });
+  });
+  EXPECT_TRUE(a_started.wait_for(kBlockBound));
+
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::atomic<int>> touched(64);
+  parallel_for(0, touched.size(), 1, [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
+  });
+  const double elapsed = seconds_since(start);
+  main_returned.open();
+  a.join();
+
+  EXPECT_FALSE(a_timed_out.load()) << "the second caller waited " << elapsed
+                                   << " s for the first caller's job";
+  EXPECT_LT(elapsed, 5.0);
+  for (size_t i = 0; i < touched.size(); ++i) EXPECT_EQ(touched[i].load(), 1) << i;
+}
+
+TEST(ParallelFor, ConcurrentCallersEachCoverTheirOwnRange) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  constexpr size_t kCallers = 6;
+  constexpr size_t kCalls = 300;
+  std::atomic<size_t> bad_cover{0};
+  std::atomic<size_t> nested_off_thread{0};
+  std::atomic<size_t> nested_calls{0};
+  std::vector<std::thread> callers;
+  for (size_t caller = 0; caller < kCallers; ++caller) {
+    callers.emplace_back([&, caller] {
+      for (size_t call = 0; call < kCalls; ++call) {
+        const size_t count = 1 + (call * 37 + caller * 101) % 700;
+        const size_t grain = (call + caller) % 3 == 0 ? 1 : (call % 3 == 1 ? 4 : 128);
+        // A range no larger than its grain runs inline and is no parallel
+        // region, so only calls that reach the pool nest.
+        const bool nested = call % 5 == 0 && count > grain;
+        std::vector<std::atomic<int>> touched(count);
+        parallel_for(0, count, grain, [&](size_t begin, size_t end) {
+          for (size_t i = begin; i < end; ++i) touched[i].fetch_add(1);
+          if (!nested) return;
+          // A nested region runs inline on the lane that runs the chunk.
+          const std::thread::id lane = std::this_thread::get_id();
+          parallel_for(0, 16, 1, [&](size_t, size_t) {
+            nested_calls.fetch_add(1);
+            if (std::this_thread::get_id() != lane) nested_off_thread.fetch_add(1);
+          });
+        });
+        for (size_t i = 0; i < count; ++i) {
+          if (touched[i].load() != 1) bad_cover.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(bad_cover.load(), 0u);
+  EXPECT_GT(nested_calls.load(), 0u);
+  EXPECT_EQ(nested_off_thread.load(), 0u);
+}
+
+TEST(ParallelFor, ExceptionStaysWithTheCallerWhoseChunkThrew) {
+  ThreadCountGuard guard;
+  set_thread_count(4);
+  // The quiet caller's job stays open (one chunk blocks) until the throwing
+  // caller's parallel_for has returned, so the two jobs overlap.
+  Latch quiet_started;
+  Latch thrower_returned;
+  std::atomic<size_t> quiet_indices{0};
+  std::string quiet_error;
+  std::thread quiet([&] {
+    try {
+      parallel_for(0, 32, 1, [&](size_t begin, size_t end) {
+        quiet_indices.fetch_add(end - begin);
+        if (begin != 0) return;
+        quiet_started.open();
+        thrower_returned.wait_for(kBlockBound);
+      });
+    } catch (const std::exception& error) {
+      quiet_error = error.what();
+    }
+  });
+  EXPECT_TRUE(quiet_started.wait_for(kBlockBound));
+
+  std::string thrower_error;
+  try {
+    parallel_for(0, 32, 1, [&](size_t begin, size_t end) {
+      for (size_t i = begin; i < end; ++i) {
+        if (i % 4 == 3) throw std::runtime_error("thrower chunk failed");
+      }
+    });
+  } catch (const std::runtime_error& error) {
+    thrower_error = error.what();
+  }
+  thrower_returned.open();
+  quiet.join();
+
+  EXPECT_EQ(thrower_error, "thrower chunk failed");
+  EXPECT_EQ(quiet_error, "");
+  EXPECT_EQ(quiet_indices.load(), 32u);
   std::atomic<size_t> count{0};
   parallel_for(0, 64, 1, [&](size_t b, size_t e) { count.fetch_add(e - b); });
   EXPECT_EQ(count.load(), 64u);

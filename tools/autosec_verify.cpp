@@ -101,9 +101,11 @@ int main(int argc, char** argv) {
                    "kernels    blocked SELL-C-sigma vs CSR transient kernel (bit-exact)\n"
                    "           and multicolor vs direct Gauss-Seidel sweeps\n"
                    "lumping    lumped-quotient checking vs the full state space\n"
-                   "parallel   1-thread vs N-thread batch solves (bit-exact), and\n"
-                   "           check_all's shared cumulative-reward pass vs one\n"
-                   "           check() per property (bit-exact)\n"
+                   "parallel   1-thread vs N-thread batch solves (bit-exact), two\n"
+                   "           threads' concurrent N-thread batches vs the 1-thread\n"
+                   "           batch (bit-exact), and check_all's shared\n"
+                   "           cumulative-reward pass vs one check() per property\n"
+                   "           (bit-exact)\n"
                    "roundtrip  writer -> parser identity for models and .arch files\n"
                    "engine     symmetry-reduced quotient vs the unreduced space\n"
                    "mdp        MDP value iteration vs the exhaustive scheduler-\n"
