@@ -47,7 +47,7 @@ BENCHMARK(BM_Exploration)->Arg(1)->Arg(2)->Arg(3);
 void BM_TransientDistribution(benchmark::State& state) {
   const symbolic::StateSpace space =
       symbolic::explore(case_study_model(static_cast<int>(state.range(0))));
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   const std::vector<double> initial = space.initial_distribution();
   for (auto _ : state) {
     const auto dist = ctmc::transient_distribution(chain, initial, 1.0);
@@ -60,7 +60,7 @@ BENCHMARK(BM_TransientDistribution)->Arg(1)->Arg(2)->Arg(3);
 void BM_CumulativeReward(benchmark::State& state) {
   const symbolic::StateSpace space =
       symbolic::explore(case_study_model(static_cast<int>(state.range(0))));
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   const std::vector<double> initial = space.initial_distribution();
   const std::vector<double> rewards =
       space.reward_vector(automotive::kExposureReward);
@@ -74,7 +74,7 @@ BENCHMARK(BM_CumulativeReward)->Arg(1)->Arg(2);
 void BM_SteadyState(benchmark::State& state) {
   const symbolic::StateSpace space =
       symbolic::explore(case_study_model(static_cast<int>(state.range(0))));
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   const std::vector<double> initial = space.initial_distribution();
   for (auto _ : state) {
     const auto result = ctmc::steady_state(chain, initial);
@@ -95,7 +95,7 @@ BENCHMARK(BM_FullPropertyCheck);
 void BM_Lumping(benchmark::State& state) {
   const symbolic::StateSpace space =
       symbolic::explore(case_study_model(static_cast<int>(state.range(0))));
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   const std::vector<std::vector<bool>> masks = {
       space.label_mask(automotive::kViolatedLabel)};
   const std::vector<std::vector<double>> rewards = {
@@ -113,7 +113,7 @@ BENCHMARK(BM_Lumping)->Arg(1)->Arg(2);
 
 void BM_SimulationTrajectories(benchmark::State& state) {
   const symbolic::StateSpace space = symbolic::explore(case_study_model(2));
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   const std::vector<bool> violated = space.label_mask(automotive::kViolatedLabel);
   ctmc::SimulationOptions options;
   options.samples = static_cast<size_t>(state.range(0));

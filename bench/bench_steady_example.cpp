@@ -22,7 +22,7 @@ int main() {
   std::printf("states: %zu (s0, s1, s2), transitions: %zu\n\n", space.state_count(),
               space.transition_count());
 
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   std::cout << "Transition rate matrix Q (paper Eq. 14):\n"
             << chain.generator().to_dense_string(4)
             << "paper:  -2 2 0 / 52 -54 2 / 52 52 -104\n\n";

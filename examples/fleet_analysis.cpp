@@ -79,7 +79,7 @@ int main() {
     ctmc::SimulationOptions simulation;
     simulation.samples = 4000;
     simulation.seed = 11;
-    const ctmc::Ctmc chain = analysis.space().to_ctmc();
+    const ctmc::Ctmc& chain = analysis.space().chain();
     const auto estimate = ctmc::estimate_time_fraction(
         chain, static_cast<uint32_t>(analysis.space().initial_state()),
         analysis.space().label_mask(kViolatedLabel), 1.0, simulation);

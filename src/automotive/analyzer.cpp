@@ -5,18 +5,11 @@
 #include "symbolic/explorer.hpp"
 #include "util/json.hpp"
 #include "util/metrics.hpp"
-#include "util/parallel.hpp"
 #include "util/stopwatch.hpp"
 
 namespace autosec::automotive {
 
 namespace {
-
-void apply_thread_option(const AnalysisOptions& options) {
-  if (options.threads > 0) {
-    util::set_thread_count(static_cast<size_t>(options.threads));
-  }
-}
 
 /// The batch model's override set for a request: the single-model protection
 /// constants "eta_msg"/"phi_msg" become each grid pair's own constant, every
@@ -94,7 +87,6 @@ SecurityAnalysis::SecurityAnalysis(const Architecture& architecture,
       category_(category),
       model_(pair_model(architecture, message, category, options)),
       session_(std::make_shared<csl::EngineSession>(model_, session_options(options))) {
-  apply_thread_option(options_);
   session_->space();  // explore eagerly, matching the historical behaviour
 }
 
@@ -184,8 +176,6 @@ BatchSession make_batch_session(const Architecture& architecture,
 
 ArchitectureReport analyze_batch_session(BatchSession& batch,
                                          const AnalysisOptions& options) {
-  apply_thread_option(options);
-
   ArchitectureReport report;
   const size_t pair_count = batch.messages.size() * batch.categories.size();
   if (pair_count == 0 || !batch.session) return report;

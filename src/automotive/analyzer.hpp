@@ -27,7 +27,7 @@ namespace autosec::automotive {
 
 /// Analyzer-level view of the shared engine knobs (csl/engine_options.hpp):
 /// nmax, horizon_years, constant_overrides (names per transform.hpp's
-/// *_constant helpers — the paper's Fig. 6 parameter exploration), threads,
+/// *_constant helpers — the paper's Fig. 6 parameter exploration),
 /// solver/transient settings and the cancel token are all inherited fields.
 struct AnalysisOptions : csl::EngineOptions {
   bool literal_patch_guard = false;

@@ -16,7 +16,6 @@
 #include "automotive/transform.hpp"
 #include "csl/checkpoint.hpp"
 #include "csl/property_parser.hpp"
-#include "ctmc/poisson.hpp"
 #include "ctmc/simulation.hpp"
 #include "service/identity.hpp"
 #include "service/server.hpp"
@@ -196,9 +195,9 @@ ModelOptions parse_model_options(Args& args, std::string_view command) {
           assignment.substr(0, eq),
           symbolic::Value::of(parse_double(assignment.substr(eq + 1), "--set value")));
     } else if (*flag == "--threads") {
-      options.analysis.threads = parse_int(args.next("--threads value"), "--threads");
-      if (options.analysis.threads < 1) throw UsageError("--threads must be >= 1");
-      util::set_thread_count(static_cast<size_t>(options.analysis.threads));
+      const int threads = parse_int(args.next("--threads value"), "--threads");
+      if (threads < 1) throw UsageError("--threads must be >= 1");
+      util::set_thread_count(static_cast<size_t>(threads));
     } else if (*flag == "--literal-patch-guard") {
       options.analysis.literal_patch_guard = true;
     } else if (*flag == "--no-reliability") {
@@ -520,15 +519,13 @@ int command_diagnose(Args& args, std::ostream& out) {
   const Architecture arch = automotive::load_architecture_file(options.file);
   const SecurityCategory category = options.categories.front();
 
+  const automotive::Diagnosis diagnosis =
+      automotive::diagnose(arch, options.message, category, options.analysis);
+
   out << "== criticality: exposure elasticity per rate constant ==\n";
   out << "(positive: raising the rate raises exposure; negative: lowers it)\n\n";
-  automotive::CriticalityOptions criticality_options;
-  criticality_options.analysis = options.analysis;
-  const auto criticalities =
-      automotive::criticality_analysis(arch, options.message, category,
-                                       criticality_options);
   util::TextTable criticality_table({"constant", "value", "elasticity"});
-  for (const automotive::Criticality& c : criticalities) {
+  for (const automotive::Criticality& c : diagnosis.criticality) {
     criticality_table.add_row({c.constant, util::format_sig(c.base_value, 4),
                                util::format_sig(c.elasticity, 3)});
   }
@@ -536,10 +533,7 @@ int command_diagnose(Args& args, std::ostream& out) {
 
   out << "\n== first-breach attribution ==\n";
   out << "(which components are exploited when the first violation occurs)\n\n";
-  // One pair session answers the attribution and the quantiles.
-  const automotive::SecurityAnalysis analysis(arch, options.message, category,
-                                              options.analysis);
-  const auto attribution = automotive::first_breach_attribution(arch, analysis);
+  const automotive::BreachAttributionResult& attribution = diagnosis.first_breach;
   util::TextTable attribution_table({"component", "P[first breach involves it]",
                                      "share"});
   for (const automotive::BreachAttribution& a : attribution.attributions) {
@@ -556,10 +550,10 @@ int command_diagnose(Args& args, std::ostream& out) {
 
   out << "\n== breach-time quantiles ==\n";
   util::TextTable quantile_table({"quantile", "breached by (years)"});
-  for (const double q : {0.05, 0.25, 0.5, 0.95}) {
-    const double t = automotive::breach_time_quantile(analysis, q);
-    quantile_table.add_row({util::format_percent(q, 2),
-                            std::isfinite(t) ? util::format_sig(t, 3) : ">100"});
+  for (const automotive::BreachQuantile& q : diagnosis.quantiles) {
+    quantile_table.add_row({util::format_percent(q.quantile, 2),
+                            std::isfinite(q.years) ? util::format_sig(q.years, 3)
+                                                   : ">100"});
   }
   out << (options.csv ? quantile_table.to_csv() : quantile_table.to_string());
   return 0;
@@ -749,7 +743,7 @@ void print_help(std::ostream& out) {
          "round trip disagrees beyond 1e-8).\n"
          "\n"
          "--metrics-json FILE records engine metrics for the whole run (stage\n"
-         "spans, solver iterations, Poisson cache and thread-pool stats) and\n"
+         "spans, solver iterations, Poisson windows and thread-pool stats) and\n"
          "writes them as JSON on exit; works with every command.\n";
 }
 
@@ -784,8 +778,6 @@ int run_cli(const std::vector<std::string>& args, std::ostream& out,
     if (metrics_path.empty()) return;
     metrics.gauge("cli.exit_code", exit_code);
     metrics.gauge("cli.threads", static_cast<double>(util::thread_count()));
-    const ctmc::PoissonCacheStats poisson = ctmc::poisson_cache_stats();
-    metrics.gauge("poisson.cache_entries", static_cast<double>(poisson.entries));
     metrics.set_enabled(false);
     try {
       metrics.write_json(metrics_path);

@@ -1,12 +1,11 @@
 // The one place engine knobs are defined. EngineOptions collects every
 // setting shared by csl::SessionOptions and automotive::AnalysisOptions —
 // solver choice and tolerances, transient truncation, exploration limits,
-// constant overrides, the attacker bound nmax, the analysis horizon, the
-// worker-thread count, and the cooperative cancellation token. Both option
-// structs embed it as their base, so
-// the CLI, the serving layer, and library callers all configure the engine
-// through the same fields, and converting between layers is a slice
-// assignment:
+// constant overrides, the attacker bound nmax, the analysis horizon, and the
+// per-request cancellation token, budget and checkpoint ledger. Both option
+// structs embed it as their base, so the CLI, the serving layer, and library
+// callers all configure the engine through the same fields, and converting
+// between layers is a slice assignment:
 //
 //   csl::EngineOptions engine = ...;
 //   automotive::AnalysisOptions analysis;
@@ -14,8 +13,10 @@
 //
 // Each layer consumes its slice: the csl session reads the solver/transient/
 // explore/override/cancel fields, the automotive transform reads nmax, the
-// analyzer reads horizon_years and threads. Unread fields are inert, never
-// an error.
+// analyzer reads horizon_years. Unread fields are inert, never an error. The
+// worker-thread count is process-wide, not a per-request knob: the CLI sets
+// it from --threads and serve from its own --threads
+// (util::set_thread_count).
 #pragma once
 
 #include <memory>
@@ -61,9 +62,6 @@ struct EngineOptions {
   int nmax = 1;
   /// Analysis horizon in years (the paper uses 1).
   double horizon_years = 1.0;
-  /// Worker threads for the parallel backend (0 = keep the process-wide
-  /// setting, which defaults to AUTOSEC_THREADS or hardware concurrency).
-  int threads = 0;
   /// Cooperative cancellation: when set, engine stages and solver sweeps
   /// poll it and unwind with util::Cancelled once it expires. Shared, so a
   /// serving layer can arm per-request deadlines on a long-lived session.

@@ -30,8 +30,7 @@ LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
   }
   const std::vector<double> initial = space.initial_distribution();
 
-  const ctmc::LumpingResult lumping =
-      ctmc::lump_preserving(chain, masks, rewards, &initial);
+  ctmc::LumpingResult lumping = ctmc::lump_preserving(chain, masks, rewards, &initial);
 
   // The quotient as a state space over the same compiled model: block b is
   // state b, valued as its representative. Every observation above is
@@ -44,11 +43,11 @@ LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
   for (const uint32_t representative : lumping.representative) {
     store->intern(space.state_values(representative), inserted);
   }
-  const linalg::CsrMatrix& rates = lumping.quotient.rates();
+  const size_t transitions = lumping.quotient.rates().nonzeros();
   EngineSession quotient(
       std::make_shared<const symbolic::StateSpace>(
           space.model_ptr(), std::move(store), lumping.block_of[space.initial_state()],
-          rates, rates.nonzeros()),
+          std::move(lumping.quotient), transitions),
       options);
 
   LumpedCheckResult result;

@@ -147,9 +147,10 @@ void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
     // model_ is guaranteed here: space-adopting sessions seed their stage set
     // in the constructor and cannot re-key.
     auto start = std::chrono::steady_clock::now();
+    std::shared_ptr<const symbolic::CompiledModel> compiled;
     try {
       util::metrics::ScopedSpan span("compile");
-      stages.compiled = std::make_shared<const symbolic::CompiledModel>(
+      compiled = std::make_shared<const symbolic::CompiledModel>(
           symbolic::compile(*model_, overrides));
     } catch (const std::bad_alloc&) {
       throw util::EngineFailure(util::FailureCode::kOom, "compile",
@@ -167,7 +168,7 @@ void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
       symbolic::ExploreOptions explore = options_.explore;
       if (!explore.budget) explore.budget = options_.budget;
       stages.space = std::make_shared<const symbolic::StateSpace>(
-          symbolic::explore(stages.compiled, explore));
+          symbolic::explore(std::move(compiled), explore));
     } catch (const std::bad_alloc&) {
       util::FailureProgress progress;
       if (options_.budget) {
@@ -194,11 +195,6 @@ void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
                     static_cast<double>(stages.space->bytes_per_state()));
     }
   }
-  // The CTMC stage exists only on the ctmc axis; an mdp space keeps its
-  // flattened per-action matrix and value iteration consumes it directly.
-  if (!stages.space->is_mdp() && !stages.chain) {
-    stages.chain = stages.space->to_ctmc();
-  }
   if (stages.initial.empty()) {
     stages.initial = stages.space->initial_distribution();
   }
@@ -216,7 +212,7 @@ const ctmc::Ctmc& EngineSession::chain() {
     throw PropertyError(
         "chain(): this session holds an mdp model; there is no CTMC stage");
   }
-  return *stages.chain;
+  return stages.space->chain();
 }
 
 const ctmc::Uniformized& EngineSession::uniformized() {
@@ -242,7 +238,8 @@ const ctmc::Uniformized& EngineSession::uniformized_of(Stages& stages) {
   if (!stages.uniformized) {
     try {
       util::metrics::ScopedSpan span("uniformize");
-      stages.uniformized = ctmc::uniformize(*stages.chain, transient_options());
+      stages.uniformized =
+          ctmc::uniformize(stages.space->chain(), transient_options());
     } catch (const std::bad_alloc&) {
       throw util::EngineFailure(util::FailureCode::kOom, "uniformize",
                                 "uniformize: out of memory");
@@ -257,8 +254,8 @@ const ctmc::SteadyStateResult& EngineSession::steady_of(Stages& stages) {
   std::lock_guard<std::mutex> lock(stages.lazy_mutex);
   if (!stages.steady) {
     util::metrics::ScopedSpan span("steady_state");
-    stages.steady =
-        ctmc::steady_state(*stages.chain, stages.initial, steady_state_options());
+    stages.steady = ctmc::steady_state(stages.space->chain(), stages.initial,
+                                       steady_state_options());
     std::lock_guard<std::mutex> stats_lock(stats_mutex_);
     stats_.steady_state_count += 1;
     stats_.solver_fallbacks += stages.steady->solver_fallbacks;
@@ -389,7 +386,7 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
           break;
       }
     }
-    if (needs_uniformized && stages.chain->max_exit_rate() > 0.0) {
+    if (needs_uniformized && stages.space->chain().max_exit_rate() > 0.0) {
       uniformized_of(stages);
     }
     if (needs_steady) steady_of(stages);
@@ -400,7 +397,7 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
   std::vector<size_t> group;
   std::vector<size_t> singles;
   const bool moving_ctmc =
-      !stages.space->is_mdp() && stages.chain->max_exit_rate() > 0.0;
+      !stages.space->is_mdp() && stages.space->chain().max_exit_rate() > 0.0;
   for (size_t i = 0; i < properties.size(); ++i) {
     const bool shares_pass = moving_ctmc &&
                              properties[i].kind == PropertyKind::kCumulativeReward &&
@@ -650,7 +647,7 @@ std::vector<double> EngineSession::reachability_probabilities(
 }
 
 double EngineSession::check_until(Stages& stages, const Property& property) {
-  const ctmc::Ctmc& chain = *stages.chain;
+  const ctmc::Ctmc& chain = stages.space->chain();
   const std::vector<double>& initial = stages.initial;
   const std::vector<bool> allowed = satisfying_in(stages, property.left);
   const std::vector<bool> target = satisfying_in(stages, property.right);
@@ -731,7 +728,7 @@ double EngineSession::check_steady_prob(Stages& stages, const Property& property
 }
 
 double EngineSession::check_reward(Stages& stages, const Property& property) {
-  const ctmc::Ctmc& chain = *stages.chain;
+  const ctmc::Ctmc& chain = stages.space->chain();
   const std::vector<double>& initial = stages.initial;
   const std::vector<double> rewards =
       stages.space->reward_vector(property.reward_name);

@@ -1,8 +1,10 @@
 // The staged analysis engine: one reusable session owning the
-//   compile → explore → (Ctmc → uniformize | Mdp) → solve
+//   compile → explore → (uniformize | Mdp) → solve
 // pipeline of the paper's Fig. 2, with every stage built lazily, cached, and
-// keyed by the active constant-override set. The pipeline is model-type
-// generic: a ctmc model flows through the rate-matrix/uniformization stages,
+// keyed by the active constant-override set. The explored StateSpace holds
+// the compiled model and, for a ctmc model, the one ctmc::Ctmc every later
+// stage reads (chain() hands out that object, never a copy). The pipeline is
+// model-type generic: a ctmc model flows through the uniformization stages,
 // an mdp model (nondeterministic attacker) through the flattened per-action
 // matrix and value iteration, behind the same check()/check_all() surface —
 // directional operators (Pmax/Pmin/Rmax/Rmin) select the adversary's
@@ -52,7 +54,7 @@ namespace autosec::csl {
 
 /// Session-level view of the shared engine knobs (csl/engine_options.hpp):
 /// the session consumes constant_overrides, explore, transient, steady_state
-/// and cancel; nmax/horizon_years/threads are inert at this layer.
+/// and cancel; nmax/horizon_years are inert at this layer.
 struct SessionOptions : EngineOptions {
   /// Fan the independent solves of check_all() and check_points() across the
   /// thread pool.
@@ -126,7 +128,8 @@ class EngineSession {
   // --- stage accessors (each builds and caches its stage on first use).
   const symbolic::StateSpace& space();
   std::shared_ptr<const symbolic::StateSpace> space_ptr();
-  /// CTMC stage; throws PropertyError on an mdp session (no rate matrix).
+  /// The explored space's chain (space().chain(), not a copy); throws
+  /// PropertyError on an mdp session (no rate matrix).
   const ctmc::Ctmc& chain();
   /// Uniformization of the base chain at its default rate (modified chains —
   /// bounded reachability — uniformize per call).
@@ -235,9 +238,9 @@ class EngineSession {
   /// All artifacts derived from one constant-override key.
   struct Stages {
     std::string key;  ///< override_cache_key of the set the stages belong to
-    std::shared_ptr<const symbolic::CompiledModel> compiled;
+    /// The explored space: it holds the compiled model and, on the ctmc
+    /// axis, the one copy of the chain every stage below reads.
     std::shared_ptr<const symbolic::StateSpace> space;
-    std::optional<ctmc::Ctmc> chain;
     std::vector<double> initial;
     std::optional<ctmc::Uniformized> uniformized;
     std::optional<ctmc::SteadyStateResult> steady;
@@ -246,14 +249,14 @@ class EngineSession {
     std::mutex lazy_mutex;
   };
 
-  Stages& prepare();  ///< build compile/explore/chain for the active key
+  Stages& prepare();  ///< build compile/explore for the active key
   /// The cached stage set of `key`, created empty on first lookup (then
   /// `*created` is set, when given).
   std::shared_ptr<Stages> stages_for(const std::string& key, bool* created = nullptr);
   /// Drop `stages` from the cache; holders of a reference keep it alive.
   void release(const Stages& stages);
-  /// Build compile/explore/chain of `stages` (from `overrides`, the set its
-  /// key was derived from) unless already built.
+  /// Build compile/explore of `stages` (from `overrides`, the set its key
+  /// was derived from) unless already built.
   void build(Stages& stages, const OverrideSet& overrides);
 
   symbolic::Expr resolve_formula(const Stages& stages,

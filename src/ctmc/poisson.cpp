@@ -5,12 +5,7 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
-#include <functional>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
-
-#include "util/metrics.hpp"
 
 namespace autosec::ctmc {
 
@@ -91,102 +86,6 @@ PoissonWeights poisson_weights(double lambda, double epsilon) {
   // convex combinations.
   for (double& w : out.weights) w /= mass;
   return out;
-}
-
-namespace {
-
-struct PoissonKey {
-  double lambda;
-  double epsilon;
-  bool operator==(const PoissonKey&) const = default;
-};
-
-struct PoissonKeyHash {
-  size_t operator()(const PoissonKey& key) const {
-    // Exact bit-pattern keying: equal doubles hash equal, and the engine only
-    // ever reuses horizons it constructed from identical inputs.
-    const size_t a = std::hash<double>{}(key.lambda);
-    const size_t b = std::hash<double>{}(key.epsilon);
-    return a ^ (b + 0x9e3779b97f4a7c15ULL + (a << 6) + (a >> 2));
-  }
-};
-
-// A weight vector for qt ~ 1e6 holds ~O(sqrt(qt)) doubles; 1024 entries keep
-// the cache bounded well under typical working-set sizes.
-constexpr size_t kDefaultCacheCapacity = 1024;
-
-std::mutex g_poisson_mutex;
-std::unordered_map<PoissonKey, std::shared_ptr<const PoissonWeights>, PoissonKeyHash>
-    g_poisson_cache;
-// Keys in insertion order, oldest first; eviction drops the front half. Kept
-// exactly in sync with the map (every map erase/clear updates it too).
-std::deque<PoissonKey> g_poisson_order;
-size_t g_poisson_capacity = kDefaultCacheCapacity;
-PoissonCacheStats g_poisson_stats;
-
-/// Drop the oldest-inserted half of the cache (requires the lock). A
-/// wholesale clear would thrash parameter sweeps that straddle the capacity:
-/// every key computed before the wipe misses again on the next sweep pass,
-/// while evicting only the stale half keeps the recent working set warm.
-void evict_oldest_half_locked() {
-  const size_t evict = std::max<size_t>(g_poisson_order.size() / 2, 1);
-  for (size_t i = 0; i < evict && !g_poisson_order.empty(); ++i) {
-    g_poisson_cache.erase(g_poisson_order.front());
-    g_poisson_order.pop_front();
-  }
-  g_poisson_stats.evictions += evict;
-  util::metrics::registry().add("poisson.cache_evictions", evict);
-}
-
-}  // namespace
-
-std::shared_ptr<const PoissonWeights> poisson_weights_cached(double lambda,
-                                                             double epsilon) {
-  const PoissonKey key{lambda, epsilon};
-  {
-    std::lock_guard<std::mutex> lock(g_poisson_mutex);
-    const auto it = g_poisson_cache.find(key);
-    if (it != g_poisson_cache.end()) {
-      ++g_poisson_stats.hits;
-      g_poisson_stats.entries = g_poisson_cache.size();
-      util::metrics::registry().add("poisson.cache_hits");
-      return it->second;
-    }
-  }
-  // Compute outside the lock (concurrent misses for the same key may race to
-  // insert; both compute identical weights, so either result is correct).
-  auto weights = std::make_shared<const PoissonWeights>(poisson_weights(lambda, epsilon));
-  std::lock_guard<std::mutex> lock(g_poisson_mutex);
-  ++g_poisson_stats.misses;
-  util::metrics::registry().add("poisson.cache_misses");
-  if (g_poisson_cache.size() >= g_poisson_capacity) evict_oldest_half_locked();
-  const auto [it, inserted] = g_poisson_cache.emplace(key, std::move(weights));
-  if (inserted) g_poisson_order.push_back(key);
-  g_poisson_stats.entries = g_poisson_cache.size();
-  return it->second;
-}
-
-size_t set_poisson_cache_capacity(size_t capacity) {
-  std::lock_guard<std::mutex> lock(g_poisson_mutex);
-  const size_t previous = g_poisson_capacity;
-  g_poisson_capacity = std::max<size_t>(capacity, 2);
-  while (g_poisson_cache.size() > g_poisson_capacity) evict_oldest_half_locked();
-  g_poisson_stats.entries = g_poisson_cache.size();
-  return previous;
-}
-
-PoissonCacheStats poisson_cache_stats() {
-  std::lock_guard<std::mutex> lock(g_poisson_mutex);
-  PoissonCacheStats stats = g_poisson_stats;
-  stats.entries = g_poisson_cache.size();
-  return stats;
-}
-
-void reset_poisson_cache() {
-  std::lock_guard<std::mutex> lock(g_poisson_mutex);
-  g_poisson_cache.clear();
-  g_poisson_order.clear();
-  g_poisson_stats = {};
 }
 
 }  // namespace autosec::ctmc

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <vector>
 
 namespace autosec::ctmc {
@@ -30,31 +29,5 @@ struct PoissonWeights {
 /// Compute the truncated weights; λ ≥ 0, 0 < ε < 1. λ = 0 yields the single
 /// weight w_0 = 1.
 PoissonWeights poisson_weights(double lambda, double epsilon = 1e-12);
-
-/// Memoized poisson_weights keyed by the exact (λ, ε) bit patterns: repeated
-/// F<=t / C<=t queries at the same uniformized horizon q·t reuse the weight
-/// vector instead of recomputing the Fox–Glynn expansion. Thread-safe; the
-/// returned pointer stays valid after later calls and cache resets.
-std::shared_ptr<const PoissonWeights> poisson_weights_cached(
-    double lambda, double epsilon = 1e-12);
-
-struct PoissonCacheStats {
-  size_t hits = 0;
-  size_t misses = 0;
-  size_t entries = 0;
-  size_t evictions = 0;  ///< entries dropped by capacity eviction
-};
-
-/// Process-wide cache counters (for tests and stage reporting).
-PoissonCacheStats poisson_cache_stats();
-
-/// Change the cache capacity (clamped to >= 2, default 1024); entries beyond
-/// the new capacity are evicted oldest-first. Returns the previous capacity.
-/// When the cache fills, the oldest-inserted half is evicted — not the whole
-/// cache — so parameter sweeps straddling the limit keep a warm working set.
-size_t set_poisson_cache_capacity(size_t capacity);
-
-/// Drop all cached weights and zero the counters.
-void reset_poisson_cache();
 
 }  // namespace autosec::ctmc

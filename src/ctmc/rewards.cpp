@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 #include <optional>
 #include <stdexcept>
 
@@ -32,7 +31,7 @@ std::vector<double> expected_cumulative_rewards(
   // k < L and 0 for k ≥ R; running the cumulative sum incrementally avoids
   // the quadratic cdf() scan. A member with t = 0 accumulates nothing.
   struct Accumulator {
-    std::shared_ptr<const PoissonWeights> weights;
+    PoissonWeights weights;
     double reward_ceiling = 0.0;
     double cdf = 0.0;
     double acc = 0.0;
@@ -46,7 +45,7 @@ std::vector<double> expected_cumulative_rewards(
       member.done = true;
       continue;
     }
-    member.weights = poisson_weights_cached(uniformized.q * members[m].t, options.epsilon);
+    member.weights = poisson_weights(uniformized.q * members[m].t, options.epsilon);
     for (const double r : members[m].state_rewards) {
       member.reward_ceiling = std::max(member.reward_ceiling, std::abs(r));
     }
@@ -68,12 +67,12 @@ std::vector<double> expected_cumulative_rewards(
     for (size_t m = 0; m < members.size(); ++m) {
       Accumulator& member = accumulators[m];
       if (member.done) continue;
-      member.cdf += member.weights->weight(k);
+      member.cdf += member.weights.weight(k);
       const double factor = 1.0 - member.cdf;
       if (factor > 0.0) {
         member.acc += factor * linalg::dot(current, members[m].state_rewards);
       }
-      if (k == member.weights->right) {
+      if (k == member.weights.right) {
         member.done = true;
         --active;
       } else {
@@ -93,12 +92,12 @@ std::vector<double> expected_cumulative_rewards(
       std::optional<double> delta;
       for (size_t m = 0; m < members.size(); ++m) {
         Accumulator& member = accumulators[m];
-        if (member.done || k + 1 >= member.weights->right) continue;
+        if (member.done || k + 1 >= member.weights.right) continue;
         if (!delta) {
           delta = 0.0;
           for (size_t i = 0; i < n; ++i) *delta += std::abs(next[i] - current[i]);
         }
-        const size_t right = member.weights->right;
+        const size_t right = member.weights.right;
         const double remaining = static_cast<double>(right - (k + 1));
         if (*delta * remaining * remaining * std::max(1.0, member.reward_ceiling) /
                 uniformized.q <=
@@ -106,7 +105,7 @@ std::vector<double> expected_cumulative_rewards(
           double tail_factor = 0.0;
           double tail_cdf = member.cdf;
           for (size_t j = k + 1; j <= right; ++j) {
-            tail_cdf += member.weights->weight(j);
+            tail_cdf += member.weights.weight(j);
             const double f = 1.0 - tail_cdf;
             if (f > 0.0) tail_factor += f;
           }

@@ -97,14 +97,14 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
   if (t < 0.0) throw std::invalid_argument("transient: negative time");
   if (t == 0.0) return initial;
 
-  const auto weights = poisson_weights_cached(uniformized.q * t, options.epsilon);
+  const PoissonWeights weights = poisson_weights(uniformized.q * t, options.epsilon);
   {
     util::metrics::Registry& metrics = util::metrics::registry();
     if (metrics.enabled()) {
       metrics.add("ctmc.transient_solves");
       metrics.gauge("poisson.last_qt", uniformized.q * t);
-      metrics.gauge("poisson.last_left", static_cast<double>(weights->left));
-      metrics.gauge("poisson.last_right", static_cast<double>(weights->right));
+      metrics.gauge("poisson.last_left", static_cast<double>(weights.left));
+      metrics.gauge("poisson.last_right", static_cast<double>(weights.right));
     }
   }
 
@@ -114,14 +114,14 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
   std::vector<double> result(n, 0.0);
 
   size_t steps = 0;
-  for (size_t k = 0; k <= weights->right; ++k) {
+  for (size_t k = 0; k <= weights.right; ++k) {
     if (options.cancelled && options.cancelled()) {
       throw util::Cancelled("transient");
     }
-    if (k >= weights->left) {
-      linalg::axpy(weights->weight(k), current, result);
+    if (k >= weights.left) {
+      linalg::axpy(weights.weight(k), current, result);
     }
-    if (k < weights->right) {
+    if (k < weights.right) {
       uniformized.step(current, next);
       ++steps;
       // Steady-state detection (every 4th phase: the delta pass costs an
@@ -131,20 +131,20 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
       // contributions collapse — within ε per entry — into the total
       // remaining Poisson mass applied to the current iterate.
       if (options.steady_state_detection && (k & 3) == 3 &&
-          k + 1 < weights->right) {
+          k + 1 < weights.right) {
         double delta = 0.0;
         for (size_t i = 0; i < n; ++i) delta += std::abs(next[i] - current[i]);
-        const double remaining = static_cast<double>(weights->right - (k + 1));
+        const double remaining = static_cast<double>(weights.right - (k + 1));
         if (delta * remaining <= options.steady_state_epsilon) {
           double tail_mass = 0.0;
-          for (size_t j = std::max(k + 1, weights->left); j <= weights->right; ++j) {
-            tail_mass += weights->weight(j);
+          for (size_t j = std::max(k + 1, weights.left); j <= weights.right; ++j) {
+            tail_mass += weights.weight(j);
           }
           linalg::axpy(tail_mass, next, result);
           util::metrics::Registry& metrics = util::metrics::registry();
           if (metrics.enabled()) {
             metrics.add("solve.steady_state_truncations");
-            metrics.add("solve.steady_state_steps_saved", weights->right - (k + 1));
+            metrics.add("solve.steady_state_steps_saved", weights.right - (k + 1));
           }
           break;
         }

@@ -23,12 +23,11 @@ std::string model_key(const automotive::AnalysisOptions& options) {
   //    session (see identity.hpp);
   //  * transient, steady_state, explore: the stage settings apply_plan()
   //    writes from `plan`; no request sets them otherwise;
-  //  * threads: results are bit-identical at any thread count;
   //  * cancel, budget, checkpoint: they stop or record one run's work; a run
   //    that finishes has the same result.
   [[maybe_unused]] const auto& [model_type, plan, transient, steady_state, explore,
-                                constant_overrides, nmax, horizon_years, threads, cancel,
-                                budget, checkpoint] =
+                                constant_overrides, nmax, horizon_years, cancel, budget,
+                                checkpoint] =
       static_cast<const csl::EngineOptions&>(options);
   const auto& [engine, reduction, method, steady_state_detection] = plan;
 

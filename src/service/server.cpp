@@ -508,8 +508,9 @@ util::JsonValue Server::run_sweep(const Job& job, RequestMetrics& metrics) {
 }
 
 util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
-  // Diagnostics perturb rate constants internally (one model per perturbed
-  // value), so there is no long-lived session to reuse: session_cache "none".
+  // One pair session per request (automotive::diagnose), not a cached one:
+  // its criticality points are released as they are solved, so there is no
+  // long-lived session to reuse: session_cache "none".
   const Request& request = job.request;
   const automotive::Architecture arch = pair_architecture(job.architecture, request);
   const auto token = make_token(request, effective_timeout());
@@ -518,16 +519,8 @@ util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
   options.cancel = token;
   options.budget = metrics.budget;
 
-  automotive::CriticalityOptions criticality_options;
-  criticality_options.analysis = options;
-  const std::vector<automotive::Criticality> criticalities =
-      automotive::criticality_analysis(arch, request.message, request.category,
-                                       criticality_options);
-  // One pair session answers the attribution and the quantiles.
-  const automotive::SecurityAnalysis analysis(arch, request.message,
-                                              request.category, options);
-  const automotive::BreachAttributionResult attribution =
-      automotive::first_breach_attribution(arch, analysis);
+  const automotive::Diagnosis diagnosis =
+      automotive::diagnose(arch, request.message, request.category, options);
 
   JsonValue result = JsonValue::object();
   result["architecture"] = JsonValue::string(arch.name);
@@ -536,7 +529,7 @@ util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
       JsonValue::string(automotive::category_name(request.category));
 
   JsonValue criticality = JsonValue::array();
-  for (const automotive::Criticality& c : criticalities) {
+  for (const automotive::Criticality& c : diagnosis.criticality) {
     JsonValue row = JsonValue::object();
     row["constant"] = JsonValue::string(c.constant);
     row["value"] = JsonValue::number(c.base_value);
@@ -547,9 +540,9 @@ util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
 
   JsonValue breach = JsonValue::object();
   breach["total_breach_probability"] =
-      JsonValue::number(attribution.total_breach_probability);
+      JsonValue::number(diagnosis.first_breach.total_breach_probability);
   JsonValue attributions = JsonValue::array();
-  for (const automotive::BreachAttribution& a : attribution.attributions) {
+  for (const automotive::BreachAttribution& a : diagnosis.first_breach.attributions) {
     JsonValue row = JsonValue::object();
     row["component"] = JsonValue::string(a.component);
     row["probability"] = JsonValue::number(a.probability);
@@ -559,16 +552,16 @@ util::JsonValue Server::run_diagnose(const Job& job, RequestMetrics& metrics) {
   result["first_breach"] = std::move(breach);
 
   JsonValue quantiles = JsonValue::array();
-  for (const double q : {0.05, 0.25, 0.5, 0.95}) {
+  for (const automotive::BreachQuantile& q : diagnosis.quantiles) {
     JsonValue row = JsonValue::object();
-    row["quantile"] = JsonValue::number(q);
+    row["quantile"] = JsonValue::number(q.quantile);
     // +inf (quantile beyond max_years) serializes as null.
-    row["years"] = JsonValue::number(automotive::breach_time_quantile(analysis, q));
+    row["years"] = JsonValue::number(q.years);
     quantiles.push_back(std::move(row));
   }
   result["breach_time_quantiles"] = std::move(quantiles);
 
-  metrics.states = analysis.space().state_count();
+  metrics.states = diagnosis.state_count;
   return result;
 }
 

@@ -12,12 +12,12 @@ namespace autosec::symbolic {
 
 StateSpace::StateSpace(std::shared_ptr<const CompiledModel> model,
                        std::shared_ptr<const StateStore> store, size_t initial_state,
-                       linalg::CsrMatrix rates, size_t transition_count,
+                       ctmc::Ctmc chain, size_t transition_count,
                        SymmetryGroup symmetry)
     : model_(std::move(model)),
       store_(std::move(store)),
       initial_state_(initial_state),
-      rates_(std::move(rates)),
+      chain_(std::move(chain)),
       transition_count_(transition_count),
       symmetry_(std::move(symmetry)) {}
 
@@ -30,16 +30,14 @@ StateSpace::StateSpace(std::shared_ptr<const CompiledModel> model,
       mdp_(std::move(mdp)),
       transition_count_(transition_count) {}
 
-const linalg::CsrMatrix& StateSpace::rates() const {
+const ctmc::Ctmc& StateSpace::chain() const {
   if (is_mdp()) {
     throw ModelError(
         "this state space was explored from an mdp model; it has per-action "
         "probability rows, not a rate matrix");
   }
-  return rates_;
+  return chain_;
 }
-
-ctmc::Ctmc StateSpace::to_ctmc() const { return ctmc::Ctmc(rates()); }
 
 const mdp::Mdp& StateSpace::mdp() const {
   if (!is_mdp()) {
@@ -168,7 +166,8 @@ class Explorer {
       AUTOSEC_LOG_INFO("explorer")
           << "explored " << states << " states, " << transitions_ << " transitions";
       return StateSpace(std::move(model), std::move(store_), initial_,
-                        std::move(matrix), transitions_, std::move(symmetry_));
+                        ctmc::Ctmc(std::move(matrix)), transitions_,
+                        std::move(symmetry_));
     }
     auto flat = std::make_shared<mdp::Mdp>();
     flat->transitions = std::move(matrix);
@@ -339,12 +338,14 @@ class Explorer {
 
   /// Charge the budget for what exploration holds once it has grown by at
   /// least `step` bytes since the last charge: the store's per-state bytes,
-  /// the CSR arrays, and for mdp the per-row owner and label and the
-  /// per-state row offsets.
+  /// the CSR arrays, for ctmc the chain's per-state exit rate, and for mdp
+  /// the per-row owner and label and the per-state row offsets.
   void charge(size_t step) {
     if (!options_.budget) return;
+    const size_t per_state = store_->bytes_per_state() +
+                             (model_.type == ModelType::kMdp ? 0 : sizeof(double));
     const size_t held =
-        store_->size() * store_->bytes_per_state() +
+        store_->size() * per_state +
         offsets_.size() * sizeof(uint32_t) +
         columns_.size() * (sizeof(uint32_t) + sizeof(double)) +
         state_of_row_.size() * (sizeof(uint32_t) + sizeof(std::string)) +

@@ -1,6 +1,7 @@
 // Explicit state-space exploration: breadth-first enumeration of the
-// reachable states of a CompiledModel, producing the CTMC rate matrix (ctmc
-// models) or the flattened per-action probability matrix (mdp models), plus
+// reachable states of a CompiledModel, producing the ctmc::Ctmc (ctmc
+// models: the rate matrix and its exit rates, the one copy every later stage
+// reads) or the flattened per-action probability matrix (mdp models), plus
 // evaluated label masks and reward vectors. This is the step PRISM performs
 // when "building the model"; the paper's Section 4 reports its state counts
 // (4·10^5 – 1.2·10^6) and notes that runtime tracks the state count.
@@ -74,13 +75,13 @@ struct ExploreOptions {
 /// The explored model: states, transitions, and evaluators bound to the
 /// state enumeration. States live in the StateStore; when a symmetry
 /// reduction was active, every stored state is the canonical representative
-/// of its orbit and the transition matrix is the exact lumped quotient.
+/// of its orbit and the transition matrix is the exact lumped quotient. A
+/// ctmc space owns the one copy of its chain that every stage reads.
 class StateSpace {
  public:
   StateSpace(std::shared_ptr<const CompiledModel> model,
              std::shared_ptr<const StateStore> store, size_t initial_state,
-             linalg::CsrMatrix rates, size_t transition_count,
-             SymmetryGroup symmetry = {});
+             ctmc::Ctmc chain, size_t transition_count, SymmetryGroup symmetry = {});
   /// MDP state space: holds the flattened per-action matrix instead of rates.
   StateSpace(std::shared_ptr<const CompiledModel> model,
              std::shared_ptr<const StateStore> store, size_t initial_state,
@@ -100,10 +101,10 @@ class StateSpace {
   /// Human-readable "(x=1,y=0)" rendering of a state.
   std::string state_to_string(size_t index) const;
 
-  /// Off-diagonal rate matrix; feed to ctmc::Ctmc. Throws ModelError on an
-  /// mdp space (there is no rate matrix to hand out).
-  const linalg::CsrMatrix& rates() const;
-  ctmc::Ctmc to_ctmc() const;
+  /// The explored chain (off-diagonal rates and exit rates). Throws
+  /// ModelError on an mdp space (there is no rate matrix to hand out).
+  const ctmc::Ctmc& chain() const;
+  const linalg::CsrMatrix& rates() const { return chain().rates(); }
 
   /// Flattened per-action MDP; throws ModelError on a ctmc space.
   const mdp::Mdp& mdp() const;
@@ -140,7 +141,7 @@ class StateSpace {
   std::shared_ptr<const CompiledModel> model_;  // owned (shared with callers)
   std::shared_ptr<const StateStore> store_;
   size_t initial_state_;
-  linalg::CsrMatrix rates_;                 // ctmc only
+  ctmc::Ctmc chain_;                        // ctmc only
   std::shared_ptr<const mdp::Mdp> mdp_;     // mdp only
   size_t transition_count_;
   SymmetryGroup symmetry_;

@@ -250,7 +250,7 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   auto space = std::make_shared<const StateSpace>(symbolic::explore(compiled));
   ++harness.report_.models_checked;
 
-  const ctmc::Ctmc chain = space->to_ctmc();
+  const ctmc::Ctmc& chain = space->chain();
   const std::vector<double> initial = space->initial_distribution();
   const auto [t, t_text] = pick_horizon(seed);
   const PropertySet properties = build_properties(model, t_text);

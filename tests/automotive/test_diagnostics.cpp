@@ -21,10 +21,13 @@ namespace {
 
 namespace cs = casestudy;
 
-CriticalityOptions fast_criticality() {
-  CriticalityOptions options;
-  options.analysis.nmax = 1;
-  return options;
+/// Criticality of the case-study message's `category` model of `arch`, on
+/// the pair session diagnose builds (nmax 1 unless `options` says otherwise).
+std::vector<Criticality> criticality_of(const Architecture& arch,
+                                        SecurityCategory category,
+                                        const AnalysisOptions& options = {}) {
+  const SecurityAnalysis analysis(arch, cs::kMessage, category, options);
+  return criticality_analysis(analysis);
 }
 
 /// Exposure fraction of one perturbation, solved without an engine session:
@@ -35,29 +38,28 @@ double direct_exposure(const symbolic::Model& model, const AnalysisOptions& opti
   for (const auto& base : options.constant_overrides) overrides.push_back(base);
   const symbolic::StateSpace space =
       symbolic::explore(symbolic::compile(model, overrides));
-  return ctmc::expected_time_fraction(space.to_ctmc(), space.initial_distribution(),
+  return ctmc::expected_time_fraction(space.chain(), space.initial_distribution(),
                                       space.label_mask(kViolatedLabel),
                                       options.horizon_years);
 }
 
 TEST(Criticality, ReproducesDirectPerturbationSolvesBitForBit) {
-  CriticalityOptions options;
-  options.analysis.nmax = 2;
-  options.analysis.horizon_years = 0.75;
-  options.analysis.constant_overrides = {{"phi_gw", symbolic::Value::of(40.0)}};
+  AnalysisOptions options;
+  options.nmax = 2;
+  options.horizon_years = 0.75;
+  options.constant_overrides = {{"phi_gw", symbolic::Value::of(40.0)}};
   const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
-  const auto result = criticality_analysis(arch, cs::kMessage,
-                                           SecurityCategory::kIntegrity, options);
+  const auto result = criticality_of(arch, SecurityCategory::kIntegrity, options);
   ASSERT_EQ(result.size(), 10u);
 
   const symbolic::Model model =
-      pair_model(arch, cs::kMessage, SecurityCategory::kIntegrity, options.analysis);
-  const double h = options.relative_step;
+      pair_model(arch, cs::kMessage, SecurityCategory::kIntegrity, options);
+  const double h = 0.25;  // criticality_analysis's default relative step
   for (const Criticality& c : result) {
     const double low = direct_exposure(
-        model, options.analysis, {{c.constant, symbolic::Value::of(c.base_value / (1.0 + h))}});
+        model, options, {{c.constant, symbolic::Value::of(c.base_value / (1.0 + h))}});
     const double high = direct_exposure(
-        model, options.analysis, {{c.constant, symbolic::Value::of(c.base_value * (1.0 + h))}});
+        model, options, {{c.constant, symbolic::Value::of(c.base_value * (1.0 + h))}});
     ASSERT_GT(low, 0.0) << c.constant;
     ASSERT_GT(high, 0.0) << c.constant;
     EXPECT_EQ(c.elasticity, (std::log(high) - std::log(low)) / (2.0 * std::log(1.0 + h)))
@@ -71,23 +73,29 @@ TEST(Criticality, ReproducesDirectPerturbationSolvesBitForBit) {
 }
 
 TEST(Criticality, ExpiredCancelTokenThrowsCancelled) {
-  CriticalityOptions options = fast_criticality();
-  options.analysis.cancel = std::make_shared<util::CancelToken>();
-  options.analysis.cancel->cancel();
-  EXPECT_THROW(criticality_analysis(cs::architecture(1, Protection::kUnencrypted),
-                                    cs::kMessage, SecurityCategory::kConfidentiality,
-                                    options),
-               util::Cancelled);
+  // The token expires after the pair space is built: the perturbation points
+  // on the same session must stop.
+  AnalysisOptions options;
+  options.cancel = std::make_shared<util::CancelToken>();
+  const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
+                                  cs::kMessage, SecurityCategory::kConfidentiality,
+                                  options);
+  options.cancel->cancel();
+  EXPECT_THROW(criticality_analysis(analysis), util::Cancelled);
 }
 
 TEST(Criticality, StateBudgetFailsWithTypedError) {
-  // Arch 1 at nmax 2 has 729 states per perturbed model.
-  CriticalityOptions options;
-  options.analysis.nmax = 2;
-  options.analysis.budget = std::make_shared<util::ResourceBudget>(100, 0);
+  // Arch 1 at nmax 2 has 729 states per perturbed model; the budget is armed
+  // on the pair session after its own space is built.
+  AnalysisOptions options;
+  options.nmax = 2;
+  const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
+                                  cs::kMessage, SecurityCategory::kConfidentiality,
+                                  options);
+  analysis.session()->set_resource_budget(
+      std::make_shared<util::ResourceBudget>(100, 0));
   try {
-    criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                         SecurityCategory::kConfidentiality, options);
+    criticality_analysis(analysis);
     FAIL() << "a 100-state budget must stop a 729-state exploration";
   } catch (const util::EngineFailure& failure) {
     EXPECT_EQ(failure.code(), util::FailureCode::kStateBudgetExceeded);
@@ -96,9 +104,8 @@ TEST(Criticality, StateBudgetFailsWithTypedError) {
 }
 
 TEST(Criticality, CoversEveryRateConstant) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(cs::architecture(1, Protection::kUnencrypted),
+                                     SecurityCategory::kConfidentiality);
   // Arch 1: 6 interface etas + 4 ECU phis = 10 rate constants.
   EXPECT_EQ(result.size(), 10u);
   // Sorted by |elasticity| descending.
@@ -108,9 +115,8 @@ TEST(Criticality, CoversEveryRateConstant) {
 }
 
 TEST(Criticality, SignsMatchRateSemantics) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(cs::architecture(1, Protection::kUnencrypted),
+                                     SecurityCategory::kConfidentiality);
   for (const Criticality& c : result) {
     if (c.constant.rfind("phi_", 0) == 0) {
       EXPECT_LE(c.elasticity, 1e-9) << c.constant;  // patching reduces exposure
@@ -125,9 +131,8 @@ TEST(Criticality, EntryPointDominates) {
   // The 3G uplink eta and the 3G patch rate must be among the most critical
   // constants in Architecture 1 — the paper's Fig. 6 picked them for a
   // reason.
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(cs::architecture(1, Protection::kUnencrypted),
+                                     SecurityCategory::kConfidentiality);
   ASSERT_GE(result.size(), 3u);
   const std::vector<std::string> top = {result[0].constant, result[1].constant,
                                         result[2].constant};
@@ -137,9 +142,8 @@ TEST(Criticality, EntryPointDominates) {
 }
 
 TEST(Criticality, BaseValuesMatchTable2) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kUnencrypted), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(cs::architecture(1, Protection::kUnencrypted),
+                                     SecurityCategory::kConfidentiality);
   for (const Criticality& c : result) {
     if (c.constant == "phi_3g") {
       EXPECT_DOUBLE_EQ(c.base_value, 52.0);
@@ -154,9 +158,8 @@ TEST(Criticality, BaseValuesMatchTable2) {
 }
 
 TEST(Criticality, AesModelIncludesMessageEta) {
-  const auto result =
-      criticality_analysis(cs::architecture(1, Protection::kAes128), cs::kMessage,
-                           SecurityCategory::kConfidentiality, fast_criticality());
+  const auto result = criticality_of(cs::architecture(1, Protection::kAes128),
+                                     SecurityCategory::kConfidentiality);
   const bool has_msg =
       std::any_of(result.begin(), result.end(),
                   [](const Criticality& c) { return c.constant == "eta_msg"; });
@@ -175,7 +178,7 @@ BreachAttributionResult attribution_of(const Architecture& arch,
   AnalysisOptions options;
   options.nmax = 1;
   const SecurityAnalysis analysis(arch, cs::kMessage, category, options);
-  return first_breach_attribution(arch, analysis);
+  return first_breach_attribution(arch, FirstBreachChain(analysis));
 }
 
 TEST(BreachAttribution, TotalMatchesBreachProbability) {
@@ -239,7 +242,8 @@ TEST(BreachAttribution, HonoursTheSessionCancelToken) {
   const SecurityAnalysis analysis(arch, cs::kMessage,
                                   SecurityCategory::kConfidentiality, options);
   options.cancel->cancel();
-  EXPECT_THROW(first_breach_attribution(arch, analysis), util::Cancelled);
+  EXPECT_THROW(first_breach_attribution(arch, FirstBreachChain(analysis)),
+               util::Cancelled);
 }
 
 TEST(BreachQuantile, MatchesBoundedReachabilityInversion) {
@@ -248,7 +252,7 @@ TEST(BreachQuantile, MatchesBoundedReachabilityInversion) {
   const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
-  const double median = breach_time_quantile(analysis, 0.5);
+  const double median = breach_time_quantile(FirstBreachChain(analysis), 0.5);
   ASSERT_TRUE(std::isfinite(median));
   // Invert: the breach probability at the median must be ~0.5.
   const double p = analysis.check(
@@ -262,9 +266,10 @@ TEST(BreachQuantile, MonotoneInQuantile) {
   const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
-  const double q25 = breach_time_quantile(analysis, 0.25);
-  const double q50 = breach_time_quantile(analysis, 0.5);
-  const double q95 = breach_time_quantile(analysis, 0.95);
+  const FirstBreachChain stopped(analysis);
+  const double q25 = breach_time_quantile(stopped, 0.25);
+  const double q50 = breach_time_quantile(stopped, 0.5);
+  const double q95 = breach_time_quantile(stopped, 0.95);
   EXPECT_LT(q25, q50);
   EXPECT_LT(q50, q95);
 }
@@ -278,7 +283,8 @@ TEST(BreachQuantile, ArchitectureOrdering) {
   const SecurityAnalysis arch3(cs::architecture(3, Protection::kUnencrypted),
                                cs::kMessage, SecurityCategory::kConfidentiality,
                                options);
-  EXPECT_GT(breach_time_quantile(arch3, 0.5), 3.0 * breach_time_quantile(arch1, 0.5));
+  EXPECT_GT(breach_time_quantile(FirstBreachChain(arch3), 0.5),
+            3.0 * breach_time_quantile(FirstBreachChain(arch1), 0.5));
 }
 
 TEST(BreachQuantile, InfiniteWhenUnreachableWithinMax) {
@@ -288,14 +294,15 @@ TEST(BreachQuantile, InfiniteWhenUnreachableWithinMax) {
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
   // Tiny max horizon: even arch 3's first breach usually takes years.
-  EXPECT_TRUE(std::isinf(breach_time_quantile(analysis, 0.99, /*max_years=*/0.001)));
+  EXPECT_TRUE(std::isinf(
+      breach_time_quantile(FirstBreachChain(analysis), 0.99, /*max_years=*/0.001)));
 }
 
 /// The bisection run directly on P=?[F<=t "violated"], re-building the
 /// absorbing chain at every step — the definition breach_time_quantile
 /// must reproduce.
 double direct_quantile(const SecurityAnalysis& analysis, double quantile) {
-  const ctmc::Ctmc chain = analysis.space().to_ctmc();
+  const ctmc::Ctmc& chain = analysis.space().chain();
   const std::vector<bool> violated = analysis.space().label_mask(kViolatedLabel);
   const std::vector<double> initial = analysis.space().initial_distribution();
   const std::vector<bool> all(chain.state_count(), true);
@@ -313,22 +320,76 @@ double direct_quantile(const SecurityAnalysis& analysis, double quantile) {
 }
 
 TEST(BreachQuantile, BuildsOneUniformizationPerCallAndMatchesDirectBisection) {
+  // One diagnosis uniformizes one absorbing chain, for the attribution and
+  // every quantile, and each quantile is the direct bisection's bit for bit.
   AnalysisOptions options;
   options.nmax = 2;
-  const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
-                                  cs::kMessage, SecurityCategory::kConfidentiality,
-                                  options);
+  const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
+  const SecurityAnalysis analysis(arch, cs::kMessage,
+                                  SecurityCategory::kConfidentiality, options);
   util::metrics::Registry& metrics = util::metrics::registry();
   metrics.reset();
   metrics.set_enabled(true);
-  for (const double q : {0.05, 0.25, 0.5, 0.95}) {
-    const uint64_t before = metrics.counter_value("ctmc.uniformizations");
-    const double quantile = breach_time_quantile(analysis, q);
-    EXPECT_EQ(metrics.counter_value("ctmc.uniformizations"), before + 1) << q;
-    EXPECT_EQ(quantile, direct_quantile(analysis, q)) << q;
+  const FirstBreachChain stopped(analysis);
+  first_breach_attribution(arch, stopped);
+  std::vector<double> quantiles;
+  for (const double q : kBreachQuantiles) {
+    quantiles.push_back(breach_time_quantile(stopped, q));
   }
+  EXPECT_EQ(metrics.counter_value("ctmc.uniformizations"), 1u);
   metrics.set_enabled(false);
   metrics.reset();
+  for (size_t i = 0; i < kBreachQuantiles.size(); ++i) {
+    EXPECT_EQ(quantiles[i], direct_quantile(analysis, kBreachQuantiles[i]))
+        << kBreachQuantiles[i];
+  }
+}
+
+TEST(Diagnose, ArchOneAtNmaxTwoExploresAndUniformizesOncePerPointPlusOnce) {
+  // 10 rate constants, two points each, plus the one pair session: 21
+  // explores, and 21 uniformizations (each point's base chain, then the
+  // pair's absorbing chain).
+  AnalysisOptions options;
+  options.nmax = 2;
+  const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
+  util::metrics::Registry& metrics = util::metrics::registry();
+  metrics.reset();
+  metrics.set_enabled(true);
+  const Diagnosis diagnosis =
+      diagnose(arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
+  EXPECT_EQ(metrics.counter_value("session.explores"), 21u);
+  EXPECT_EQ(metrics.counter_value("session.compiles"), 21u);
+  EXPECT_EQ(metrics.counter_value("ctmc.uniformizations"), 21u);
+  metrics.set_enabled(false);
+  metrics.reset();
+
+  // The parts are the ones the building blocks answer on their own.
+  const SecurityAnalysis analysis(arch, cs::kMessage,
+                                  SecurityCategory::kConfidentiality, options);
+  EXPECT_EQ(diagnosis.state_count, 729u);
+  const std::vector<Criticality> criticality = criticality_analysis(analysis);
+  ASSERT_EQ(diagnosis.criticality.size(), criticality.size());
+  for (size_t i = 0; i < criticality.size(); ++i) {
+    EXPECT_EQ(diagnosis.criticality[i].constant, criticality[i].constant);
+    EXPECT_EQ(diagnosis.criticality[i].elasticity, criticality[i].elasticity);
+  }
+  const FirstBreachChain stopped(analysis);
+  const BreachAttributionResult attribution = first_breach_attribution(arch, stopped);
+  EXPECT_EQ(diagnosis.first_breach.total_breach_probability,
+            attribution.total_breach_probability);
+  ASSERT_EQ(diagnosis.first_breach.attributions.size(), attribution.attributions.size());
+  for (size_t i = 0; i < attribution.attributions.size(); ++i) {
+    EXPECT_EQ(diagnosis.first_breach.attributions[i].component,
+              attribution.attributions[i].component);
+    EXPECT_EQ(diagnosis.first_breach.attributions[i].probability,
+              attribution.attributions[i].probability);
+  }
+  ASSERT_EQ(diagnosis.quantiles.size(), kBreachQuantiles.size());
+  for (size_t i = 0; i < kBreachQuantiles.size(); ++i) {
+    EXPECT_EQ(diagnosis.quantiles[i].quantile, kBreachQuantiles[i]);
+    EXPECT_EQ(diagnosis.quantiles[i].years,
+              breach_time_quantile(stopped, kBreachQuantiles[i]));
+  }
 }
 
 TEST(BreachQuantile, HonoursTheSessionCancelToken) {
@@ -340,7 +401,7 @@ TEST(BreachQuantile, HonoursTheSessionCancelToken) {
   auto token = std::make_shared<util::CancelToken>();
   token->cancel();
   analysis.session()->set_cancel_token(token);
-  EXPECT_THROW(breach_time_quantile(analysis, 0.5), util::Cancelled);
+  EXPECT_THROW(breach_time_quantile(FirstBreachChain(analysis), 0.5), util::Cancelled);
 }
 
 TEST(BreachQuantile, InvalidArgumentsRejected) {
@@ -349,9 +410,10 @@ TEST(BreachQuantile, InvalidArgumentsRejected) {
   const SecurityAnalysis analysis(cs::architecture(1, Protection::kUnencrypted),
                                   cs::kMessage, SecurityCategory::kConfidentiality,
                                   options);
-  EXPECT_THROW(breach_time_quantile(analysis, 0.0), std::invalid_argument);
-  EXPECT_THROW(breach_time_quantile(analysis, 1.0), std::invalid_argument);
-  EXPECT_THROW(breach_time_quantile(analysis, 0.5, -1.0), std::invalid_argument);
+  const FirstBreachChain stopped(analysis);
+  EXPECT_THROW(breach_time_quantile(stopped, 0.0), std::invalid_argument);
+  EXPECT_THROW(breach_time_quantile(stopped, 1.0), std::invalid_argument);
+  EXPECT_THROW(breach_time_quantile(stopped, 0.5, -1.0), std::invalid_argument);
 }
 
 }  // namespace

@@ -446,7 +446,6 @@ TEST_F(CliFixture, MetricsJsonRecordsEngineStages) {
   // Engine-layer counters and gauges.
   EXPECT_NE(json.find("\"explore.states\""), std::string::npos);
   EXPECT_NE(json.find("\"solver.fixpoint_solves\""), std::string::npos);
-  EXPECT_NE(json.find("\"poisson.cache_"), std::string::npos);
   EXPECT_NE(json.find("\"cli.exit_code\": 0"), std::string::npos);
   EXPECT_NE(json.find("\"cli.threads\""), std::string::npos);
 }

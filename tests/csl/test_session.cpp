@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "symbolic/builder.hpp"
+#include "util/budget.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -119,6 +120,28 @@ TEST(EngineSession, SpaceAdoptingSessionRejectsOverrides) {
                PropertyError);
   const std::vector<OverrideSet> points = {{{"a", symbolic::Value::of(1.0)}}};
   EXPECT_THROW(session.check_points("S=? [ \"broken\" ]", points), PropertyError);
+}
+
+TEST(EngineSession, ChainIsTheExploredSpacesChain) {
+  SessionOptions options;
+  options.budget = std::make_shared<util::ResourceBudget>();
+  EngineSession session(repair_model(2.0, 6.0), options);
+  const symbolic::StateSpace& space = session.space();
+  const size_t charged = options.budget->charged_bytes();
+  EXPECT_GT(charged, 0u);
+  // One copy of the chain: the session hands out the space's own, so asking
+  // for it neither copies nor charges anything.
+  EXPECT_EQ(&session.chain(), &space.chain());
+  EXPECT_EQ(options.budget->charged_bytes(), charged);
+
+  symbolic::ModelBuilder builder;
+  builder.type(symbolic::ModelType::kMdp);
+  auto& m = builder.module("walk");
+  m.variable("x", 0, 1, 0);
+  m.choice("up", Expr::ident("x") == Expr::literal(0),
+           {{Expr::literal(1.0), {{"x", Expr::literal(1)}}}});
+  EngineSession mdp(builder.build());
+  EXPECT_THROW(mdp.chain(), PropertyError);
 }
 
 /// Birth-death repair model x = 0..top whose rates (a, b) and size (top) are

@@ -110,117 +110,5 @@ INSTANTIATE_TEST_SUITE_P(Lambdas, PoissonSweep,
                          ::testing::Values(0.05, 0.5, 1.0, 2.0, 8.0, 52.0, 104.0,
                                            1000.0, 8760.0));
 
-
-TEST(PoissonCache, RepeatedHorizonHitsTheCache) {
-  reset_poisson_cache();
-  const auto first = poisson_weights_cached(52.0, 1e-12);
-  PoissonCacheStats stats = poisson_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, 1u);
-
-  const auto second = poisson_weights_cached(52.0, 1e-12);
-  stats = poisson_cache_stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  // Same shared vector, not a recomputation.
-  EXPECT_EQ(first.get(), second.get());
-
-  // A different lambda or epsilon is a distinct entry.
-  poisson_weights_cached(53.0, 1e-12);
-  poisson_weights_cached(52.0, 1e-10);
-  stats = poisson_cache_stats();
-  EXPECT_EQ(stats.misses, 3u);
-  EXPECT_EQ(stats.entries, 3u);
-  reset_poisson_cache();
-}
-
-TEST(PoissonCache, EntriesStatIsFreshOnHits) {
-  // Regression: the hit path used to report the entry count captured at the
-  // last miss, so `entries` went stale as soon as a hit followed an insert.
-  reset_poisson_cache();
-  poisson_weights_cached(10.0, 1e-12);
-  poisson_weights_cached(20.0, 1e-12);
-  poisson_weights_cached(10.0, 1e-12);  // hit — must still report 2 entries
-  const PoissonCacheStats stats = poisson_cache_stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-  reset_poisson_cache();
-}
-
-TEST(PoissonCache, CapacityEvictsOldestHalfOnly) {
-  // Regression: a full cache used to be wiped wholesale, so a sweep one entry
-  // past capacity recomputed its entire working set on the next pass. Only
-  // the oldest-inserted half may go.
-  const size_t previous = set_poisson_cache_capacity(8);
-  reset_poisson_cache();
-  for (int k = 1; k <= 8; ++k) poisson_weights_cached(static_cast<double>(k), 1e-12);
-  PoissonCacheStats stats = poisson_cache_stats();
-  EXPECT_EQ(stats.entries, 8u);
-  EXPECT_EQ(stats.evictions, 0u);
-
-  // The ninth insert evicts the oldest half (lambdas 1..4) and keeps the rest.
-  poisson_weights_cached(9.0, 1e-12);
-  stats = poisson_cache_stats();
-  EXPECT_EQ(stats.entries, 5u);
-  EXPECT_EQ(stats.evictions, 4u);
-
-  // The recent half is still warm...
-  const size_t misses_before = stats.misses;
-  for (int k = 5; k <= 9; ++k) poisson_weights_cached(static_cast<double>(k), 1e-12);
-  stats = poisson_cache_stats();
-  EXPECT_EQ(stats.misses, misses_before);
-  EXPECT_EQ(stats.hits, 5u);
-
-  // ...and an evicted key misses again.
-  poisson_weights_cached(1.0, 1e-12);
-  stats = poisson_cache_stats();
-  EXPECT_EQ(stats.misses, misses_before + 1);
-
-  reset_poisson_cache();
-  set_poisson_cache_capacity(previous);
-}
-
-TEST(PoissonCache, ShrinkingCapacityEvictsDownAndKeepsPointersValid) {
-  const size_t previous = set_poisson_cache_capacity(16);
-  reset_poisson_cache();
-  const auto oldest = poisson_weights_cached(1.0, 1e-12);
-  for (int k = 2; k <= 10; ++k) poisson_weights_cached(static_cast<double>(k), 1e-12);
-
-  set_poisson_cache_capacity(4);  // 10 entries -> halved until <= 4
-  const PoissonCacheStats stats = poisson_cache_stats();
-  EXPECT_LE(stats.entries, 4u);
-  EXPECT_GT(stats.evictions, 0u);
-  // Contract: returned pointers survive eviction.
-  EXPECT_DOUBLE_EQ(oldest->weight(1), poisson_weights(1.0, 1e-12).weight(1));
-
-  reset_poisson_cache();
-  set_poisson_cache_capacity(previous);
-}
-
-TEST(PoissonCache, CapacityIsClampedToAtLeastTwo) {
-  const size_t previous = set_poisson_cache_capacity(0);
-  reset_poisson_cache();
-  poisson_weights_cached(1.0, 1e-12);
-  poisson_weights_cached(2.0, 1e-12);
-  // A clamp to >= 2 keeps at least one older entry alongside each insert.
-  EXPECT_GE(poisson_cache_stats().entries, 1u);
-  reset_poisson_cache();
-  set_poisson_cache_capacity(previous);
-}
-
-TEST(PoissonCache, CachedWeightsMatchDirectComputation) {
-  reset_poisson_cache();
-  const PoissonWeights direct = poisson_weights(104.0, 1e-12);
-  const auto cached = poisson_weights_cached(104.0, 1e-12);
-  ASSERT_EQ(cached->weights.size(), direct.weights.size());
-  EXPECT_EQ(cached->left, direct.left);
-  EXPECT_EQ(cached->right, direct.right);
-  for (size_t k = 0; k < direct.weights.size(); ++k) {
-    EXPECT_EQ(cached->weights[k], direct.weights[k]);
-  }
-  reset_poisson_cache();
-}
-
 }  // namespace
 }  // namespace autosec::ctmc

@@ -91,7 +91,6 @@ TEST(JobIdentityTest, EveryKeyedOptionChangesTheIdentity) {
 TEST(JobIdentityTest, KnobsThatDoNotChangeResultsAreNotKeyed) {
   const JobIdentity base = Job{}.identity();
   Job job;
-  job.options.threads = 8;
   job.options.cancel = std::make_shared<util::CancelToken>();
   EXPECT_EQ(job.identity().job, base.job);
 }

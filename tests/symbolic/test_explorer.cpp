@@ -144,7 +144,8 @@ Model mdp_walk(int n) {
 }
 
 /// What exploration charges: the store's bytes per state plus the CSR
-/// arrays, and for mdp the owner, label and first-row offset bookkeeping.
+/// arrays, for ctmc the chain's exit rates, and for mdp the owner, label and
+/// first-row offset bookkeeping.
 size_t explored_bytes(const StateSpace& space) {
   const size_t states = space.state_count();
   const linalg::CsrMatrix& matrix =
@@ -155,6 +156,9 @@ size_t explored_bytes(const StateSpace& space) {
   if (space.is_mdp()) {
     bytes += matrix.rows() * (sizeof(uint32_t) + sizeof(std::string)) +
              states * sizeof(uint32_t);
+  } else {
+    EXPECT_EQ(space.chain().exit_rates().size(), states);
+    bytes += states * sizeof(double);
   }
   return bytes;
 }
@@ -286,7 +290,7 @@ TEST(Explorer, PackedPathHandlesNegativeLowerBounds) {
 TEST(Explorer, ToCtmcRoundTrip) {
   const CompiledModel compiled = compile(birth_death(2));
   const StateSpace space = explore(compiled);
-  const ctmc::Ctmc chain = space.to_ctmc();
+  const ctmc::Ctmc& chain = space.chain();
   EXPECT_EQ(chain.state_count(), 3u);
   EXPECT_DOUBLE_EQ(chain.exit_rate(0), 2.0);
 }
