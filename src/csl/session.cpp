@@ -133,14 +133,23 @@ std::shared_ptr<EngineSession::Stages> EngineSession::stages_for(
   return cache_.back();
 }
 
-void EngineSession::release(const Stages& stages) {
-  std::lock_guard<std::mutex> lock(cache_mutex_);
-  std::erase_if(cache_, [&](const std::shared_ptr<Stages>& cached) {
-    return cached.get() == &stages;
-  });
+void EngineSession::release(Stages& stages) {
+  {
+    std::lock_guard<std::mutex> lock(cache_mutex_);
+    std::erase_if(cache_, [&](const std::shared_ptr<Stages>& cached) {
+      return cached.get() == &stages;
+    });
+  }
+  if (!options_.budget) return;
+  std::lock_guard<std::mutex> lock(stages.lazy_mutex);
+  if (!stages.space) return;
+  size_t bytes = stages.space->array_bytes();
+  if (stages.owns_store) bytes += stages.space->store_bytes();
+  if (stages.uniformized) bytes += stages.uniformized->held_bytes();
+  options_.budget->release_bytes(bytes);
 }
 
-void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
+void EngineSession::build(Stages& stages, const OverrideSet& overrides, bool record) {
   check_cancel("prepare");
   std::lock_guard<std::mutex> lock(stages.lazy_mutex);
   if (!stages.space) {
@@ -161,14 +170,43 @@ void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
       stats_.compile_count += 1;
       stats_.compile_seconds += seconds_since(start);
     }
+    util::metrics::Registry& metrics = util::metrics::registry();
+    metrics.add("session.compiles");
 
     start = std::chrono::steady_clock::now();
+    symbolic::ExploreOptions explore = options_.explore;
+    if (!explore.budget) explore.budget = options_.budget;
+    std::shared_ptr<const symbolic::RateFamily> family;
+    {
+      std::lock_guard<std::mutex> cache_lock(cache_mutex_);
+      family = family_;
+    }
+    bool refilled = false;
     try {
-      util::metrics::ScopedSpan span("explore");
-      symbolic::ExploreOptions explore = options_.explore;
-      if (!explore.budget) explore.budget = options_.budget;
-      stages.space = std::make_shared<const symbolic::StateSpace>(
-          symbolic::explore(std::move(compiled), explore));
+      if (family) {
+        util::metrics::ScopedSpan span("refill");
+        std::optional<symbolic::StateSpace> space =
+            symbolic::refill(*family, compiled, explore);
+        if (space) {
+          stages.space = std::make_shared<const symbolic::StateSpace>(std::move(*space));
+          stages.owns_store = false;
+          refilled = true;
+        }
+      }
+      if (!refilled) {
+        util::metrics::ScopedSpan span("explore");
+        symbolic::FamilyExplore explored =
+            record ? symbolic::explore_family(std::move(compiled), explore)
+                   : symbolic::FamilyExplore{
+                         symbolic::explore(std::move(compiled), explore), nullptr};
+        stages.space =
+            std::make_shared<const symbolic::StateSpace>(std::move(explored.space));
+        if (explored.family) {
+          stages.owns_store = false;
+          std::lock_guard<std::mutex> cache_lock(cache_mutex_);
+          family_ = std::move(explored.family);
+        }
+      }
     } catch (const std::bad_alloc&) {
       util::FailureProgress progress;
       if (options_.budget) {
@@ -179,14 +217,14 @@ void EngineSession::build(Stages& stages, const OverrideSet& overrides) {
     }
     {
       std::lock_guard<std::mutex> stats_lock(stats_mutex_);
-      stats_.explore_count += 1;
+      (refilled ? stats_.refill_count : stats_.explore_count) += 1;
       stats_.explore_seconds += seconds_since(start);
       stats_.engine = stages.space->engine_name();
     }
 
-    util::metrics::Registry& metrics = util::metrics::registry();
-    if (metrics.enabled()) {
-      metrics.add("session.compiles");
+    if (refilled) {
+      metrics.add("session.refills");
+    } else if (metrics.enabled()) {
       metrics.add("session.explores");
       metrics.add("explore.states", stages.space->state_count());
       metrics.add("explore.transitions", stages.space->transition_count());
@@ -450,23 +488,39 @@ std::vector<PointValue> EngineSession::check_points(
         "EngineSession: check_points needs a symbolic model to re-key; this "
         "session adopted a pre-explored state space");
   }
+  std::vector<std::shared_ptr<Stages>> sets(points.size());
+  std::vector<char> created(points.size(), 0);
+  for (size_t i = 0; i < points.size(); ++i) {
+    bool fresh = false;
+    sets[i] = stages_for(override_cache_key(points[i]), &fresh);
+    created[i] = fresh ? 1 : 0;
+  }
+  // One new point first: its explore records the session's rate-only family
+  // (unless it refills from the family the session has), so the other points
+  // of that family refill instead of exploring. Points that are not rate
+  // variants of it explore in the fan-out.
+  if (const auto lead = std::find(created.begin(), created.end(), 1);
+      lead != created.end()) {
+    const size_t i = static_cast<size_t>(lead - created.begin());
+    build(*sets[i], points[i], /*record=*/true);
+  }
+
   std::vector<PointValue> results(points.size());
   const auto solve_range = [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
-      bool created = false;
-      const std::shared_ptr<Stages> stages =
-          stages_for(override_cache_key(points[i]), &created);
-      build(*stages, points[i]);
+      Stages& stages = *sets[i];
+      build(stages, points[i]);
       const auto start = std::chrono::steady_clock::now();
       {
         util::metrics::ScopedSpan span("solve");
-        results[i] = {evaluate(*stages, property), stages->space->state_count()};
+        results[i] = {evaluate(stages, property), stages.space->state_count()};
       }
       {
         std::lock_guard<std::mutex> lock(stats_mutex_);
         stats_.solve_seconds += seconds_since(start);
       }
-      if (created && keep == PointStages::kRelease) release(*stages);
+      if (created[i] != 0 && keep == PointStages::kRelease) release(stages);
+      sets[i].reset();  // a released set goes now, not when the call returns
     }
   };
   // Each slot writes only results[i], and a point's value depends only on its
@@ -508,24 +562,32 @@ void EngineSession::evaluate_cumulative_group(Stages& stages,
                                               std::span<const Property> properties,
                                               std::span<const size_t> group,
                                               std::vector<double>& results) {
-  std::vector<double> shared;  // values of group[solved_from..] once solved
-  size_t solved_from = 0;
+  std::vector<size_t> pass;    // the group positions the shared pass solved
+  std::vector<double> shared;  // their values, aligned with `pass`
   for (size_t m = 0; m < group.size(); ++m) {
     results[group[m]] = evaluate(stages, properties[group[m]], [&] {
-      if (shared.empty()) {
+      auto at = std::find(pass.begin(), pass.end(), m);
+      if (at == pass.end()) {
+        // Each member's value is independent of the others in the pass, so
+        // leaving out the members the values already hold changes no bit.
+        pass = {m};
+        for (size_t k = m + 1; k < group.size(); ++k) {
+          if (!held_value(stages, properties[group[k]])) pass.push_back(k);
+        }
         // One reward vector per structure, shared by the members naming it.
         std::map<std::string, std::vector<double>> rewards;
         std::vector<ctmc::CumulativeRewardMember> members;
-        for (const size_t i : group.subspan(m)) {
-          auto [it, inserted] = rewards.try_emplace(properties[i].reward_name);
+        for (const size_t k : pass) {
+          const Property& member = properties[group[k]];
+          auto [it, inserted] = rewards.try_emplace(member.reward_name);
           if (inserted) it->second = stages.space->reward_vector(it->first);
-          members.push_back({it->second, time_bound_in(stages, properties[i])});
+          members.push_back({it->second, time_bound_in(stages, member)});
         }
         shared = ctmc::expected_cumulative_rewards(uniformized_of(stages), stages.initial,
                                                    members, transient_options());
-        solved_from = m;
+        at = pass.begin();
       }
-      return shared[m - solved_from];
+      return shared[static_cast<size_t>(at - pass.begin())];
     });
   }
 }
@@ -550,15 +612,44 @@ double EngineSession::evaluate(Stages& stages, const Property& property,
     stats_.check_count += 1;
   }
   CheckpointLedger* const ledger = options_.checkpoint.get();
-  if (ledger == nullptr) return solve();
-  const std::string key = checkpoint_key(stages, property);
-  if (double recorded = 0.0; ledger->lookup(key, &recorded)) {
-    util::metrics::registry().add("session.checkpoint_hits");
-    return recorded;  // bit-exact replay of the interrupted run's solve
+  std::string key;
+  if (ledger != nullptr) {
+    key = checkpoint_key(stages, property);
+    if (double recorded = 0.0; ledger->lookup(key, &recorded)) {
+      util::metrics::registry().add("session.checkpoint_hits");
+      return recorded;  // bit-exact replay of the interrupted run's solve
+    }
   }
-  const double value = solve();
-  ledger->record(key, value);
+  // A property's value depends only on its source and the stage set (the
+  // session's solver options are fixed), so a value the set has solved is
+  // the value a new solve would return, bit for bit. A solve that throws
+  // stores nothing, and a property without source text is never kept.
+  double value = 0.0;
+  if (const std::optional<double> held = held_value(stages, property)) {
+    value = *held;
+    util::metrics::registry().add("session.value_hits");
+    std::lock_guard<std::mutex> lock(stats_mutex_);
+    stats_.value_hit_count += 1;
+  } else {
+    value = solve();
+    if (!property.source.empty()) {
+      std::lock_guard<std::mutex> lock(stages.values_mutex);
+      stages.values.emplace(property.source, value);
+    }
+  }
+  // The ledger records hits too, so what it holds never depends on what the
+  // session solved before.
+  if (ledger != nullptr) ledger->record(key, value);
   return value;
+}
+
+std::optional<double> EngineSession::held_value(Stages& stages,
+                                                const Property& property) {
+  if (property.source.empty()) return std::nullopt;
+  std::lock_guard<std::mutex> lock(stages.values_mutex);
+  const auto it = stages.values.find(property.source);
+  if (it == stages.values.end()) return std::nullopt;
+  return it->second;
 }
 
 double EngineSession::evaluate_fresh(Stages& stages, const Property& property) {

@@ -11,8 +11,12 @@
 // objective, and check_with_strategy() additionally exports the optimizing
 // scheduler with an independent induced-chain cross-check. Re-checking another property —
 // or the same property at another horizon — reuses every stage already
-// built; switching constant overrides re-keys the pipeline but keeps earlier
-// stage sets cached for when a sweep returns to a value.
+// built, and a property a stage set has already solved is answered from the
+// values it keeps; switching constant overrides re-keys the pipeline but
+// keeps earlier stage sets cached for when a sweep returns to a value. Stage
+// sets whose models differ only in command rates share one explored graph
+// (check_points() records it as the session's rate-only family; later
+// builds refill it with their own rates instead of exploring).
 //
 // This is the one checker of the engine: every property is solved by a
 // session. Callers that already hold an explored space adopt it
@@ -32,6 +36,7 @@
 #pragma once
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -74,9 +79,10 @@ struct PointValue {
 
 /// What check_points() does with a stage set it built for a point: keep it
 /// cached, so a long-lived session answers a repeated sweep without
-/// exploring (serve), or release it once the point is solved, so a one-shot
-/// sweep holds at most one stage set per pool lane (CLI sweep, criticality).
-/// Stage sets that existed before the call are always kept.
+/// exploring or solving (serve), or release it — and return its bytes to the
+/// resource budget — once the point is solved, so a one-shot sweep holds at
+/// most one stage set per pool lane (CLI sweep, criticality). Stage sets that
+/// existed before the call are always kept.
 enum class PointStages { kKeep, kRelease };
 
 /// Cumulative per-stage counters and wall-clock timings — the session-local
@@ -88,10 +94,15 @@ enum class PointStages { kKeep, kRelease };
 /// properties with explore_count == 1 provably reused its state space.
 struct SessionStats {
   size_t compile_count = 0;
+  /// Real explorations; a space refilled from the session's rate-only family
+  /// counts in refill_count instead.
   size_t explore_count = 0;
+  size_t refill_count = 0;
   size_t uniformize_count = 0;
   size_t steady_state_count = 0;
   size_t check_count = 0;
+  /// Evaluations answered from the values a stage set had already solved.
+  size_t value_hit_count = 0;
   /// Solver rungs taken beyond the first (Krylov → Gauss-Seidel → power)
   /// across every solve of the session — 0 when every solve converged on its
   /// first rung; surfaced per request by the serving layer.
@@ -101,7 +112,7 @@ struct SessionStats {
   /// layer and recorded in the metrics registry.
   std::string engine;
   double compile_seconds = 0.0;
-  double explore_seconds = 0.0;
+  double explore_seconds = 0.0;  ///< explores and refills
   double solve_seconds = 0.0;  ///< property evaluation incl. uniformization
 };
 
@@ -187,14 +198,18 @@ class EngineSession {
   /// criticality analysis. Each point finds or builds the stage set of its
   /// own override key in the session's cache (a key an earlier call already
   /// built explores nothing; see PointStages for what happens to new ones),
-  /// and its checkpoint records are keyed by that override key. The points
-  /// fan across the pool when options().parallel_properties, each running
-  /// its kernels serially, as check_all() does for properties. The active
-  /// key is left unchanged, so space() and single-property calls still
-  /// answer for it. Results are positionally aligned with `points` and
-  /// identical to re-keying with set_constant_overrides() and calling
-  /// check() once per point. Throws PropertyError on a space-adopting
-  /// session.
+  /// and its checkpoint records are keyed by that override key. The first
+  /// new point is built before the fan-out: its explore records the graph as
+  /// the session's rate-only family (symbolic::explore_family), unless it is
+  /// a rate variant of the family the session already has, and every later
+  /// build whose model is a rate variant refills from it in O(nnz)
+  /// (symbolic::refill). The points fan across the pool when
+  /// options().parallel_properties, each running its kernels serially, as
+  /// check_all() does for properties. The active key is left unchanged, so
+  /// space() and single-property calls still answer for it. Results are
+  /// positionally aligned with `points` and bit-identical to re-keying with
+  /// set_constant_overrides() and calling check() once per point. Throws
+  /// PropertyError on a space-adopting session.
   std::vector<PointValue> check_points(const Property& property,
                                        std::span<const OverrideSet> points,
                                        PointStages keep = PointStages::kKeep);
@@ -241,23 +256,36 @@ class EngineSession {
     /// The explored space: it holds the compiled model and, on the ctmc
     /// axis, the one copy of the chain every stage below reads.
     std::shared_ptr<const symbolic::StateSpace> space;
+    /// False when the space's store belongs to a rate-only family (the space
+    /// was refilled from it, or recorded it): releasing the set then leaves
+    /// the store's bytes charged.
+    bool owns_store = true;
     std::vector<double> initial;
     std::optional<ctmc::Uniformized> uniformized;
     std::optional<ctmc::SteadyStateResult> steady;
     /// Guards every lazily built member: two points (or properties) that
     /// need the same stage set build it once, the second one waiting.
     std::mutex lazy_mutex;
+    /// Values solved on this set, by property source: evaluate() answers a
+    /// property it holds without solving again.
+    std::map<std::string, double> values;
+    std::mutex values_mutex;
   };
 
   Stages& prepare();  ///< build compile/explore for the active key
   /// The cached stage set of `key`, created empty on first lookup (then
   /// `*created` is set, when given).
   std::shared_ptr<Stages> stages_for(const std::string& key, bool* created = nullptr);
-  /// Drop `stages` from the cache; holders of a reference keep it alive.
-  void release(const Stages& stages);
+  /// Drop `stages` from the cache and return the bytes it was charged to the
+  /// resource budget (never a family's store); holders of a reference keep
+  /// it alive.
+  void release(Stages& stages);
   /// Build compile/explore of `stages` (from `overrides`, the set its key
-  /// was derived from) unless already built.
-  void build(Stages& stages, const OverrideSet& overrides);
+  /// was derived from) unless already built: refilled from the session's
+  /// rate-only family when the compiled model is a rate variant of it,
+  /// explored otherwise — recording the explored graph as the session's
+  /// family when `record`.
+  void build(Stages& stages, const OverrideSet& overrides, bool record = false);
 
   symbolic::Expr resolve_formula(const Stages& stages,
                                  const symbolic::Expr& formula) const;
@@ -266,15 +294,19 @@ class EngineSession {
   double time_bound_in(const Stages& stages, const Property& property) const;
 
   double evaluate(Stages& stages, const Property& property);
-  /// The safepoint and checkpoint wrapper every solve passes through: `solve`
-  /// computes the value when the ledger does not hold it.
+  /// The safepoint, checkpoint and value-map wrapper every solve passes
+  /// through: `solve` computes the value when neither the ledger nor the
+  /// stage set's values hold it.
   double evaluate(Stages& stages, const Property& property,
                   const std::function<double()>& solve);
+  /// The value the stage set holds for `property`, if it has solved it.
+  std::optional<double> held_value(Stages& stages, const Property& property);
   /// The solve dispatch below the checkpoint safepoint: always computes.
   double evaluate_fresh(Stages& stages, const Property& property);
   /// check_all's cumulative-reward group: evaluates properties[i] for every
-  /// i of `group` in order into results[i]. The first member the ledger
-  /// misses solves itself and every later member in one shared pass.
+  /// i of `group` in order into results[i]. The first member neither the
+  /// ledger nor the stage set's values hold solves itself and every later
+  /// member the values do not hold in one shared pass.
   void evaluate_cumulative_group(Stages& stages, std::span<const Property> properties,
                                  std::span<const size_t> group,
                                  std::vector<double>& results);
@@ -319,7 +351,9 @@ class EngineSession {
   // a check_points() point that is still solving on it while another point
   // releases it from the cache.
   std::vector<std::shared_ptr<Stages>> cache_;
-  std::mutex cache_mutex_;  ///< guards cache_ under check_points
+  /// The rate-only family check_points() recorded last (null until then).
+  std::shared_ptr<const symbolic::RateFamily> family_;
+  std::mutex cache_mutex_;  ///< guards cache_ and family_ under check_points
   Stages* active_ = nullptr;
   SessionStats stats_;
   std::mutex stats_mutex_;  ///< counters under parallel check_all/check_points

@@ -51,6 +51,10 @@ size_t csr_bytes(size_t nonzeros, size_t rows) {
 
 }  // namespace
 
+size_t Uniformized::held_bytes() const {
+  return csr_bytes(transposed.nonzeros(), state_count) + (blocked ? blocked->bytes() : 0);
+}
+
 Uniformized uniformize(const Ctmc& chain, const TransientOptions& options) {
   util::metrics::registry().add("ctmc.uniformizations");
   Uniformized out;

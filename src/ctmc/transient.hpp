@@ -60,6 +60,10 @@ struct Uniformized {
   /// bit-identical products, so step() may use either form.
   std::optional<linalg::SellMatrix> blocked;
 
+  /// Budget bytes uniformize() charged for what this stage holds: Pᵀ and,
+  /// when packed, its SELL-C-σ copy.
+  size_t held_bytes() const;
+
   /// next = current · P, computed as Pᵀ · current.
   void step(const std::vector<double>& current, std::vector<double>& next) const {
     if (blocked) {

@@ -134,6 +134,10 @@ std::string CsrMatrix::to_dense_string(int precision) const {
   return os.str();
 }
 
+namespace {
+
+/// Sort one row's entries by column and sum the entries that share a column
+/// (in sorted order), in place.
 void sort_and_merge_row(std::vector<Entry>& entries) {
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.column < b.column; });
@@ -147,6 +151,8 @@ void sort_and_merge_row(std::vector<Entry>& entries) {
   }
   entries.resize(write);
 }
+
+}  // namespace
 
 CsrBuilder::CsrBuilder(size_t row_count, size_t column_count)
     : row_count_(row_count), column_count_(column_count), row_entries_(row_count) {}

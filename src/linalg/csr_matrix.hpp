@@ -38,6 +38,10 @@ class CsrMatrix {
   std::span<const uint32_t> row_columns(size_t r) const;
   std::span<const double> row_values(size_t r) const;
 
+  /// The whole structure: rows()+1 row offsets, and every entry's column.
+  std::span<const uint32_t> row_offsets() const { return row_offsets_; }
+  std::span<const uint32_t> columns() const { return columns_; }
+
   /// Value at (r, c); zero when no entry exists. Binary search of the row.
   double at(size_t r, size_t c) const;
 
@@ -70,14 +74,11 @@ class CsrMatrix {
   std::vector<double> values_;
 };
 
-/// Sort one row's entries by column and sum the entries that share a
-/// column (in sorted order), in place. CsrBuilder::build finalizes every row
-/// with it, and the explorer each row it emits, so the same entry sequence
-/// gives the same bits either way.
-void sort_and_merge_row(std::vector<Entry>& entries);
-
 /// Incremental builder: entries may be added for any row in any order, and
-/// within a row they may arrive unordered; duplicates are summed.
+/// within a row they may arrive unordered; duplicates are summed in column
+/// order after a std::sort on the column alone. The explorer's row merge
+/// makes the same comparisons and additions, so the same entry sequence gives
+/// the same bits either way.
 class CsrBuilder {
  public:
   CsrBuilder(size_t row_count, size_t column_count);

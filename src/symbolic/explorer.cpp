@@ -47,6 +47,26 @@ const mdp::Mdp& StateSpace::mdp() const {
   return *mdp_;
 }
 
+namespace {
+
+/// Budget bytes of a ctmc space's arrays: row offsets, columns and values of
+/// the rate matrix, and one exit rate per state.
+size_t ctmc_array_bytes(size_t states, size_t entries) {
+  return states * sizeof(double) + (states + 1) * sizeof(uint32_t) +
+         entries * (sizeof(uint32_t) + sizeof(double));
+}
+
+}  // namespace
+
+size_t StateSpace::array_bytes() const {
+  if (!is_mdp()) return ctmc_array_bytes(state_count(), chain_.rates().nonzeros());
+  const linalg::CsrMatrix& rows = mdp_->transitions;
+  return (rows.rows() + 1) * sizeof(uint32_t) +
+         rows.nonzeros() * (sizeof(uint32_t) + sizeof(double)) +
+         rows.rows() * (sizeof(uint32_t) + sizeof(std::string)) +
+         state_count() * sizeof(uint32_t);
+}
+
 std::vector<int32_t> StateSpace::state_values(size_t index) const {
   std::vector<int32_t> out;
   store_->values_of(index, out);
@@ -129,13 +149,19 @@ namespace {
 /// emit_mdp_rows) appends them straight onto the CSR arrays.
 class Explorer {
  public:
+  /// `record`: also record the rate-only family (see explore_family).
   Explorer(const CompiledModel& model, const ExploreOptions& options,
-           SymmetryGroup symmetry)
+           SymmetryGroup symmetry, bool record)
       : model_(model),
         options_(options),
         symmetry_(std::move(symmetry)),
         limit_(options.resolved_state_limit()),
-        store_(std::make_shared<StateStore>(model)) {}
+        store_(std::make_shared<StateStore>(model)) {
+    if (record) {
+      family_ = std::make_shared<RateFamily>();
+      family_->term_offsets.push_back(0);
+    }
+  }
 
   void run() {
     std::vector<int32_t> initial = model_.initial_state();
@@ -157,17 +183,32 @@ class Explorer {
     charge(0);
   }
 
-  StateSpace finish(std::shared_ptr<const CompiledModel> model) && {
+  FamilyExplore finish(std::shared_ptr<const CompiledModel> model) && {
     const size_t rows = offsets_.size() - 1;
     const size_t states = store_->size();
+    if (family_) {
+      // The family keeps its own copy of the row structure: the space's
+      // arrays go when its stage set does, the family's graph stays.
+      if (options_.budget) {
+        options_.budget->charge_bytes(
+            (offsets_.size() + columns_.size()) * sizeof(uint32_t), "explore");
+      }
+      family_->model = model;
+      family_->store = store_;
+      family_->initial_state = initial_;
+      family_->transition_count = transitions_;
+      family_->row_offsets = offsets_;
+      family_->columns = columns_;
+    }
     linalg::CsrMatrix matrix(rows, states, std::move(offsets_), std::move(columns_),
                              std::move(values_));
     if (model_.type != ModelType::kMdp) {
       AUTOSEC_LOG_INFO("explorer")
           << "explored " << states << " states, " << transitions_ << " transitions";
-      return StateSpace(std::move(model), std::move(store_), initial_,
-                        ctmc::Ctmc(std::move(matrix)), transitions_,
-                        std::move(symmetry_));
+      return {StateSpace(std::move(model), std::move(store_), initial_,
+                         ctmc::Ctmc(std::move(matrix)), transitions_,
+                         std::move(symmetry_)),
+              std::move(family_)};
     }
     auto flat = std::make_shared<mdp::Mdp>();
     flat->transitions = std::move(matrix);
@@ -179,19 +220,29 @@ class Explorer {
     const size_t entries = flat->transitions.nonzeros();
     AUTOSEC_LOG_INFO("explorer") << "explored " << states << " states, " << rows
                                  << " actions, " << entries << " transitions";
-    return StateSpace(std::move(model), std::move(store_), initial_, std::move(flat),
-                      entries);
+    return {StateSpace(std::move(model), std::move(store_), initial_, std::move(flat),
+                       entries),
+            nullptr};
   }
 
  private:
   static constexpr size_t kChargeStep = 64 * 1024;
 
+  /// One successor of the row being emitted and the command that fired it:
+  /// the 16 bytes of a linalg::Entry, with the command in its padding.
+  struct RowEntry {
+    uint32_t column;
+    uint32_t command;
+    double value;
+  };
+
   /// CTMC: one rate row per state. Parallel commands into the same state
-  /// (and, under reduction, into the same orbit) are summed by the shared
-  /// row merge; transitions count firings before merging.
+  /// (and, under reduction, into the same orbit) are summed by the row
+  /// merge; transitions count firings before merging.
   void emit_ctmc_row(uint32_t id, const std::vector<int32_t>& current) {
     row_.clear();
-    for (const CompiledCommand& command : model_.commands) {
+    for (size_t c = 0; c < model_.commands.size(); ++c) {
+      const CompiledCommand& command = model_.commands[c];
       if (!command.guard.evaluate_bool(current)) continue;
       last_module_ = &command.module;
       const double rate = command.rate.evaluate_number(current);
@@ -211,12 +262,37 @@ class Explorer {
       // orbit fold onto the quotient's diagonal, which a CTMC never observes.
       symmetry_.canonicalize(successor_, scratch_);
       if (successor_ == current) continue;
-      row_.push_back({intern(successor_), rate});
+      row_.push_back({intern(successor_), static_cast<uint32_t>(c), rate});
     }
     transitions_ += row_.size();
-    linalg::sort_and_merge_row(row_);
-    for (const linalg::Entry& entry : row_) push_entry(entry.column, entry.value);
+    merge_row();
     offsets_.push_back(static_cast<uint32_t>(columns_.size()));
+  }
+
+  /// Sort the row by column and sum the rates that share one, as
+  /// linalg::CsrBuilder does: std::sort on the column alone makes the same
+  /// comparisons whatever else an entry carries, so the same rates are added
+  /// in the same order. A recording explore notes each entry's
+  /// commands in that order.
+  void merge_row() {
+    std::sort(row_.begin(), row_.end(),
+              [](const RowEntry& a, const RowEntry& b) { return a.column < b.column; });
+    for (size_t first = 0; first < row_.size();) {
+      double value = row_[first].value;
+      size_t next = first + 1;
+      for (; next < row_.size() && row_[next].column == row_[first].column; ++next) {
+        value += row_[next].value;
+      }
+      push_entry(row_[first].column, value);
+      if (family_) {
+        for (size_t k = first; k < next; ++k) {
+          family_->term_commands.push_back(row_[k].command);
+        }
+        family_->term_offsets.push_back(
+            static_cast<uint32_t>(family_->term_commands.size()));
+      }
+      first = next;
+    }
   }
 
   /// MDP: every enabled command becomes one row of the flattened
@@ -259,7 +335,7 @@ class Explorer {
       // Merge duplicate successors and divide the float residue of `total`
       // back out, so every committed row is stochastic to machine precision.
       // The sort key is (successor, probability), not the successor alone as
-      // in sort_and_merge_row: it fixes the order duplicates are summed in.
+      // in the ctmc row merge: it fixes the order duplicates are summed in.
       std::sort(outcomes_.begin(), outcomes_.end());
       for (size_t i = 0; i < outcomes_.size();) {
         size_t j = i;
@@ -338,18 +414,21 @@ class Explorer {
 
   /// Charge the budget for what exploration holds once it has grown by at
   /// least `step` bytes since the last charge: the store's per-state bytes,
-  /// the CSR arrays, for ctmc the chain's per-state exit rate, and for mdp
-  /// the per-row owner and label and the per-state row offsets.
+  /// the CSR arrays, for ctmc the chain's per-state exit rate, for mdp the
+  /// per-row owner and label and the per-state row offsets, and a recording
+  /// explore's rate terms.
   void charge(size_t step) {
     if (!options_.budget) return;
     const size_t per_state = store_->bytes_per_state() +
                              (model_.type == ModelType::kMdp ? 0 : sizeof(double));
+    const size_t terms =
+        family_ ? family_->term_offsets.size() + family_->term_commands.size() : 0;
     const size_t held =
         store_->size() * per_state +
         offsets_.size() * sizeof(uint32_t) +
         columns_.size() * (sizeof(uint32_t) + sizeof(double)) +
         state_of_row_.size() * (sizeof(uint32_t) + sizeof(std::string)) +
-        state_offsets_.size() * sizeof(uint32_t);
+        state_offsets_.size() * sizeof(uint32_t) + terms * sizeof(uint32_t);
     if (held - charged_ < step) return;
     options_.budget->charge_bytes(held - charged_, "explore");
     charged_ = held;
@@ -366,8 +445,10 @@ class Explorer {
   const std::string* last_module_ = nullptr;  ///< module of the command firing now
   size_t charged_ = 0;
 
+  std::shared_ptr<RateFamily> family_;  ///< recording explores only
+
   std::vector<int32_t> successor_;
-  std::vector<linalg::Entry> row_;
+  std::vector<RowEntry> row_;
   std::vector<std::pair<uint32_t, double>> outcomes_;
 
   std::vector<uint32_t> offsets_{0};
@@ -379,14 +460,28 @@ class Explorer {
   std::vector<std::string> action_labels_;  ///< mdp only
 };
 
-}  // namespace
-
-StateSpace explore(CompiledModel model, const ExploreOptions& options) {
-  return explore(std::make_shared<const CompiledModel>(std::move(model)), options);
+/// A family's rates must be positive, finite literals: then every enabled
+/// command fires in every variant, and a row sums the same commands.
+bool literal_rate(const CompiledCommand& command, double& rate) {
+  Value value;
+  if (!command.rate.as_literal(value) || !value.is_numeric()) return false;
+  rate = value.as_number();
+  return rate > 0.0 && std::isfinite(rate);
 }
 
-StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
-                   const ExploreOptions& options) {
+bool can_head_family(const CompiledModel& model, const ExploreOptions& options) {
+  if (model.type != ModelType::kCtmc || options.reduction == SymmetryReduction::kOn) {
+    return false;
+  }
+  double rate = 0.0;
+  return std::all_of(model.commands.begin(), model.commands.end(),
+                     [&](const CompiledCommand& command) {
+                       return literal_rate(command, rate);
+                     });
+}
+
+FamilyExplore run_explore(std::shared_ptr<const CompiledModel> model_ptr,
+                          const ExploreOptions& options, bool record) {
   const CompiledModel& model = *model_ptr;
   if (model.variables.empty()) throw ModelError("explore: model has no variables");
 
@@ -409,9 +504,115 @@ StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
     }
   }
 
-  Explorer explorer(model, options, std::move(symmetry));
+  Explorer explorer(model, options, std::move(symmetry),
+                    record && can_head_family(model, options));
   explorer.run();
   return std::move(explorer).finish(std::move(model_ptr));
+}
+
+}  // namespace
+
+StateSpace explore(CompiledModel model, const ExploreOptions& options) {
+  return explore(std::make_shared<const CompiledModel>(std::move(model)), options);
+}
+
+StateSpace explore(std::shared_ptr<const CompiledModel> model_ptr,
+                   const ExploreOptions& options) {
+  return run_explore(std::move(model_ptr), options, false).space;
+}
+
+FamilyExplore explore_family(std::shared_ptr<const CompiledModel> model,
+                             const ExploreOptions& options) {
+  return run_explore(std::move(model), options, true);
+}
+
+size_t RateFamily::bytes() const {
+  return store->size() * store->bytes_per_state() +
+         (row_offsets.size() + columns.size() + term_offsets.size() +
+          term_commands.size()) *
+             sizeof(uint32_t);
+}
+
+bool rate_variants(const CompiledModel& a, const CompiledModel& b) {
+  if (a.type != ModelType::kCtmc || b.type != ModelType::kCtmc ||
+      a.variables.size() != b.variables.size() ||
+      a.commands.size() != b.commands.size() || a.labels.size() != b.labels.size() ||
+      a.rewards.size() != b.rewards.size()) {
+    return false;
+  }
+  for (size_t v = 0; v < a.variables.size(); ++v) {
+    const CompiledVariable& x = a.variables[v];
+    const CompiledVariable& y = b.variables[v];
+    if (x.name != y.name || x.module != y.module || x.low != y.low ||
+        x.high != y.high || x.init != y.init) {
+      return false;
+    }
+  }
+  for (size_t c = 0; c < a.commands.size(); ++c) {
+    const CompiledCommand& x = a.commands[c];
+    const CompiledCommand& y = b.commands[c];
+    double rate = 0.0;
+    if (!literal_rate(x, rate) || !literal_rate(y, rate) || !x.guard.same_as(y.guard) ||
+        x.action != y.action || x.module != y.module ||
+        x.assignments.size() != y.assignments.size()) {
+      return false;
+    }
+    for (size_t k = 0; k < x.assignments.size(); ++k) {
+      if (x.assignments[k].first != y.assignments[k].first ||
+          !x.assignments[k].second.same_as(y.assignments[k].second)) {
+        return false;
+      }
+    }
+  }
+  for (size_t l = 0; l < a.labels.size(); ++l) {
+    if (a.labels[l].name != b.labels[l].name ||
+        !a.labels[l].condition.same_as(b.labels[l].condition)) {
+      return false;
+    }
+  }
+  for (size_t r = 0; r < a.rewards.size(); ++r) {
+    const CompiledRewardStruct& x = a.rewards[r];
+    const CompiledRewardStruct& y = b.rewards[r];
+    if (x.name != y.name || x.items.size() != y.items.size()) return false;
+    for (size_t k = 0; k < x.items.size(); ++k) {
+      if (!x.items[k].guard.same_as(y.items[k].guard) ||
+          !x.items[k].value.same_as(y.items[k].value)) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
+std::optional<StateSpace> refill(const RateFamily& family,
+                                 std::shared_ptr<const CompiledModel> model,
+                                 const ExploreOptions& options) {
+  const size_t states = family.store->size();
+  if (options.reduction == SymmetryReduction::kOn ||
+      options.resolved_state_limit().limit < states ||
+      !rate_variants(*family.model, *model)) {
+    return std::nullopt;
+  }
+  std::vector<double> rates(model->commands.size());
+  for (size_t c = 0; c < rates.size(); ++c) literal_rate(model->commands[c], rates[c]);
+
+  const size_t entries = family.columns.size();
+  if (options.budget) {
+    options.budget->charge_bytes(ctmc_array_bytes(states, entries), "explore");
+  }
+  std::vector<double> values(entries);
+  for (size_t e = 0; e < entries; ++e) {
+    uint32_t term = family.term_offsets[e];
+    double value = rates[family.term_commands[term]];
+    for (++term; term < family.term_offsets[e + 1]; ++term) {
+      value += rates[family.term_commands[term]];
+    }
+    values[e] = value;
+  }
+  linalg::CsrMatrix matrix(states, states, family.row_offsets, family.columns,
+                           std::move(values));
+  return StateSpace(std::move(model), family.store, family.initial_state,
+                    ctmc::Ctmc(std::move(matrix)), family.transition_count);
 }
 
 }  // namespace autosec::symbolic

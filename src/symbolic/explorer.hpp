@@ -15,6 +15,7 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -133,6 +134,15 @@ class StateSpace {
   const char* engine_name() const { return "compact"; }
   /// Tracked bytes per interned state of the store.
   size_t bytes_per_state() const { return store_->bytes_per_state(); }
+  /// The interned states; spaces refilled from one rate-only family share it.
+  const std::shared_ptr<const StateStore>& store() const { return store_; }
+  /// Budget bytes of the store: what exploration charged per interned state.
+  size_t store_bytes() const { return state_count() * bytes_per_state(); }
+  /// Budget bytes of everything else the space holds: the CSR arrays and the
+  /// exit rates (ctmc), or the CSR arrays, row owners, action labels and
+  /// state offsets (mdp). store_bytes() + array_bytes() is exactly what
+  /// explore() charged.
+  size_t array_bytes() const;
   /// True when an on-the-fly symmetry reduction collapsed this space.
   bool reduced() const { return !symmetry_.trivial(); }
   const SymmetryGroup& symmetry() const { return symmetry_; }
@@ -154,5 +164,62 @@ class StateSpace {
 StateSpace explore(CompiledModel model, const ExploreOptions& options = {});
 StateSpace explore(std::shared_ptr<const CompiledModel> model,
                    const ExploreOptions& options = {});
+
+// ---------------------------------------------------------------------------
+// Rate-only families: one explored graph for every model that differs only in
+// its command rates (a swept or perturbed rate constant). This is the linear,
+// rate-only case of parametric model checking.
+
+/// True when `a` and `b` are rate variants: both ctmc models with identical
+/// variables (names, modules, ranges, initial values), commands (guards,
+/// updates, actions, modules), labels and reward items, and every command
+/// rate a positive, finite literal in both. Only the rate literals may
+/// differ, so both explore to the same states, rows and columns.
+bool rate_variants(const CompiledModel& a, const CompiledModel& b);
+
+/// The explored graph of a rate-only family: its model's states (shared by
+/// every space refilled from it), the chain's row structure, and for each CSR
+/// entry e the commands whose rates the row merge summed into it, in
+/// summation order: term_commands[term_offsets[e] .. term_offsets[e+1]).
+struct RateFamily {
+  std::shared_ptr<const CompiledModel> model;
+  std::shared_ptr<const StateStore> store;
+  size_t initial_state = 0;
+  size_t transition_count = 0;
+  std::vector<uint32_t> row_offsets;
+  std::vector<uint32_t> columns;
+  std::vector<uint32_t> term_offsets;
+  std::vector<uint32_t> term_commands;
+
+  /// Budget bytes the family holds: its store, row structure and terms.
+  size_t bytes() const;
+};
+
+/// What explore_family() returns: the explored space and its family.
+struct FamilyExplore {
+  StateSpace space;
+  /// Null when the model cannot head a family: an mdp model, a symmetry
+  /// reduction, or a command rate that is not a positive, finite literal.
+  std::shared_ptr<const RateFamily> family;
+};
+
+/// explore(), also recording the rate-only family of the explored space. The
+/// space is bit-identical to explore()'s. The budget is charged for the
+/// family's row structure and terms on top of what explore() charges, so the
+/// total is space.array_bytes() + family->bytes().
+FamilyExplore explore_family(std::shared_ptr<const CompiledModel> model,
+                             const ExploreOptions& options = {});
+
+/// The space of `model` on `family`'s graph: it shares the family's store,
+/// copies its row structure and sums the model's own rate literals in the
+/// recorded order — the same additions explore() performs, so the chain, its
+/// exit rates and every answer are bit-identical to explore(model, options).
+/// O(nnz); charges the budget for space.array_bytes(). Returns nullopt (the
+/// caller explores instead, and so gets explore's own errors) when `model` is
+/// not a rate variant of the family's model, when `options` ask for symmetry
+/// reduction, or when their state ceiling is below the family's state count.
+std::optional<StateSpace> refill(const RateFamily& family,
+                                 std::shared_ptr<const CompiledModel> model,
+                                 const ExploreOptions& options = {});
 
 }  // namespace autosec::symbolic

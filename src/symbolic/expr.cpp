@@ -1,5 +1,6 @@
 #include "symbolic/expr.hpp"
 
+#include <bit>
 #include <cmath>
 #include <sstream>
 
@@ -155,6 +156,42 @@ Expr Expr::ite(Expr condition, Expr then_value, Expr else_value) {
 bool Expr::as_literal(Value& out) const {
   if (!node_ || node_->kind != Node::Kind::kLiteral) return false;
   out = node_->value;
+  return true;
+}
+
+bool Expr::same_as(const Expr& other) const {
+  if (node_ == other.node_) return true;
+  if (!node_ || !other.node_) return false;
+  const Node& a = *node_;
+  const Node& b = *other.node_;
+  if (a.kind != b.kind || a.children.size() != b.children.size()) return false;
+  switch (a.kind) {
+    case Node::Kind::kLiteral:
+      if (a.value.type() != b.value.type()) return false;
+      switch (a.value.type()) {
+        case Value::Type::kBool: return a.value.as_bool() == b.value.as_bool();
+        case Value::Type::kInt: return a.value.as_int() == b.value.as_int();
+        case Value::Type::kDouble:
+          return std::bit_cast<uint64_t>(a.value.as_number()) ==
+                 std::bit_cast<uint64_t>(b.value.as_number());
+      }
+      return false;
+    case Node::Kind::kIdent: return a.name == b.name;
+    case Node::Kind::kVarRef: return a.var_index == b.var_index;
+    case Node::Kind::kUnary:
+      if (a.unary_op != b.unary_op) return false;
+      break;
+    case Node::Kind::kBinary:
+      if (a.binary_op != b.binary_op) return false;
+      break;
+    case Node::Kind::kCall:
+      if (a.call_op != b.call_op) return false;
+      break;
+    case Node::Kind::kIte: break;
+  }
+  for (size_t i = 0; i < a.children.size(); ++i) {
+    if (!a.children[i].same_as(b.children[i])) return false;
+  }
   return true;
 }
 

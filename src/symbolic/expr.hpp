@@ -105,6 +105,10 @@ class Expr {
   /// True when the node is a literal; `out` receives the value.
   bool as_literal(Value& out) const;
 
+  /// Structural identity: the same node kinds, operators, names, variable
+  /// indices and literals (same type, same bits) all the way down.
+  bool same_as(const Expr& other) const;
+
   /// Bind identifiers against `scope`; folds constant subtrees. Throws
   /// EvalError on unknown identifiers.
   Expr resolve(const SymbolScope& scope) const;

@@ -6,6 +6,7 @@
 #include <exception>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -545,6 +546,59 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
           throw;
         }
         harness.record_skip("engine.reduced_vs_full");
+      }
+    }
+  }
+
+  // --- (h) refill vs explore (symbolic::refill). Re-key one rate constant:
+  // the space refilled from the model's rate-only family must be the one a
+  // fresh explore builds — same states, same entries, same bits — and every
+  // property must answer the same bits on both. A constant that reaches more
+  // than a command rate leaves no rate variant; that is counted as a skip.
+  if (options.check_explore) {
+    const symbolic::FamilyExplore recorded = symbolic::explore_family(compiled);
+    std::vector<std::string> rates;
+    for (const auto& [name, value] : compiled->constant_values) {
+      if (value.is_numeric() && !value.is_int() && value.as_number() > 0.0) {
+        rates.push_back(name);
+      }
+    }
+    if (recorded.family && !rates.empty()) {
+      const std::string& name = rates[seed % rates.size()];
+      double base = 0.0;
+      for (const auto& [constant, value] : compiled->constant_values) {
+        if (constant == name) base = value.as_number();
+      }
+      const double rekeyed = seed % 2 == 0 ? base * 1.37 : base / 1.9;
+      auto point = std::make_shared<const symbolic::CompiledModel>(
+          symbolic::compile(model, {{name, symbolic::Value::of(rekeyed)}}));
+      std::optional<StateSpace> refilled = symbolic::refill(*recorded.family, point);
+      if (!refilled) {
+        harness.record_skip("explore.refill_vs_explore");
+      } else {
+        auto explored = std::make_shared<const StateSpace>(symbolic::explore(point));
+        bool same = refilled->state_count() == explored->state_count() &&
+                    refilled->transition_count() == explored->transition_count() &&
+                    refilled->initial_state() == explored->initial_state() &&
+                    csr_equal(refilled->rates(), explored->rates()) &&
+                    refilled->chain().exit_rates() == explored->chain().exit_rates();
+        for (size_t i = 0; same && i < explored->state_count(); ++i) {
+          same = refilled->state_values(i) == explored->state_values(i);
+        }
+        harness.record_pass_fail("explore.refill_vs_explore", seed,
+                                 tag + name + " re-keyed: refilled space equals explored",
+                                 same);
+        std::vector<std::string> all = properties.bounded;
+        for (const std::string& text : properties.unbounded) all.push_back(text);
+        const std::vector<double> from_refill =
+            csl::EngineSession(std::make_shared<const StateSpace>(std::move(*refilled)))
+                .check_all(all);
+        const std::vector<double> from_explore = csl::EngineSession(explored).check_all(all);
+        for (size_t i = 0; i < all.size(); ++i) {
+          harness.compare_exact("explore.refill_vs_explore", seed,
+                                tag + name + " re-keyed: " + all[i], from_refill[i],
+                                from_explore[i]);
+        }
       }
     }
   }

@@ -34,7 +34,11 @@
 //               resuming from the persisted snapshot, required to replay
 //               every property value bit-for-bit without recomputing
 //               ("checkpoint.resume_vs_fresh") — the crash-durability
-//               contract behind --checkpoint and serve worker respawns.
+//               contract behind --checkpoint and serve worker respawns;
+//   explore     one rate constant re-keyed: the space refilled from the
+//               model's rate-only family vs a fresh explore, entry by entry,
+//               and every property on both, bit-for-bit
+//               ("explore.refill_vs_explore").
 //
 // A failure records the iteration's seed; `autosec-verify --seed S
 // --iterations 1` reproduces it exactly.
@@ -76,6 +80,7 @@ struct DifferentialOptions {
   bool check_engine = true;
   bool check_mdp = true;
   bool check_checkpoint = true;
+  bool check_explore = true;
 
   RandomModelOptions model;
   RandomArchitectureOptions architecture;

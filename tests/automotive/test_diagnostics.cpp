@@ -345,10 +345,11 @@ TEST(BreachQuantile, BuildsOneUniformizationPerCallAndMatchesDirectBisection) {
   }
 }
 
-TEST(Diagnose, ArchOneAtNmaxTwoExploresAndUniformizesOncePerPointPlusOnce) {
-  // 10 rate constants, two points each, plus the one pair session: 21
-  // explores, and 21 uniformizations (each point's base chain, then the
-  // pair's absorbing chain).
+TEST(Diagnose, ArchOneAtNmaxTwoExploresTwiceAndUniformizesOncePerPointPlusOnce) {
+  // 10 rate constants, two points each, plus the one pair session: the pair
+  // session's explore, one explore that records the rate-only family and 19
+  // refills from it; 21 compiles, and 21 uniformizations (each point's base
+  // chain, then the pair's absorbing chain).
   AnalysisOptions options;
   options.nmax = 2;
   const Architecture arch = cs::architecture(1, Protection::kUnencrypted);
@@ -357,7 +358,8 @@ TEST(Diagnose, ArchOneAtNmaxTwoExploresAndUniformizesOncePerPointPlusOnce) {
   metrics.set_enabled(true);
   const Diagnosis diagnosis =
       diagnose(arch, cs::kMessage, SecurityCategory::kConfidentiality, options);
-  EXPECT_EQ(metrics.counter_value("session.explores"), 21u);
+  EXPECT_EQ(metrics.counter_value("session.explores"), 2u);
+  EXPECT_EQ(metrics.counter_value("session.refills"), 19u);
   EXPECT_EQ(metrics.counter_value("session.compiles"), 21u);
   EXPECT_EQ(metrics.counter_value("ctmc.uniformizations"), 21u);
   metrics.set_enabled(false);

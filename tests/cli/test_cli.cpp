@@ -221,10 +221,26 @@ TEST_F(CliFixture, SweepSolvesOnlyTheExposureOncePerPoint) {
   ASSERT_EQ(result.exit_code, 0) << result.err;
   const std::string json = slurp(metrics_path);
   EXPECT_EQ(metric(json, "session.properties"), 4);
-  EXPECT_EQ(metric(json, "session.explores"), 4);
+  // One explore records the rate-only family; the other points refill.
+  EXPECT_EQ(metric(json, "session.explores"), 1);
+  EXPECT_EQ(metric(json, "session.refills"), 3);
   // No steady state, no fixpoint: only the cumulative exposure is solved.
   EXPECT_EQ(metric(json, "steady_state.solves"), -1);
   EXPECT_EQ(metric(json, "solver.fixpoint_solves"), -1);
+}
+
+TEST_F(CliFixture, SweepUnderAMemoryBudgetHoldsOnlyWhatIsAlive) {
+  // Each released point gives its bytes back, so the budget bounds what the
+  // sweep holds: the rate-only family (83,816 bytes here) plus one stage set
+  // (245,432 bytes) per pool lane. Ten points would charge 2.57 MB if none
+  // were released; at two lanes at most about 0.6 MB is held at once. (At
+  // four lanes, four live stage sets and the family make 1,065,544 bytes,
+  // just over the 1 MB ceiling, so the lane count is pinned.)
+  const Result result = run({"sweep", *path_, "--message", "m", "--nmax", "2",
+                             "--constant", "phi_3g", "--from", "1", "--to", "100",
+                             "--points", "10", "--threads", "2", "--max-memory-mb", "1"});
+  EXPECT_EQ(result.exit_code, 0) << result.err;
+  EXPECT_NE(result.out.find("100"), std::string::npos);
 }
 
 TEST_F(CliFixture, SweepCheckpointFreshResumedAndInterruptedPrintTheSameTable) {

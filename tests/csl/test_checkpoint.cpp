@@ -441,5 +441,26 @@ TEST_F(CheckpointTest, CheckPointsKeepsOneRecordPerPointAndResumesEachPoint) {
   }
 }
 
+TEST_F(CheckpointTest, AValueTheSessionHoldsStillRecordsIntoTheLedger) {
+  // The ledger's content never depends on what the session solved before: a
+  // property answered from the stage set's values is recorded like a solve.
+  const std::string property = "P=? [ F<=0.5 \"broken\" ]";
+  EngineSession session(repair_model());
+  const double value = session.check(property);
+  auto ledger = std::make_shared<CheckpointLedger>(options());
+  ledger->load();
+  session.set_checkpoint(ledger);
+  EXPECT_EQ(session.check(property), value);
+  EXPECT_EQ(session.stats().value_hit_count, 1u);
+  ledger->flush();
+
+  auto resumed = std::make_shared<CheckpointLedger>(options());
+  EXPECT_EQ(resumed->load(), 1u);
+  EngineSession fresh(repair_model());
+  fresh.set_checkpoint(resumed);
+  EXPECT_EQ(fresh.check(property), value);
+  EXPECT_EQ(resumed->resumed_hits(), 1u);
+}
+
 }  // namespace
 }  // namespace autosec::csl

@@ -11,6 +11,8 @@
 
 #include "symbolic/builder.hpp"
 #include "util/budget.hpp"
+#include "util/cancel.hpp"
+#include "util/failure.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
@@ -244,21 +246,27 @@ TEST(EngineSession, CheckPointsEqualsPerPointRekeyedChecksAtOneAndFourThreads) {
                                               << " threads";
       EXPECT_EQ(values[i].state_count, expected_states[i]) << "point " << i;
     }
-    // Only the three keys the session had not built were explored; the
-    // active key and its space are untouched.
-    EXPECT_EQ(session.stats().explore_count, 4u);
+    // Only the three keys the session had not built were built: the first
+    // explored and recorded the rate-only family, {a=4, b=3} refilled from
+    // it, and top=3 (a larger space, not a rate variant) explored. The active
+    // key and its space are untouched.
+    EXPECT_EQ(session.stats().explore_count, 3u);
+    EXPECT_EQ(session.stats().refill_count, 1u);
     EXPECT_EQ(session.stats().check_count, points.size());
     EXPECT_EQ(override_cache_key(session.options().constant_overrides),
               override_cache_key(active));
     EXPECT_EQ(session.space().state_count(), active_states);
-    EXPECT_EQ(session.stats().explore_count, 4u);
+    EXPECT_EQ(session.stats().explore_count, 3u);
 
-    // A repeat explores nothing and answers bit-identically.
+    // A repeat builds and solves nothing and answers bit-identically.
+    const size_t hits = session.stats().value_hit_count;
     const std::vector<PointValue> again = session.check_points(property, points);
     for (size_t i = 0; i < points.size(); ++i) {
       EXPECT_EQ(again[i].value, values[i].value);
     }
-    EXPECT_EQ(session.stats().explore_count, 4u);
+    EXPECT_EQ(session.stats().explore_count, 3u);
+    EXPECT_EQ(session.stats().refill_count, 1u);
+    EXPECT_EQ(session.stats().value_hit_count, hits + points.size());
   }
   util::set_thread_count(0);
 }
@@ -347,12 +355,16 @@ TEST(EngineSession, CheckPointsReleasesOnlyTheStageSetsItBuilt) {
   for (size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(values[i].value, expected[i].value) << "point " << i;
   }
-  EXPECT_EQ(session.stats().explore_count, 3u);
-  // The two sets the call built are gone, the active key's set stays.
+  // a=1 explored and recorded the rate-only family, a=4 refilled from it.
+  EXPECT_EQ(session.stats().explore_count, 2u);
+  EXPECT_EQ(session.stats().refill_count, 1u);
+  // The two sets the call built are gone (both refill again from the
+  // family the session keeps), the active key's set stays.
   session.check_points(property, points);
-  EXPECT_EQ(session.stats().explore_count, 5u);
+  EXPECT_EQ(session.stats().explore_count, 2u);
+  EXPECT_EQ(session.stats().refill_count, 3u);
   session.space();
-  EXPECT_EQ(session.stats().explore_count, 5u);
+  EXPECT_EQ(session.stats().explore_count, 2u);
 }
 
 TEST(EngineSession, CheckPointsWithoutParallelPropertiesAgrees) {
@@ -368,6 +380,243 @@ TEST(EngineSession, CheckPointsWithoutParallelPropertiesAgrees) {
   EXPECT_NEAR(a[0].value, 1.0 / 7.0, 1e-12);
   EXPECT_NEAR(a[1].value, 3.0 / 9.0, 1e-12);
   for (size_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].value, b[i].value);
+}
+
+uint64_t bits(double value) { return std::bit_cast<uint64_t>(value); }
+
+TEST(EngineSession, RepeatedChecksAndPointsAnswerFromTheSolvedValues) {
+  util::metrics::Registry& metrics = util::metrics::registry();
+  metrics.reset();
+  metrics.set_enabled(true);
+  const std::string property = "R{\"downtime\"}=? [ C<=1.5 ]";
+  EngineSession session(sized_repair_model());
+  const double first = session.check(property);
+  const uint64_t products = metrics.counter_value("ctmc.matrix_vector_products");
+  EXPECT_GT(products, 0u);
+  EXPECT_EQ(bits(session.check(property)), bits(first));
+  EXPECT_EQ(metrics.counter_value("ctmc.matrix_vector_products"), products);
+
+  const std::vector<OverrideSet> points = {{{"a", symbolic::Value::of(1.0)}},
+                                          {{"a", symbolic::Value::of(3.0)}}};
+  const std::vector<PointValue> values = session.check_points(property, points);
+  const uint64_t after_points = metrics.counter_value("ctmc.matrix_vector_products");
+  EXPECT_GT(after_points, products);
+  const std::vector<PointValue> again = session.check_points(property, points);
+  EXPECT_EQ(metrics.counter_value("ctmc.matrix_vector_products"), after_points);
+  for (size_t i = 0; i < points.size(); ++i) {
+    EXPECT_EQ(bits(again[i].value), bits(values[i].value)) << "point " << i;
+  }
+  EXPECT_EQ(metrics.counter_value("session.value_hits"), 3u);
+  EXPECT_EQ(session.stats().value_hit_count, 3u);
+  EXPECT_EQ(session.stats().check_count, 6u);
+  metrics.set_enabled(false);
+  metrics.reset();
+}
+
+TEST(EngineSession, CheckAllWithHeldGroupMembersEqualsOneCheckPerMember) {
+  const std::vector<std::string> properties = {
+      "R{\"downtime\"}=? [ C<=1 ]", "P=? [ F<=0.5 \"broken\" ]",
+      "R{\"downtime\"}=? [ C<=2.5 ]", "S=? [ \"broken\" ]",
+      "R{\"downtime\"}=? [ C<=4 ]",
+  };
+  const OverrideSet larger = {{"top", symbolic::Value::of(int64_t{3})}};
+  SessionOptions options;
+  options.constant_overrides = larger;
+  std::vector<double> expected;
+  for (const std::string& property : properties) {
+    expected.push_back(EngineSession(sized_repair_model(), options).check(property));
+  }
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    util::set_thread_count(threads);
+    // The group's first member held, then a middle one.
+    for (const size_t held : {size_t{0}, size_t{2}}) {
+      EngineSession session(sized_repair_model(), options);
+      session.check(properties[held]);
+      const std::vector<double> values = session.check_all(properties);
+      for (size_t i = 0; i < properties.size(); ++i) {
+        EXPECT_EQ(bits(values[i]), bits(expected[i]))
+            << properties[i] << ", held " << held << ", " << threads << " threads";
+      }
+      EXPECT_EQ(session.stats().value_hit_count, 1u);
+    }
+  }
+  util::set_thread_count(0);
+}
+
+TEST(EngineSession, CancelledAndBudgetFailedSolvesStoreNothing) {
+  const std::string property = "R{\"downtime\"}=? [ C<=1.5 ]";
+  const double expected = EngineSession(repair_model(2.0, 6.0)).check(property);
+
+  bool cancel = false;
+  SessionOptions options;
+  options.transient.cancelled = [&] { return cancel; };
+  EngineSession session(repair_model(2.0, 6.0), options);
+  session.space();
+  cancel = true;
+  EXPECT_THROW(session.check(property), util::Cancelled);
+  cancel = false;
+  EXPECT_EQ(bits(session.check(property)), bits(expected));
+  EXPECT_EQ(session.stats().value_hit_count, 0u);
+
+  EngineSession budgeted(repair_model(2.0, 6.0));
+  budgeted.space();
+  budgeted.set_resource_budget(std::make_shared<util::ResourceBudget>(0, 1));
+  EXPECT_THROW(budgeted.check(property), util::EngineFailure);
+  budgeted.set_resource_budget(nullptr);
+  EXPECT_EQ(bits(budgeted.check(property)), bits(expected));
+  EXPECT_EQ(budgeted.stats().value_hit_count, 0u);
+}
+
+TEST(EngineSession, ConcurrentCheckPointsOnOneSessionMatchSerialBitForBit) {
+  const std::string property = "R{\"downtime\"}=? [ C<=2 ]";
+  std::vector<OverrideSet> points;
+  for (const int64_t top : {20, 60}) {
+    for (const double a : {0.5, 2.0, 7.0}) {
+      points.push_back({{"top", symbolic::Value::of(top)}, {"a", symbolic::Value::of(a)}});
+    }
+  }
+  std::vector<OverrideSet> reversed(points.rbegin(), points.rend());
+  util::set_thread_count(1);
+  EngineSession reference(sized_repair_model());
+  const std::vector<PointValue> serial = reference.check_points(property, points);
+
+  util::set_thread_count(4);
+  for (int round = 0; round < 5; ++round) {
+    for (const PointStages keep : {PointStages::kKeep, PointStages::kRelease}) {
+      EngineSession session(sized_repair_model());
+      std::vector<PointValue> backward;
+      std::string error;
+      std::thread other([&] {
+        try {
+          backward = session.check_points(property, reversed, keep);
+        } catch (const std::exception& e) {
+          error = e.what();
+        }
+      });
+      const std::vector<PointValue> forward = session.check_points(property, points, keep);
+      other.join();
+      ASSERT_EQ(error, "");
+      ASSERT_EQ(backward.size(), points.size());
+      for (size_t i = 0; i < points.size(); ++i) {
+        EXPECT_EQ(bits(forward[i].value), bits(serial[i].value)) << "point " << i;
+        EXPECT_EQ(bits(backward[points.size() - 1 - i].value), bits(serial[i].value))
+            << "point " << i;
+      }
+    }
+  }
+  util::set_thread_count(0);
+}
+
+TEST(EngineSession, ReleasedPointsReturnTheirBytesToTheBudget) {
+  const std::string property = "R{\"downtime\"}=? [ C<=1.5 ]";
+  const OverrideSet larger = {{"top", symbolic::Value::of(int64_t{40})}};
+  const auto point = [&](double a) {
+    OverrideSet set = larger;
+    set.emplace_back("a", symbolic::Value::of(a));
+    return set;
+  };
+  const std::vector<OverrideSet> points = {point(1.0), point(2.5), point(4.0)};
+  const auto budget = std::make_shared<util::ResourceBudget>();
+  SessionOptions options;
+  options.constant_overrides = larger;
+  EngineSession session(sized_repair_model(), options);
+  session.set_resource_budget(budget);
+  session.space();  // the active key's set stays, and stays charged
+  const size_t before = budget->charged_bytes();
+
+  // The session still holds the rate-only family the first point recorded:
+  // its store, row structure and rate terms.
+  const symbolic::FamilyExplore recorded = symbolic::explore_family(
+      std::make_shared<const symbolic::CompiledModel>(
+          symbolic::compile(sized_repair_model(), points[0])));
+  ASSERT_NE(recorded.family, nullptr);
+  session.check_points(property, points, PointStages::kRelease);
+  EXPECT_EQ(budget->charged_bytes(), before + recorded.family->bytes());
+  // Later points refill from that family and give everything back.
+  session.check_points(property, std::vector<OverrideSet>{point(8.0), point(9.0)},
+                       PointStages::kRelease);
+  EXPECT_EQ(budget->charged_bytes(), before + recorded.family->bytes());
+  EXPECT_EQ(session.stats().explore_count, 2u);
+  EXPECT_EQ(session.stats().refill_count, 4u);
+
+  // Points that are not rate variants of each other explore their own
+  // stores; released, those come back too.
+  const auto plain_budget = std::make_shared<util::ResourceBudget>();
+  EngineSession sizes(sized_repair_model());
+  sizes.set_resource_budget(plain_budget);
+  std::vector<OverrideSet> tops;
+  for (const int64_t top : {10, 20, 30}) tops.push_back({{"top", symbolic::Value::of(top)}});
+  sizes.check_points(property, tops, PointStages::kRelease);
+  const symbolic::FamilyExplore first = symbolic::explore_family(
+      std::make_shared<const symbolic::CompiledModel>(
+          symbolic::compile(sized_repair_model(), tops[0])));
+  EXPECT_EQ(plain_budget->charged_bytes(), first.family->bytes());
+  EXPECT_EQ(sizes.stats().explore_count, 3u);
+  EXPECT_EQ(sizes.stats().refill_count, 0u);
+}
+
+TEST(EngineSession, PointsThatCannotRefillExploreWithExploresOwnErrors) {
+  const std::string property = "R{\"downtime\"}=? [ C<=1.5 ]";
+  const symbolic::Model model = sized_repair_model();
+  const OverrideSet base = {{"top", symbolic::Value::of(int64_t{5})}};
+  const auto with = [&](const char* name, symbolic::Value value) {
+    OverrideSet set = base;
+    set.emplace_back(name, value);
+    return set;
+  };
+  EngineSession session(model);
+  session.check_points(property, std::vector<OverrideSet>{with("a", symbolic::Value::of(1.0))});
+  EXPECT_EQ(session.stats().explore_count, 1u);
+
+  // A negative rate: the point explores, and fails as explore does.
+  const OverrideSet negative = with("b", symbolic::Value::of(-1.0));
+  std::string direct;
+  try {
+    symbolic::explore(symbolic::compile(model, negative));
+  } catch (const symbolic::ModelError& error) {
+    direct = error.what();
+  }
+  ASSERT_FALSE(direct.empty());
+  try {
+    session.check_points(property, std::vector<OverrideSet>{negative});
+    FAIL() << "expected a ModelError";
+  } catch (const symbolic::ModelError& error) {
+    EXPECT_EQ(std::string(error.what()), direct);
+  }
+
+  // A zero rate drops its command: a different graph, explored.
+  const OverrideSet zero = with("b", symbolic::Value::of(0.0));
+  SessionOptions zero_options;
+  zero_options.constant_overrides = zero;
+  const double expected = EngineSession(model, zero_options).check(property);
+  const size_t explores = session.stats().explore_count;
+  EXPECT_EQ(bits(session.check_points(property, std::vector<OverrideSet>{zero})[0].value),
+            bits(expected));
+  EXPECT_EQ(session.stats().explore_count, explores + 1);
+
+  // A state ceiling below the family's size: explore's typed failure, with
+  // its progress.
+  session.set_resource_budget(std::make_shared<util::ResourceBudget>(3, 0));
+  try {
+    session.check_points(property, std::vector<OverrideSet>{with("a", symbolic::Value::of(9.0))});
+    FAIL() << "expected state_budget_exceeded";
+  } catch (const util::EngineFailure& failure) {
+    EXPECT_EQ(failure.code(), util::FailureCode::kStateBudgetExceeded);
+    ASSERT_TRUE(failure.progress().states_explored.has_value());
+    EXPECT_EQ(*failure.progress().states_explored, 3u);
+  }
+  session.set_resource_budget(nullptr);
+  const size_t refills = session.stats().refill_count;
+
+  // Symmetry reduction asked for: every point explores.
+  SessionOptions reduced;
+  reduced.plan.reduction = symbolic::SymmetryReduction::kOn;
+  EngineSession reducing(model, reduced);
+  reducing.check_points(property, std::vector<OverrideSet>{with("a", symbolic::Value::of(1.0)),
+                                                           with("a", symbolic::Value::of(2.0))});
+  EXPECT_EQ(reducing.stats().explore_count, 2u);
+  EXPECT_EQ(reducing.stats().refill_count, 0u);
+  EXPECT_EQ(session.stats().refill_count, refills);
 }
 
 }  // namespace

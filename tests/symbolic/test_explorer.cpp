@@ -172,6 +172,7 @@ TEST(Explorer, ChargesStoreAndCsrArraysToTheByteBudget) {
     const StateSpace space = explore(compiled, unlimited);
     const size_t footprint = explored_bytes(space);
     EXPECT_EQ(unlimited.budget->charged_bytes(), footprint);
+    EXPECT_EQ(space.store_bytes() + space.array_bytes(), footprint);
 
     ExploreOptions tight;
     tight.budget = std::make_shared<util::ResourceBudget>(0, footprint / 2);

@@ -36,14 +36,16 @@ TEST(Differential, AllCheckFamiliesRun) {
         "batch.shared_vs_single",
         "roundtrip.model_text_fixpoint",
         "roundtrip.model_state_space", "roundtrip.arch_text_fixpoint",
-        "engine.reduced_vs_full"}) {
+        "engine.reduced_vs_full", "explore.refill_vs_explore"}) {
     const auto it = report.checks.find(family);
     ASSERT_NE(it, report.checks.end()) << family << " never ran";
     EXPECT_GT(it->second.runs, 0u) << family;
     EXPECT_EQ(it->second.failures, 0u) << family;
   }
-  // The blocked kernel sums every row exactly as the CSR kernel does.
+  // The blocked kernel sums every row exactly as the CSR kernel does, and a
+  // refill sums every entry exactly as exploration does.
   EXPECT_EQ(report.checks.at("solver.blocked_vs_csr").max_error, 0.0);
+  EXPECT_EQ(report.checks.at("explore.refill_vs_explore").max_error, 0.0);
 }
 
 TEST(Differential, DeterministicInTheSeed) {
@@ -64,6 +66,7 @@ TEST(Differential, FamiliesCanBeDisabled) {
   options.check_engine = false;
   options.check_mdp = false;
   options.check_checkpoint = false;
+  options.check_explore = false;
   const DifferentialReport report = run_differential(options);
   EXPECT_TRUE(report.ok()) << report.summary();
   for (const auto& [name, outcome] : report.checks) {

@@ -25,7 +25,7 @@ void print_usage(std::ostream& os) {
         "  --threads N        thread count of the parallel leg (default 4)\n"
         "  --skip FAMILY      disable a family: oracle, solvers, kernels,\n"
         "                     lumping, parallel, roundtrip, engine, mdp,\n"
-        "                     checkpoint (repeatable)\n"
+        "                     checkpoint, explore (repeatable)\n"
         "  --faults           run the fault-injection checks instead: arm every\n"
         "                     known fault site and prove each yields a structured\n"
         "                     error (and serve keeps serving)\n"
@@ -90,6 +90,8 @@ int main(int argc, char** argv) {
         options.check_mdp = false;
       } else if (family == "checkpoint") {
         options.check_checkpoint = false;
+      } else if (family == "explore") {
+        options.check_explore = false;
       } else {
         fail_usage("unknown family '" + family + "'");
       }
@@ -113,7 +115,10 @@ int main(int argc, char** argv) {
                    "           vs the plain fixpoint\n"
                    "checkpoint a run recording into a checkpoint ledger vs a second\n"
                    "           run resuming from the persisted snapshot (bit-exact\n"
-                   "           replay, no recomputation)\n";
+                   "           replay, no recomputation)\n"
+                   "explore    a space refilled from its rate-only family with one\n"
+                   "           rate constant re-keyed vs a fresh explore (entry by\n"
+                   "           entry, and every property bit-exact)\n";
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
