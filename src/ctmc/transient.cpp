@@ -49,6 +49,16 @@ size_t csr_bytes(size_t nonzeros, size_t rows) {
          (rows + 1) * sizeof(uint32_t);
 }
 
+/// Returns a call-local stage's charge to the budget when the stage goes,
+/// whether the call returns or throws.
+struct ChargeRelease {
+  util::ResourceBudget* budget;
+  size_t bytes;
+  ~ChargeRelease() {
+    if (budget != nullptr) budget->release_bytes(bytes);
+  }
+};
+
 }  // namespace
 
 size_t Uniformized::held_bytes() const {
@@ -175,7 +185,11 @@ std::vector<double> transient_distribution(const Ctmc& chain,
   check_distribution(chain.state_count(), initial);
   if (t < 0.0) throw std::invalid_argument("transient: negative time");
   if (t == 0.0 || chain.max_exit_rate() == 0.0) return initial;
-  return transient_distribution(uniformize(chain, options), initial, t, options);
+  // This stage (a bounded until's absorbing copy, say) lives for this call
+  // only, so the budget keeps its charge only as long as it holds the stage.
+  const Uniformized stage = uniformize(chain, options);
+  const ChargeRelease release{options.budget.get(), stage.held_bytes()};
+  return transient_distribution(stage, initial, t, options);
 }
 
 double transient_probability(const Ctmc& chain, const std::vector<double>& initial,

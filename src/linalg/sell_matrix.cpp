@@ -1,13 +1,115 @@
 #include "linalg/sell_matrix.hpp"
 
 #include <algorithm>
+#include <climits>
 #include <functional>
 #include <numeric>
 #include <stdexcept>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#endif
+
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace autosec::linalg {
+
+namespace {
+
+constexpr size_t kChunkRows = SellMatrix::kChunkRows;
+
+/// The packed arrays one product reads. The chunk loops are free functions
+/// over this view so the AVX-512 one can carry its own target attribute.
+struct Packed {
+  const uint32_t* chunk_offsets;
+  const uint32_t* row_lengths;
+  const uint32_t* row_ids;
+  const uint32_t* columns;
+  const double* values;
+  size_t rows;
+};
+
+void scalar_chunks(const Packed& m, const double* x, double* y, size_t begin,
+                   size_t end) {
+  for (size_t c = begin; c < end; ++c) {
+    const size_t base = m.chunk_offsets[c];
+    const size_t width = (m.chunk_offsets[c + 1] - base) / kChunkRows;
+    const size_t lane_count = std::min(kChunkRows, m.rows - c * kChunkRows);
+    double acc[kChunkRows] = {0.0};
+    const uint32_t* lens = m.row_lengths + c * kChunkRows;
+    // The σ-window sort leaves every chunk's lane lengths non-increasing
+    // (kChunkRows divides kSortWindow, so chunks never straddle a window).
+    // Lanes still holding entries at step j therefore form a prefix, and
+    // the per-lane predicate collapses to a branchless `l < active` bound.
+    // Each lane still accumulates its row's entries in ascending column
+    // order — exactly the CSR sum, bit for bit.
+    size_t active = lane_count;
+    for (size_t j = 0; j < width; ++j) {
+      while (active > 0 && lens[active - 1] <= j) --active;
+      const uint32_t* cols = m.columns + base + j * kChunkRows;
+      const double* vals = m.values + base + j * kChunkRows;
+      if (active == kChunkRows) {
+        // Fixed trip count: the compiler unrolls the full-chunk case.
+        for (size_t l = 0; l < kChunkRows; ++l) acc[l] += vals[l] * x[cols[l]];
+      } else {
+        for (size_t l = 0; l < active; ++l) acc[l] += vals[l] * x[cols[l]];
+      }
+    }
+    const uint32_t* ids = m.row_ids + c * kChunkRows;
+    for (size_t l = 0; l < lane_count; ++l) y[ids[l]] = acc[l];
+  }
+}
+
+#if defined(__x86_64__)
+/// The scalar loop with the eight lanes of a chunk in one zmm accumulator.
+/// Per column step: a gather of x, a multiply, then a separate add, masked to
+/// the lanes whose rows still have entries in both the gather and the add. An
+/// unmasked lane would add 0·x[0] to a finished row, which turns a NaN or Inf
+/// at x[0] into NaN and can flip a −0.0 sum. Built without FP contraction,
+/// every lane rounds its product and its sum exactly as the scalar loop does.
+__attribute__((target("avx512f"))) void avx512_chunks(const Packed& m,
+                                                      const double* x, double* y,
+                                                      size_t begin, size_t end) {
+  for (size_t c = begin; c < end; ++c) {
+    const size_t base = m.chunk_offsets[c];
+    const size_t width = (m.chunk_offsets[c + 1] - base) / kChunkRows;
+    const size_t lane_count = std::min(kChunkRows, m.rows - c * kChunkRows);
+    // Lane l is active at step j while j < its row length: one compare per
+    // step against the lengths, loaded once per chunk (masked, so the last
+    // chunk reads no length past the last row). Branch-free, unlike the
+    // scalar loop's prefix walk, whose exits mispredict.
+    const __m512i lens = _mm512_maskz_loadu_epi32(
+        static_cast<__mmask16>((1u << lane_count) - 1u), m.row_lengths + c * kChunkRows);
+    __m512d acc = _mm512_setzero_pd();
+    for (size_t j = 0; j < width; ++j) {
+      const __mmask8 lanes = static_cast<__mmask8>(
+          _mm512_cmpgt_epu32_mask(lens, _mm512_set1_epi32(static_cast<int>(j))));
+      const __m256i cols = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(m.columns + base + j * kChunkRows));
+      const __m512d vals = _mm512_loadu_pd(m.values + base + j * kChunkRows);
+      const __m512d xs =
+          _mm512_mask_i32gather_pd(_mm512_setzero_pd(), lanes, cols, x, sizeof(double));
+      acc = _mm512_mask_add_pd(acc, lanes, acc, _mm512_mul_pd(vals, xs));
+    }
+    alignas(64) double sums[kChunkRows];
+    _mm512_store_pd(sums, acc);
+    const uint32_t* ids = m.row_ids + c * kChunkRows;
+    for (size_t l = 0; l < lane_count; ++l) y[ids[l]] = sums[l];
+  }
+}
+#endif
+
+bool cpu_has_avx512f() {
+#if defined(__x86_64__)
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("avx512f");
+#else
+  return false;
+#endif
+}
+
+}  // namespace
 
 MatrixLayout resolve_layout(MatrixLayout requested, const CsrMatrix& matrix) {
   if (requested != MatrixLayout::kAuto) return requested;
@@ -55,6 +157,10 @@ SellMatrix::SellMatrix(const CsrMatrix& source)
   if (total > static_cast<size_t>(UINT32_MAX)) {
     throw std::length_error("SellMatrix: padded entry count exceeds uint32 offsets");
   }
+  if (column_count_ > static_cast<size_t>(INT_MAX)) {
+    // The AVX-512 gather reads its indices as signed 32-bit integers.
+    throw std::length_error("SellMatrix: column count exceeds int32 gather indices");
+  }
 
   // Padding lanes keep column 0 / value 0; the kernel predicates on the true
   // row length and never reads them.
@@ -73,6 +179,10 @@ SellMatrix::SellMatrix(const CsrMatrix& source)
       }
     }
   }
+  // Names the loop every product of this matrix runs, so a metrics file
+  // says which kernel its product rate came from.
+  util::metrics::registry().gauge("linalg.sell_simd_lanes",
+                                  static_cast<double>(simd_lanes()));
 }
 
 size_t SellMatrix::bytes_for(const CsrMatrix& source) {
@@ -95,42 +205,51 @@ size_t SellMatrix::bytes_for(const CsrMatrix& source) {
          (chunks + 1) * sizeof(uint32_t);
 }
 
-void SellMatrix::right_multiply(std::span<const double> x, std::span<double> y) const {
+size_t SellMatrix::simd_lanes() {
+  // Asked once per process: both loops give the same bits, so the choice
+  // never shows in a result, only in the time a product takes.
+  static const size_t lanes = cpu_has_avx512f() ? kChunkRows : 1;
+  return lanes;
+}
+
+template <class ChunkLoop>
+void SellMatrix::multiply(std::span<const double> x, std::span<double> y,
+                          ChunkLoop chunk_loop) const {
   if (x.size() != column_count_ || y.size() != row_count_) {
     throw std::invalid_argument("SellMatrix::right_multiply: dimension mismatch");
   }
+  const Packed packed{chunk_offsets_.data(), row_lengths_.data(), row_ids_.data(),
+                      columns_.data(),       values_.data(),      row_count_};
   const size_t chunks = chunk_offsets_.empty() ? 0 : chunk_offsets_.size() - 1;
   // Chunk-disjoint writes (each row belongs to exactly one chunk lane), same
   // grain as the CSR kernel in rows: 1024 rows = 128 chunks per task.
   util::parallel_for(0, chunks, 128, [&](size_t begin, size_t end) {
-    for (size_t c = begin; c < end; ++c) {
-      const size_t base = chunk_offsets_[c];
-      const size_t width = (chunk_offsets_[c + 1] - base) / kChunkRows;
-      const size_t lane_count = std::min(kChunkRows, row_count_ - c * kChunkRows);
-      double acc[kChunkRows] = {0.0};
-      const uint32_t* lens = row_lengths_.data() + c * kChunkRows;
-      // The σ-window sort leaves every chunk's lane lengths non-increasing
-      // (kChunkRows divides kSortWindow, so chunks never straddle a window).
-      // Lanes still holding entries at step j therefore form a prefix, and
-      // the per-lane predicate collapses to a branchless `l < active` bound.
-      // Each lane still accumulates its row's entries in ascending column
-      // order — exactly the CSR sum, bit for bit.
-      size_t active = lane_count;
-      for (size_t j = 0; j < width; ++j) {
-        while (active > 0 && lens[active - 1] <= j) --active;
-        const uint32_t* cols = columns_.data() + base + j * kChunkRows;
-        const double* vals = values_.data() + base + j * kChunkRows;
-        if (active == kChunkRows) {
-          // Fixed trip count: the compiler unrolls the full-chunk case.
-          for (size_t l = 0; l < kChunkRows; ++l) acc[l] += vals[l] * x[cols[l]];
-        } else {
-          for (size_t l = 0; l < active; ++l) acc[l] += vals[l] * x[cols[l]];
-        }
-      }
-      const uint32_t* ids = row_ids_.data() + c * kChunkRows;
-      for (size_t l = 0; l < lane_count; ++l) y[ids[l]] = acc[l];
-    }
+    chunk_loop(packed, x.data(), y.data(), begin, end);
   });
+}
+
+void SellMatrix::right_multiply(std::span<const double> x, std::span<double> y) const {
+  if (simd_lanes() == kChunkRows) {
+    right_multiply_avx512(x, y);
+  } else {
+    right_multiply_scalar(x, y);
+  }
+}
+
+void SellMatrix::right_multiply_scalar(std::span<const double> x,
+                                       std::span<double> y) const {
+  multiply(x, y, scalar_chunks);
+}
+
+void SellMatrix::right_multiply_avx512(std::span<const double> x,
+                                       std::span<double> y) const {
+#if defined(__x86_64__)
+  if (simd_lanes() == kChunkRows) {
+    multiply(x, y, avx512_chunks);
+    return;
+  }
+#endif
+  throw std::logic_error("SellMatrix::right_multiply_avx512: this CPU lacks AVX-512F");
 }
 
 }  // namespace autosec::linalg

@@ -7,13 +7,20 @@
 // for efficient general sparse matrix-vector multiplication").
 //
 // Bit-exactness contract: right_multiply performs, for every row, exactly the
-// same sequence of fused multiply-adds as CsrMatrix::right_multiply — the
-// row's entries in ascending column order, accumulated into one scalar. Lanes
-// are predicated on the true row length (padding entries are never touched,
-// so a 0·Inf = NaN can never leak in), and each row is written by exactly one
-// thread. Results are therefore bit-identical to the CSR kernel at any thread
-// count, which is what lets the engine switch layouts per matrix without
-// breaking the determinism contract.
+// same sequence of multiplies and adds as CsrMatrix::right_multiply — the
+// row's entries in ascending column order, each product rounded, then added
+// into one accumulator. Lanes are predicated on the true row length (padding
+// entries are never touched, so a 0·Inf = NaN can never leak in), and each
+// row is written by exactly one thread. Results are therefore bit-identical
+// to the CSR kernel at any thread count, which is what lets the engine switch
+// layouts per matrix without breaking the determinism contract.
+//
+// Two loops keep that contract. The process picks one once, from its CPU:
+// the AVX-512 loop (one zmm accumulator per chunk, a masked gather of x, a
+// multiply and a separate masked add per column step) where AVX-512F is
+// present, and the scalar loop everywhere else. The library is built with
+// -ffp-contract=off so the compiler never fuses that multiply and add into
+// an FMA, which would round once instead of twice and break the contract.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +51,8 @@ MatrixLayout resolve_layout(MatrixLayout requested, const CsrMatrix& matrix);
 /// Immutable SELL-C-σ copy of a CsrMatrix, built once at uniformize time.
 class SellMatrix {
  public:
-  /// Chunk height: 8 doubles = one AVX-512 register, two AVX2 registers.
+  /// Chunk height: 8 doubles = one AVX-512 register, so the AVX-512 loop
+  /// keeps a whole chunk's accumulators in one zmm.
   static constexpr size_t kChunkRows = 8;
   /// Length-sorting window (σ), a multiple of the chunk height.
   static constexpr size_t kSortWindow = 64;
@@ -69,10 +77,28 @@ class SellMatrix {
   static size_t bytes_for(const CsrMatrix& source);
 
   /// y = M · x, bit-identical to CsrMatrix::right_multiply at any thread
-  /// count (see the header comment for the contract).
+  /// count (see the header comment for the contract), through the loop this
+  /// process chose from its CPU (see simd_lanes()).
   void right_multiply(std::span<const double> x, std::span<double> y) const;
 
+  /// The two loops right_multiply chooses between, callable directly so the
+  /// kernel tests can compare each with CSR on an AVX-512 host. The AVX-512
+  /// loop throws std::logic_error where simd_lanes() is 1.
+  void right_multiply_scalar(std::span<const double> x, std::span<double> y) const;
+  void right_multiply_avx512(std::span<const double> x, std::span<double> y) const;
+
+  /// Rows per step of the loop right_multiply runs: kChunkRows for the
+  /// AVX-512 loop (x86-64 with AVX-512F), 1 for the scalar loop. Decided at
+  /// the first call and fixed for the life of the process.
+  static size_t simd_lanes();
+
  private:
+  /// Checks the dimensions, then runs `chunk_loop` over every chunk on the
+  /// engine pool; instantiated only in sell_matrix.cpp.
+  template <class ChunkLoop>
+  void multiply(std::span<const double> x, std::span<double> y,
+                ChunkLoop chunk_loop) const;
+
   size_t row_count_ = 0;
   size_t column_count_ = 0;
   size_t nonzeros_ = 0;

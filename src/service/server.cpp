@@ -724,13 +724,15 @@ std::string Server::handle_line(const std::string& line) {
         if (disk_cached) {
           if (const std::optional<std::string> payload =
                   disk_cache_->lookup(job.identity.job)) {
-            const JsonValue stored = JsonValue::parse(*payload);
-            if (const JsonValue* stored_result = stored.find("result")) {
-              result = *stored_result;
+            JsonValue stored = JsonValue::parse(*payload);
+            if (stored.find("result") != nullptr) {
               metrics.disk_cache = "hit";
               metrics.states =
                   static_cast<size_t>(stored.int_or("states", 0));
               metrics.engine = stored.string_or("engine", "none");
+              // The parsed document is ours: move the (large) result out
+              // instead of copying it.
+              result = std::move(stored["result"]);
               util::metrics::registry().add("serve.disk_hits");
             }
           }

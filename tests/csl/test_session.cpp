@@ -555,6 +555,24 @@ TEST(EngineSession, ReleasedPointsReturnTheirBytesToTheBudget) {
   EXPECT_EQ(sizes.stats().refill_count, 0u);
 }
 
+TEST(EngineSession, BoundedUntilSolvesReturnTheirUniformizationToTheBudget) {
+  // Each P=? [ F<=t ] uniformizes its own absorbing copy of the chain and
+  // frees it with the solve; the budget must give that charge back, so it
+  // bounds what the session holds, not what it has ever built.
+  SessionOptions options;
+  options.constant_overrides = {{"top", symbolic::Value::of(int64_t{50})}};
+  EngineSession session(sized_repair_model(), options);
+  const auto budget = std::make_shared<util::ResourceBudget>();
+  session.set_resource_budget(budget);
+  ASSERT_EQ(session.space().state_count(), 51u);
+  session.check("P=? [ F<=0.5 \"broken\" ]");
+  const size_t after_first = budget->charged_bytes();
+  for (const char* bound : {"1", "2", "4"}) {
+    session.check(std::string("P=? [ F<=") + bound + " \"broken\" ]");
+    EXPECT_EQ(budget->charged_bytes(), after_first) << "after F<=" << bound;
+  }
+}
+
 TEST(EngineSession, PointsThatCannotRefillExploreWithExploresOwnErrors) {
   const std::string property = "R{\"downtime\"}=? [ C<=1.5 ]";
   const symbolic::Model model = sized_repair_model();
