@@ -46,7 +46,8 @@ LumpedCheckResult check_lumped(const symbolic::StateSpace& space,
   const size_t transitions = lumping.quotient.rates().nonzeros();
   EngineSession quotient(
       std::make_shared<const symbolic::StateSpace>(
-          space.model_ptr(), std::move(store), lumping.block_of[space.initial_state()],
+          space.model_ptr(), space.program(), std::move(store),
+          lumping.block_of[space.initial_state()],
           std::move(lumping.quotient), transitions),
       options);
 

@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <new>
@@ -722,31 +723,11 @@ std::string Server::handle_line(const std::string& line) {
         // the engine at all (explores 0 by construction).
         const bool disk_cached = disk_cache_ && has_job;
         if (disk_cached) {
-          if (const std::optional<std::string> payload =
-                  disk_cache_->lookup(job.identity.job)) {
-            JsonValue stored = JsonValue::parse(*payload);
-            if (stored.find("result") != nullptr) {
-              metrics.disk_cache = "hit";
-              metrics.states =
-                  static_cast<size_t>(stored.int_or("states", 0));
-              metrics.engine = stored.string_or("engine", "none");
-              // The parsed document is ours: move the (large) result out
-              // instead of copying it.
-              result = std::move(stored["result"]);
-              util::metrics::registry().add("serve.disk_hits");
-            }
-          }
+          result = replay_stored(job, metrics);
           if (!result) metrics.disk_cache = "miss";
         }
         if (!result) {
-          result = dispatch(job, metrics);
-          if (disk_cached) {
-            JsonValue stored = JsonValue::object();
-            stored["result"] = *result;
-            stored["states"] = JsonValue::number(metrics.states);
-            stored["engine"] = JsonValue::string(metrics.engine);
-            disk_cache_->store(job.identity.job, stored.dump());
-          }
+          result = disk_cached ? compute_or_follow(job, metrics) : dispatch(job, metrics);
         }
       } catch (const util::Cancelled& cancelled) {
         error = {"timeout", cancelled.what(), cancelled.stage()};
@@ -832,11 +813,111 @@ std::string Server::handle_line(const std::string& line) {
   return writer.take();
 }
 
+std::optional<util::JsonValue> Server::replay_stored(const Job& job,
+                                                    RequestMetrics& metrics) {
+  const std::optional<std::string> payload = disk_cache_->lookup(job.identity.job);
+  if (!payload) return std::nullopt;
+  JsonValue stored = JsonValue::parse(*payload);
+  if (stored.find("result") == nullptr) return std::nullopt;
+  metrics.disk_cache = "hit";
+  metrics.states = static_cast<size_t>(stored.int_or("states", 0));
+  metrics.engine = stored.string_or("engine", "none");
+  util::metrics::registry().add("serve.disk_hits");
+  // The parsed document is ours: move the (large) result out instead of
+  // copying it.
+  return std::move(stored["result"]);
+}
+
+util::JsonValue Server::compute_or_follow(const Job& job, RequestMetrics& metrics) {
+  std::shared_ptr<InFlight> leader;
+  std::shared_ptr<InFlight> mine;
+  {
+    std::lock_guard<std::mutex> lock(inflight_mutex_);
+    std::shared_ptr<InFlight>& slot = inflight_[job.identity.job];
+    if (slot) {
+      leader = slot;
+      ++leader->waiters;
+    } else {
+      slot = mine = std::make_shared<InFlight>();
+    }
+  }
+  if (leader) {
+    const std::optional<int64_t> timeout_ms =
+        job.request.timeout_ms ? job.request.timeout_ms : effective_timeout();
+    std::unique_lock<std::mutex> lock(leader->mutex);
+    const auto finished = [&] { return leader->done; };
+    if (!timeout_ms) {
+      leader->finished.wait(lock, finished);
+    } else if (!leader->finished.wait_for(lock, std::chrono::milliseconds(*timeout_ms),
+                                          finished)) {
+      throw util::Cancelled("coalesce");
+    }
+    if (!leader->result) {
+      lock.unlock();
+      return compute_or_follow(job, metrics);  // the leader failed: try it here
+    }
+    metrics.states = leader->states;
+    metrics.engine = leader->engine;
+    util::metrics::registry().add("serve.coalesced");
+    return *leader->result;
+  }
+
+  // Leading: until this job is answered, identical jobs wait on `mine`, and
+  // they wake up whatever happens below, with the answer or without one.
+  struct Publish {
+    Server& server;
+    const std::string& identity;
+    InFlight& slot;
+    const RequestMetrics& metrics;
+    bool done = false;
+    /// Unlist the job (no new waiter can attach after this), then hand
+    /// `answer` (null: the job failed) to the jobs already waiting.
+    void operator()(const JsonValue* answer) {
+      done = true;
+      size_t waiters = 0;
+      {
+        std::lock_guard<std::mutex> lock(server.inflight_mutex_);
+        server.inflight_.erase(identity);
+        waiters = slot.waiters;
+      }
+      {
+        std::lock_guard<std::mutex> lock(slot.mutex);
+        if (answer != nullptr && waiters > 0) slot.result = *answer;
+        slot.states = metrics.states;
+        slot.engine = metrics.engine;
+        slot.done = true;
+      }
+      slot.finished.notify_all();
+    }
+    ~Publish() {
+      if (!done) (*this)(nullptr);
+    }
+  } publish{*this, job.identity.job, *mine, metrics};
+
+  // An identical job may have stored its answer and left between this
+  // job's probe and its registration above; its entry file is there then.
+  std::optional<JsonValue> result;
+  if (std::filesystem::exists(disk_cache_->entry_path(job.identity.job))) {
+    result = replay_stored(job, metrics);
+  }
+  if (!result) {
+    result = dispatch(job, metrics);
+    JsonValue stored = JsonValue::object();
+    stored["result"] = *result;
+    stored["states"] = JsonValue::number(metrics.states);
+    stored["engine"] = JsonValue::string(metrics.engine);
+    disk_cache_->store(job.identity.job, stored.dump());
+  }
+  publish(&*result);
+  return std::move(*result);
+}
+
 std::vector<std::string> Server::handle_batch(const std::vector<std::string>& lines) {
   std::vector<std::string> responses(lines.size());
   size_t index = 0;
   while (index < lines.size()) {
-    const size_t batch = std::min(effective_max_batch(), lines.size() - index);
+    size_t batch = std::min(effective_max_batch(), lines.size() - index);
+    if (options_.deterministic) batch = 1;
     if (batch == 1) {
       responses[index] = handle_line(lines[index]);
     } else {

@@ -15,7 +15,9 @@
 //  * With --disk-cache DIR, finished results are also persisted in a
 //    util::DurableStore keyed by the job identity, so a restarted server
 //    answers repeated requests with disk_cache "hit" and explores 0 — warm
-//    from the first request.
+//    from the first request. A job that misses the disk cache while an
+//    identical one is being computed waits for that answer instead of
+//    computing it again (explores 0, counted as serve.coalesced).
 //  * With --checkpoint DIR, every per-request csl::CheckpointLedger records
 //    its finished solves in one checkpoint store the server opens at
 //    startup, so a killed worker's respawn resumes instead of recomputing.
@@ -38,12 +40,15 @@
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "service/admission.hpp"
@@ -128,7 +133,9 @@ class Server {
   std::string handle_line(const std::string& line);
 
   /// Handle a batch of request lines, fanning across the engine pool in
-  /// max_batch groups; responses come back in input order.
+  /// max_batch groups; responses come back in input order. Under
+  /// --deterministic the lines are handled one at a time, in input order, so
+  /// the same input gives the same bytes, status counters included.
   std::vector<std::string> handle_batch(const std::vector<std::string>& lines);
 
   /// Stop accepting new work: every subsequent handle_line answers with a
@@ -240,6 +247,29 @@ class Server {
   util::JsonValue run_on_pair_session(const Job& job, RequestMetrics& metrics,
                                       const PairSolve& solve);
 
+  /// One job identity being computed: identical jobs that miss the disk
+  /// cache meanwhile wait here for its answer instead of computing it again.
+  struct InFlight {
+    std::mutex mutex;
+    std::condition_variable finished;
+    size_t waiters = 0;  ///< jobs waiting for this one (counted under inflight_mutex_)
+    bool done = false;
+    std::optional<util::JsonValue> result;  ///< unset when the job failed or none waited
+    size_t states = 0;
+    std::string engine;
+  };
+
+  /// The stored result of the job under --disk-cache, with its metrics
+  /// filled, or nullopt on a miss.
+  std::optional<util::JsonValue> replay_stored(const Job& job, RequestMetrics& metrics);
+
+  /// The disk-cache miss path. When an identical job is being computed, wait
+  /// for its answer (until this request's own deadline) and reply with it:
+  /// explores 0, counted as serve.coalesced; if that job fails, try again
+  /// here. Otherwise compute the job, store its result and hand it to the
+  /// jobs that waited.
+  util::JsonValue compute_or_follow(const Job& job, RequestMetrics& metrics);
+
   /// Process every complete line currently in `buffer` (leaving a trailing
   /// partial line in place), writing responses in input order.
   void process_buffered(std::string& buffer, std::ostream& out);
@@ -258,6 +288,9 @@ class Server {
   SessionCache cache_;
   AdmissionController admission_;
   std::unique_ptr<util::DurableStore> disk_cache_;
+  std::mutex inflight_mutex_;
+  /// Jobs being answered, by job identity.
+  std::unordered_map<std::string, std::shared_ptr<InFlight>> inflight_;
   std::shared_ptr<util::DurableStore> checkpoints_;
   std::atomic<bool> draining_{false};
   std::atomic<uint64_t> requests_{0};

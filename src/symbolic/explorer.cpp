@@ -11,10 +11,12 @@
 namespace autosec::symbolic {
 
 StateSpace::StateSpace(std::shared_ptr<const CompiledModel> model,
+                       std::shared_ptr<const ModelProgram> program,
                        std::shared_ptr<const StateStore> store, size_t initial_state,
                        ctmc::Ctmc chain, size_t transition_count,
                        SymmetryGroup symmetry)
     : model_(std::move(model)),
+      program_(std::move(program)),
       store_(std::move(store)),
       initial_state_(initial_state),
       chain_(std::move(chain)),
@@ -22,9 +24,11 @@ StateSpace::StateSpace(std::shared_ptr<const CompiledModel> model,
       symmetry_(std::move(symmetry)) {}
 
 StateSpace::StateSpace(std::shared_ptr<const CompiledModel> model,
+                       std::shared_ptr<const ModelProgram> program,
                        std::shared_ptr<const StateStore> store, size_t initial_state,
                        std::shared_ptr<const mdp::Mdp> mdp, size_t transition_count)
     : model_(std::move(model)),
+      program_(std::move(program)),
       store_(std::move(store)),
       initial_state_(initial_state),
       mdp_(std::move(mdp)),
@@ -90,6 +94,20 @@ std::vector<double> StateSpace::initial_distribution() const {
   return dist;
 }
 
+std::vector<bool> StateSpace::mask_of(const Program& program, uint32_t root) const {
+  std::vector<bool> mask(state_count());
+  Program::Frame frame(program);
+  // A literal has one value in every state (and raises, if it is not a
+  // bool, on the first as the tree would).
+  const size_t evaluated = program.constant(root) ? 1 : mask.size();
+  for (size_t i = 0; i < evaluated; ++i) {
+    frame.begin(store_->packed(i));
+    mask[i] = program.eval_bool(frame, root);
+  }
+  if (evaluated < mask.size()) mask.assign(mask.size(), mask[0]);
+  return mask;
+}
+
 std::vector<bool> StateSpace::satisfying(const Expr& condition) const {
   if (reduced() && !symmetry_.invariant(condition)) {
     throw ModelError(
@@ -101,13 +119,14 @@ std::vector<bool> StateSpace::satisfying(const Expr& condition) const {
         "symmetrically (e.g. over all interchangeable modules instead of "
         "one).");
   }
-  std::vector<bool> mask(state_count());
-  std::vector<int32_t> values;
-  for (size_t i = 0; i < mask.size(); ++i) {
-    store_->values_of(i, values);
-    mask[i] = condition.evaluate_bool(values);
+  // A property naming a label resolves to the label's own condition: the
+  // model's program has it already.
+  for (size_t l = 0; l < model_->labels.size(); ++l) {
+    if (model_->labels[l].condition.node() == condition.node()) {
+      return mask_of(program_->program, program_->labels[l]);
+    }
   }
-  return mask;
+  return mask_of(Program({condition}, store_->layout()), 0);
 }
 
 std::vector<bool> StateSpace::label_mask(const std::string& label_name) const {
@@ -124,14 +143,17 @@ std::vector<double> StateSpace::reward_vector(const std::string& rewards_name) c
   // No invariance gate here: symmetry detection verifies that every
   // automorphism maps each reward structure's item multiset onto itself, so
   // the per-state reward sum is constant on orbits by construction.
+  const std::vector<ModelProgram::RewardItem>& items =
+      program_->rewards[static_cast<size_t>(rewards - model_->rewards.data())];
+  const Program& program = program_->program;
+  Program::Frame frame(program);
   std::vector<double> out(state_count(), 0.0);
-  std::vector<int32_t> values;
   for (size_t i = 0; i < out.size(); ++i) {
-    store_->values_of(i, values);
+    frame.begin(store_->packed(i));
     double acc = 0.0;
-    for (const RewardItem& item : rewards->items) {
-      if (item.guard.evaluate_bool(values)) {
-        acc += item.value.evaluate_number(values);
+    for (const ModelProgram::RewardItem& item : items) {
+      if (program.eval_bool(frame, item.guard)) {
+        acc += program.eval_number(frame, item.value);
       }
     }
     out[i] = acc;
@@ -156,7 +178,14 @@ class Explorer {
         options_(options),
         symmetry_(std::move(symmetry)),
         limit_(options.resolved_state_limit()),
-        store_(std::make_shared<StateStore>(model)) {
+        store_(std::make_shared<StateStore>(model)),
+        layout_(store_->layout()),
+        compiled_(std::make_shared<const ModelProgram>(model, layout_)),
+        program_(compiled_->program),
+        frame_(program_),
+        current_(layout_.words()),
+        successor_(layout_.words()),
+        unpacked_(layout_.variable_count()) {
     if (record) {
       family_ = std::make_shared<RateFamily>();
       family_->term_offsets.push_back(0);
@@ -166,18 +195,19 @@ class Explorer {
   void run() {
     std::vector<int32_t> initial = model_.initial_state();
     symmetry_.canonicalize(initial, scratch_);
-    initial_ = intern(initial);
+    layout_.pack(initial, successor_.data());
+    initial_ = intern(successor_.data());
 
-    std::vector<int32_t> current;
     while (next_ < store_->size()) {
       if (util::fault::triggered("explore.alloc")) throw std::bad_alloc();
       charge(kChargeStep);
       const auto id = static_cast<uint32_t>(next_++);
-      store_->values_of(id, current);
+      copy_state(store_->packed(id), current_.size(), current_.data());
+      frame_.begin(current_.data());
       if (model_.type == ModelType::kMdp) {
-        emit_mdp_rows(id, current);
+        emit_mdp_rows(id);
       } else {
-        emit_ctmc_row(id, current);
+        emit_ctmc_row(id);
       }
     }
     charge(0);
@@ -205,8 +235,9 @@ class Explorer {
     if (model_.type != ModelType::kMdp) {
       AUTOSEC_LOG_INFO("explorer")
           << "explored " << states << " states, " << transitions_ << " transitions";
-      return {StateSpace(std::move(model), std::move(store_), initial_,
-                         ctmc::Ctmc(std::move(matrix)), transitions_,
+      if (family_) family_->program = compiled_;
+      return {StateSpace(std::move(model), std::move(compiled_), std::move(store_),
+                         initial_, ctmc::Ctmc(std::move(matrix)), transitions_,
                          std::move(symmetry_)),
               std::move(family_)};
     }
@@ -220,8 +251,8 @@ class Explorer {
     const size_t entries = flat->transitions.nonzeros();
     AUTOSEC_LOG_INFO("explorer") << "explored " << states << " states, " << rows
                                  << " actions, " << entries << " transitions";
-    return {StateSpace(std::move(model), std::move(store_), initial_, std::move(flat),
-                       entries),
+    return {StateSpace(std::move(model), std::move(compiled_), std::move(store_),
+                       initial_, std::move(flat), entries),
             nullptr};
   }
 
@@ -239,13 +270,14 @@ class Explorer {
   /// CTMC: one rate row per state. Parallel commands into the same state
   /// (and, under reduction, into the same orbit) are summed by the row
   /// merge; transitions count firings before merging.
-  void emit_ctmc_row(uint32_t id, const std::vector<int32_t>& current) {
+  void emit_ctmc_row(uint32_t id) {
     row_.clear();
     for (size_t c = 0; c < model_.commands.size(); ++c) {
       const CompiledCommand& command = model_.commands[c];
-      if (!command.guard.evaluate_bool(current)) continue;
+      const ModelProgram::Command& roots = compiled_->commands[c];
+      if (!program_.eval_bool(frame_, roots.guard)) continue;
       last_module_ = &command.module;
-      const double rate = command.rate.evaluate_number(current);
+      const double rate = program_.eval_number(frame_, roots.rate);
       if (rate < 0.0 || !std::isfinite(rate)) {
         throw ModelError("explore: command in module '" + command.module +
                          "' has invalid rate " + std::to_string(rate) + " in state " +
@@ -256,13 +288,17 @@ class Explorer {
         throw ModelError("explore: zero rate with enabled guard in module '" +
                          command.module + "'");
       }
-      update(command.module, command.assignments, current);
+      update(command.module, roots.updates);
       // `current` is already canonical (every interned state is), so the
       // self-loop test compares canonical forms: transitions within one
       // orbit fold onto the quotient's diagonal, which a CTMC never observes.
-      symmetry_.canonicalize(successor_, scratch_);
-      if (successor_ == current) continue;
-      row_.push_back({intern(successor_), static_cast<uint32_t>(c), rate});
+      if (!symmetry_.trivial()) {
+        layout_.unpack(successor_.data(), unpacked_);
+        symmetry_.canonicalize(unpacked_, scratch_);
+        layout_.pack(unpacked_, successor_.data());
+      }
+      if (same_state(successor_.data(), current_.data(), current_.size())) continue;
+      row_.push_back({intern(successor_.data()), static_cast<uint32_t>(c), rate});
     }
     transitions_ += row_.size();
     merge_row();
@@ -299,18 +335,19 @@ class Explorer {
   /// (state, action) -> distribution matrix. Self-loops are kept: an action
   /// that stays put is a real choice for a nondeterministic attacker, unlike
   /// a CTMC rate onto the diagonal which no transient analysis can observe.
-  void emit_mdp_rows(uint32_t id, const std::vector<int32_t>& current) {
+  void emit_mdp_rows(uint32_t id) {
     const size_t first_row = state_of_row_.size();
     state_offsets_.push_back(static_cast<uint32_t>(first_row));
     for (size_t c = 0; c < model_.commands.size(); ++c) {
       const CompiledCommand& command = model_.commands[c];
-      if (!command.guard.evaluate_bool(current)) continue;
+      const ModelProgram::Command& roots = compiled_->commands[c];
+      if (!program_.eval_bool(frame_, roots.guard)) continue;
       last_module_ = &command.module;
 
       double total = 0.0;
       outcomes_.clear();
-      for (const CompiledBranch& branch : command.branches) {
-        const double probability = branch.probability.evaluate_number(current);
+      for (const ModelProgram::Branch& branch : roots.branches) {
+        const double probability = program_.eval_number(frame_, branch.probability);
         if (probability < 0.0 || !std::isfinite(probability)) {
           throw ModelError("explore: command in module '" + command.module +
                            "' has invalid branch probability " +
@@ -319,8 +356,8 @@ class Explorer {
         }
         if (probability == 0.0) continue;
         total += probability;
-        update(command.module, branch.assignments, current);
-        outcomes_.emplace_back(intern(successor_), probability);
+        update(command.module, branch.updates);
+        outcomes_.emplace_back(intern(successor_.data()), probability);
       }
       if (outcomes_.empty()) {
         throw ModelError("explore: command in module '" + command.module +
@@ -368,35 +405,34 @@ class Explorer {
     action_labels_.push_back(std::move(label));
   }
 
-  /// successor_ = current with the assignments applied, each checked against
-  /// its variable's declared range.
+  /// successor_ = current_ with the updates applied as field writes on its
+  /// packed words, each value checked against its variable's declared range.
+  /// Every right-hand side reads current_.
   void update(const std::string& module,
-              const std::vector<std::pair<uint32_t, Expr>>& assignments,
-              const std::vector<int32_t>& current) {
-    successor_ = current;
-    for (const auto& [var_index, value_expr] : assignments) {
-      const Value value = value_expr.evaluate(current);
+              const std::vector<ModelProgram::Update>& updates) {
+    copy_state(current_.data(), current_.size(), successor_.data());
+    for (const auto& [var_index, root] : updates) {
+      int64_t raw = 0;
       const CompiledVariable& var = model_.variables[var_index];
-      if (!value.is_int()) {
+      if (!program_.eval_int(frame_, root, raw)) {
         throw ModelError("explore: non-integer update for variable '" + var.name + "'");
       }
-      const int64_t raw = value.as_int();
       if (raw < var.low || raw > var.high) {
         throw ModelError("explore: update drives variable '" + var.name + "' to " +
                          std::to_string(raw) + ", outside [" + std::to_string(var.low) +
                          ".." + std::to_string(var.high) + "] (module '" + module +
                          "')");
       }
-      successor_[var_index] = static_cast<int32_t>(raw);
+      layout_.set(successor_.data(), var_index, static_cast<int32_t>(raw));
     }
   }
 
   /// Index of `state`, interning it (and so queueing it) when unseen. A
   /// fresh state beyond the resolved ceiling unwinds with a typed failure
   /// naming the binding constraint and carrying the partial progress.
-  uint32_t intern(std::span<const int32_t> state) {
+  uint32_t intern(const uint64_t* packed) {
     bool inserted = false;
-    const uint32_t id = store_->intern(state, inserted);
+    const uint32_t id = store_->intern(packed, inserted);
     if (inserted && store_->size() > limit_.limit) {
       util::FailureProgress progress;
       progress.states_explored = store_->size() - 1;
@@ -440,6 +476,13 @@ class Explorer {
   CanonScratch scratch_;
   const ExploreOptions::ResolvedStateLimit limit_;
   std::shared_ptr<StateStore> store_;
+  const StateLayout& layout_;
+  std::shared_ptr<const ModelProgram> compiled_;
+  const Program& program_;
+  Program::Frame frame_;
+  std::vector<uint64_t> current_;    ///< packed words of the state being expanded
+  std::vector<uint64_t> successor_;  ///< packed words of the successor being built
+  std::vector<int32_t> unpacked_;    ///< a successor unpacked for canonicalization
   size_t next_ = 0;  ///< next state to expand; [next_, size) is the frontier
   uint32_t initial_ = 0;
   const std::string* last_module_ = nullptr;  ///< module of the command firing now
@@ -447,7 +490,6 @@ class Explorer {
 
   std::shared_ptr<RateFamily> family_;  ///< recording explores only
 
-  std::vector<int32_t> successor_;
   std::vector<RowEntry> row_;
   std::vector<std::pair<uint32_t, double>> outcomes_;
 
@@ -611,7 +653,7 @@ std::optional<StateSpace> refill(const RateFamily& family,
   }
   linalg::CsrMatrix matrix(states, states, family.row_offsets, family.columns,
                            std::move(values));
-  return StateSpace(std::move(model), family.store, family.initial_state,
+  return StateSpace(std::move(model), family.program, family.store, family.initial_state,
                     ctmc::Ctmc(std::move(matrix)), family.transition_count);
 }
 

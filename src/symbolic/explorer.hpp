@@ -7,8 +7,10 @@
 // (4·10^5 – 1.2·10^6) and notes that runtime tracks the state count.
 //
 // One BFS loop serves both model types: states are interned in the
-// bit-packed StateStore (symbolic/state_store.hpp), and each expanded state's
-// rows go straight into the CSR arrays. An optional on-the-fly symmetry
+// bit-packed StateStore (symbolic/state_store.hpp), the model's compiled
+// program (symbolic/program.hpp) evaluates guards, rates and updates on each
+// state's packed words, and each expanded state's rows go straight into the
+// CSR arrays. An optional on-the-fly symmetry
 // reduction (symbolic/symmetry.hpp) collapses interchangeable ECU/stream
 // modules during the BFS instead of after full materialization.
 #pragma once
@@ -22,6 +24,7 @@
 #include "ctmc/ctmc.hpp"
 #include "mdp/mdp.hpp"
 #include "symbolic/model.hpp"
+#include "symbolic/program.hpp"
 #include "symbolic/state_store.hpp"
 #include "symbolic/symmetry.hpp"
 #include "util/budget.hpp"
@@ -80,11 +83,15 @@ struct ExploreOptions {
 /// ctmc space owns the one copy of its chain that every stage reads.
 class StateSpace {
  public:
+  /// `program` is the model's lowered program (labels and rewards are read
+  /// from it).
   StateSpace(std::shared_ptr<const CompiledModel> model,
+             std::shared_ptr<const ModelProgram> program,
              std::shared_ptr<const StateStore> store, size_t initial_state,
              ctmc::Ctmc chain, size_t transition_count, SymmetryGroup symmetry = {});
   /// MDP state space: holds the flattened per-action matrix instead of rates.
   StateSpace(std::shared_ptr<const CompiledModel> model,
+             std::shared_ptr<const ModelProgram> program,
              std::shared_ptr<const StateStore> store, size_t initial_state,
              std::shared_ptr<const mdp::Mdp> mdp, size_t transition_count);
 
@@ -114,10 +121,10 @@ class StateSpace {
   /// Point distribution on the initial state.
   std::vector<double> initial_distribution() const;
 
-  /// Evaluate an arbitrary resolved boolean expression on every state. On a
-  /// symmetry-reduced space the expression must be invariant under the
-  /// active group; throws ModelError otherwise (a representative-dependent
-  /// answer would be silently wrong).
+  /// Evaluate an arbitrary resolved boolean expression on every state (it is
+  /// lowered into a Program of its own). On a symmetry-reduced space the
+  /// expression must be invariant under the active group; throws ModelError
+  /// otherwise (a representative-dependent answer would be silently wrong).
   std::vector<bool> satisfying(const Expr& condition) const;
   /// Mask of states satisfying the named label; throws ModelError if unknown.
   std::vector<bool> label_mask(const std::string& label_name) const;
@@ -128,6 +135,8 @@ class StateSpace {
 
   const CompiledModel& model() const { return *model_; }
   std::shared_ptr<const CompiledModel> model_ptr() const { return model_; }
+  /// The model's lowered program, shared by every space over the model.
+  const std::shared_ptr<const ModelProgram>& program() const { return program_; }
 
   /// Name of the state store, as metrics and serve envelopes report it. The
   /// bit-packed store is the only one, so this is always "compact".
@@ -148,7 +157,11 @@ class StateSpace {
   const SymmetryGroup& symmetry() const { return symmetry_; }
 
  private:
+  /// Root `root` of `program` as a bool on every state.
+  std::vector<bool> mask_of(const Program& program, uint32_t root) const;
+
   std::shared_ptr<const CompiledModel> model_;  // owned (shared with callers)
+  std::shared_ptr<const ModelProgram> program_;
   std::shared_ptr<const StateStore> store_;
   size_t initial_state_;
   ctmc::Ctmc chain_;                        // ctmc only
@@ -183,6 +196,9 @@ bool rate_variants(const CompiledModel& a, const CompiledModel& b);
 /// summation order: term_commands[term_offsets[e] .. term_offsets[e+1]).
 struct RateFamily {
   std::shared_ptr<const CompiledModel> model;
+  /// The family model's program. Rate variants have the same labels and
+  /// reward items, so refilled spaces read theirs from it.
+  std::shared_ptr<const ModelProgram> program;
   std::shared_ptr<const StateStore> store;
   size_t initial_state = 0;
   size_t transition_count = 0;

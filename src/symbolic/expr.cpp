@@ -298,8 +298,13 @@ Value Expr::evaluate(std::span<const int32_t> state) const {
         if (n.children[0].evaluate(state).as_bool()) return Value::of(true);
         return Value::of(n.children[1].evaluate(state).as_bool());
       }
-      return eval_binary(n.binary_op, n.children[0].evaluate(state),
-                         n.children[1].evaluate(state));
+      // The right operand first: C++ leaves the order of two call arguments
+      // unspecified, and this is the order GCC builds have always used. Fixed
+      // here, every build and the compiled program (symbolic/program.hpp)
+      // raise the same error when both operands would.
+      const Value rhs = n.children[1].evaluate(state);
+      const Value lhs = n.children[0].evaluate(state);
+      return eval_binary(n.binary_op, lhs, rhs);
     }
     case Node::Kind::kCall: {
       std::vector<Value> args;

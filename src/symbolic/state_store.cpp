@@ -1,6 +1,5 @@
 #include "symbolic/state_store.hpp"
 
-#include <cstring>
 
 namespace autosec::symbolic {
 
@@ -95,11 +94,15 @@ StateStore::StateStore(const CompiledModel& model, size_t table_capacity)
 
 uint32_t StateStore::intern(std::span<const int32_t> values, bool& inserted) {
   layout_.pack(values, scratch_.data());
-  const uint64_t hash = hash_words(scratch_.data(), words_);
+  return intern(scratch_.data(), inserted);
+}
+
+uint32_t StateStore::intern(const uint64_t* packed, bool& inserted) {
+  const uint64_t hash = hash_words(packed, words_);
   size_t slot = static_cast<size_t>(hash) & (table_.size() - 1);
   while (table_[slot] != kEmpty) {
     const uint32_t id = table_[slot];
-    if (std::memcmp(row(id), scratch_.data(), words_ * sizeof(uint64_t)) == 0) {
+    if (same_state(row(id), packed, words_)) {
       inserted = false;
       return id;
     }
@@ -108,7 +111,7 @@ uint32_t StateStore::intern(std::span<const int32_t> values, bool& inserted) {
   inserted = true;
   const auto id = static_cast<uint32_t>(size_);
   uint64_t* cell = allocate_row();
-  std::memcpy(cell, scratch_.data(), words_ * sizeof(uint64_t));
+  copy_state(packed, words_, cell);
   table_[slot] = id;
   ++size_;
   maybe_grow();

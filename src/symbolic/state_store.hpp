@@ -30,6 +30,20 @@ std::string_view engine_token(ExplorationEngine engine);
 /// Parse an engine token; nullopt for anything unknown.
 std::optional<ExplorationEngine> parse_engine_token(std::string_view text);
 
+/// Equality and copy of packed states, inline: states are a word or two,
+/// where a library call costs more than the loop.
+inline bool same_state(const uint64_t* a, const uint64_t* b, size_t words) {
+  if (a[0] != b[0]) return false;
+  for (size_t i = 1; i < words; ++i) {
+    if (a[i] != b[i]) return false;
+  }
+  return true;
+}
+inline void copy_state(const uint64_t* from, size_t words, uint64_t* to) {
+  to[0] = from[0];
+  for (size_t i = 1; i < words; ++i) to[i] = from[i];
+}
+
 /// Bit-packing layout of a model's state vector: each variable occupies
 /// ceil(log2(high-low+1)) bits (minimum 1) of a little-endian bit stream;
 /// fields may straddle 64-bit word boundaries.
@@ -47,14 +61,30 @@ class StateLayout {
   void pack(std::span<const int32_t> values, uint64_t* out) const;
   /// Unpack into `values` (must hold variable_count() entries).
   void unpack(const uint64_t* packed, std::span<int32_t> values) const;
+  /// Overwrite variable `v` of a packed state with `value` (in its range).
+  void set(uint64_t* packed, size_t v, int32_t value) const {
+    const Field& field = fields_[v];
+    const uint64_t offset =
+        static_cast<uint32_t>(value) - static_cast<uint32_t>(field.low);
+    const uint64_t mask = field.bits < 64 ? (uint64_t{1} << field.bits) - 1 : ~uint64_t{0};
+    packed[field.word] =
+        (packed[field.word] & ~(mask << field.shift)) | (offset << field.shift);
+    if (field.shift + field.bits > 64) {
+      const uint32_t high = 64 - field.shift;
+      packed[field.word + 1] =
+          (packed[field.word + 1] & ~(mask >> high)) | (offset >> high);
+    }
+  }
 
- private:
   struct Field {
     uint32_t word;   ///< index of the first word the field touches
     uint32_t shift;  ///< bit offset within that word
     uint32_t bits;   ///< field width (1..33)
     int32_t low;     ///< declared lower bound (packed value is offset by it)
   };
+  const Field& field(size_t v) const { return fields_[v]; }
+
+ private:
   std::vector<Field> fields_;
   size_t bits_ = 0;
   size_t words_ = 1;
@@ -75,11 +105,16 @@ class StateStore {
   /// Return the index of `values`, inserting it when unseen; `inserted`
   /// reports which happened. Values must respect the declared ranges.
   uint32_t intern(std::span<const int32_t> values, bool& inserted);
+  /// intern() of a state already packed by layout(): words() words.
+  uint32_t intern(const uint64_t* packed, bool& inserted);
 
   /// Copy the valuation of state `index` into `out` (resized as needed).
   void values_of(size_t index, std::vector<int32_t>& out) const;
+  /// The packed words of state `index`; they never move.
+  const uint64_t* packed(size_t index) const { return row(static_cast<uint32_t>(index)); }
 
   size_t size() const { return size_; }
+  const StateLayout& layout() const { return layout_; }
 
   /// Amortized tracked bytes per interned state — what the explorer charges
   /// against the resource budget: the packed words plus the open-addressing

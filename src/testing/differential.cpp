@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <exception>
 #include <filesystem>
@@ -33,6 +34,7 @@ namespace autosec::testing {
 namespace {
 
 using automotive::Architecture;
+using symbolic::Expr;
 using symbolic::Model;
 using symbolic::StateSpace;
 
@@ -208,6 +210,205 @@ bool almost_surely_reaches(const ctmc::Ctmc& chain, const std::vector<double>& i
     }
   }
   return true;
+}
+
+/// What one evaluator made of one expression on one state: a value, or the
+/// text of the EvalError it raised. Doubles compare bit for bit, except that
+/// any two NaNs are equal (as in Harness::compare_exact): when both operands
+/// of + or * are NaN, IEEE 754 leaves the result's sign and payload open,
+/// and compilers commute the operands, so neither evaluator fixes them.
+struct Evaluation {
+  symbolic::Value value;
+  std::string error;
+
+  bool operator==(const Evaluation& other) const {
+    if (error != other.error) return false;
+    if (!error.empty()) return true;
+    const symbolic::Value& a = value;
+    const symbolic::Value& b = other.value;
+    if (a.type() != b.type()) return false;
+    switch (a.type()) {
+      case symbolic::Value::Type::kBool: return a.as_bool() == b.as_bool();
+      case symbolic::Value::Type::kInt: return a.as_int() == b.as_int();
+      case symbolic::Value::Type::kDouble: {
+        const double x = a.as_number();
+        const double y = b.as_number();
+        return std::bit_cast<uint64_t>(x) == std::bit_cast<uint64_t>(y) ||
+               (std::isnan(x) && std::isnan(y));
+      }
+    }
+    return false;
+  }
+  std::string text() const { return error.empty() ? value.to_string() : error; }
+};
+
+template <typename Fn>
+Evaluation evaluation(Fn&& fn) {
+  Evaluation out;
+  try {
+    out.value = fn();
+  } catch (const symbolic::EvalError& error) {
+    // The same NaN rule for a NaN an error message prints.
+    out.error = std::string("EvalError: ") + error.what();
+    for (size_t at = out.error.find("-nan"); at != std::string::npos;
+         at = out.error.find("-nan", at)) {
+      out.error.erase(at, 1);
+    }
+  }
+  return out;
+}
+
+/// How a root is used: as a guard or label (bool), a rate, probability or
+/// reward (number), or an update (int, or "not an integer").
+enum class RootUse { kBool, kNumber, kInt };
+
+/// One expression lowered as root `root` of a program, and its use.
+struct ProgramRoot {
+  Expr expr;
+  uint32_t root;
+  RootUse use;
+  std::string what;
+};
+
+Evaluation program_evaluation(const symbolic::Program& program,
+                              symbolic::Program::Frame& frame, uint32_t root,
+                              RootUse use) {
+  return evaluation([&] {
+    switch (use) {
+      case RootUse::kBool: return symbolic::Value::of(program.eval_bool(frame, root));
+      case RootUse::kNumber: return symbolic::Value::of(program.eval_number(frame, root));
+      case RootUse::kInt: {
+        int64_t value = 0;
+        return program.eval_int(frame, root, value) ? symbolic::Value::of(value)
+                                                    : symbolic::Value::of(false);
+      }
+    }
+    return symbolic::Value();
+  });
+}
+
+Evaluation tree_evaluation(const Expr& expr, const std::vector<int32_t>& state,
+                           RootUse use) {
+  return evaluation([&] {
+    switch (use) {
+      case RootUse::kBool: return symbolic::Value::of(expr.evaluate_bool(state));
+      case RootUse::kNumber: return symbolic::Value::of(expr.evaluate_number(state));
+      case RootUse::kInt: {
+        const symbolic::Value value = expr.evaluate(state);
+        return value.is_int() ? value : symbolic::Value::of(false);
+      }
+    }
+    return symbolic::Value();
+  });
+}
+
+/// Every root of `model`'s program with the expression and use it came from.
+std::vector<ProgramRoot> model_roots(const symbolic::CompiledModel& model,
+                                     const symbolic::ModelProgram& compiled) {
+  std::vector<ProgramRoot> roots;
+  const auto updates = [&](const std::vector<std::pair<uint32_t, Expr>>& assignments,
+                           const std::vector<symbolic::ModelProgram::Update>& lowered,
+                           const std::string& where) {
+    for (size_t k = 0; k < assignments.size(); ++k) {
+      const std::string& variable = model.variables[lowered[k].variable].name;
+      roots.push_back({assignments[k].second, lowered[k].root, RootUse::kInt,
+                       where + " update of " + variable});
+    }
+  };
+  for (size_t c = 0; c < model.commands.size(); ++c) {
+    const symbolic::CompiledCommand& command = model.commands[c];
+    const symbolic::ModelProgram::Command& lowered = compiled.commands[c];
+    const std::string where = "command " + std::to_string(c);
+    roots.push_back({command.guard, lowered.guard, RootUse::kBool, where + " guard"});
+    if (model.type == symbolic::ModelType::kMdp) {
+      for (size_t b = 0; b < command.branches.size(); ++b) {
+        const std::string branch = where + " branch " + std::to_string(b);
+        roots.push_back({command.branches[b].probability,
+                         lowered.branches[b].probability, RootUse::kNumber,
+                         branch + " probability"});
+        updates(command.branches[b].assignments, lowered.branches[b].updates, branch);
+      }
+    } else {
+      roots.push_back({command.rate, lowered.rate, RootUse::kNumber, where + " rate"});
+      updates(command.assignments, lowered.updates, where);
+    }
+  }
+  for (size_t l = 0; l < model.labels.size(); ++l) {
+    roots.push_back({model.labels[l].condition, compiled.labels[l], RootUse::kBool,
+                     "label \"" + model.labels[l].name + "\""});
+  }
+  for (size_t r = 0; r < model.rewards.size(); ++r) {
+    for (size_t k = 0; k < model.rewards[r].items.size(); ++k) {
+      const std::string item =
+          "rewards \"" + model.rewards[r].name + "\" item " + std::to_string(k);
+      roots.push_back({model.rewards[r].items[k].guard, compiled.rewards[r][k].guard,
+                       RootUse::kBool, item + " guard"});
+      roots.push_back({model.rewards[r].items[k].value, compiled.rewards[r][k].value,
+                       RootUse::kNumber, item + " value"});
+    }
+  }
+  return roots;
+}
+
+/// Evaluate every root of `program` on every stored state of `space`, by the
+/// program (all roots of a state on one frame, as the explorer does) and by
+/// the tree; one recorded comparison per root.
+void compare_program(Harness& harness, uint64_t seed, const std::string& tag,
+                     const StateSpace& space, const symbolic::Program& program,
+                     const std::vector<ProgramRoot>& roots) {
+  std::vector<std::vector<std::string>> mismatches(roots.size());
+  symbolic::Program::Frame frame(program);
+  for (size_t s = 0; s < space.state_count(); ++s) {
+    const std::vector<int32_t> state = space.state_values(s);
+    frame.begin(space.store()->packed(s));
+    for (size_t r = 0; r < roots.size(); ++r) {
+      const ProgramRoot& root = roots[r];
+      const Evaluation compiled = program_evaluation(program, frame, root.root, root.use);
+      const Evaluation tree = tree_evaluation(root.expr, state, root.use);
+      if (!(compiled == tree) && mismatches[r].empty()) {
+        mismatches[r].push_back(space.state_to_string(s) + ": program " +
+                                compiled.text() + ", tree " + tree.text());
+      }
+    }
+  }
+  for (size_t r = 0; r < roots.size(); ++r) {
+    harness.record_pass_fail(
+        "model.program_vs_tree", seed,
+        tag + roots[r].what + " " + roots[r].expr.to_string() +
+            (mismatches[r].empty() ? "" : " at " + mismatches[r].front()),
+        mismatches[r].empty());
+  }
+}
+
+/// The program family on one model: its own program's roots and a batch of
+/// random expressions, over the full space and (ctmc) the symmetry-reduced
+/// one.
+void check_program(Harness& harness, uint64_t seed, const std::string& tag,
+                   const std::shared_ptr<const symbolic::CompiledModel>& compiled) {
+  std::vector<std::shared_ptr<const StateSpace>> spaces = {
+      std::make_shared<const StateSpace>(symbolic::explore(compiled))};
+  if (compiled->type == symbolic::ModelType::kCtmc) {
+    symbolic::ExploreOptions reduced;
+    reduced.reduction = symbolic::SymmetryReduction::kOn;
+    spaces.push_back(
+        std::make_shared<const StateSpace>(symbolic::explore(compiled, reduced)));
+  }
+  const std::vector<Expr> extra = random_expressions(seed, *compiled, 12);
+  for (const auto& space : spaces) {
+    const std::string where = tag + (space->reduced() ? "reduced " : "");
+    const symbolic::ModelProgram& lowered = *space->program();
+    compare_program(harness, seed, where, *space, lowered.program,
+                    model_roots(*compiled, lowered));
+    const symbolic::Program program(extra, space->store()->layout());
+    std::vector<ProgramRoot> roots;
+    for (size_t e = 0; e < extra.size(); ++e) {
+      for (const RootUse use : {RootUse::kBool, RootUse::kNumber, RootUse::kInt}) {
+        roots.push_back({extra[e], static_cast<uint32_t>(e), use,
+                         "random expression " + std::to_string(e)});
+      }
+    }
+    compare_program(harness, seed, where, *space, program, roots);
+  }
 }
 
 /// Property texts exercised on a model: unbounded (the solver-differential
@@ -603,6 +804,9 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     }
   }
 
+  // --- (i) compiled program vs tree interpreter.
+  if (options.check_program) check_program(harness, seed, tag, compiled);
+
   // --- (e) writer → parser round-trip identity.
   if (options.check_roundtrip) {
     const std::string text1 = symbolic::write_model(model);
@@ -659,6 +863,13 @@ void check_architecture(Harness& harness, uint64_t seed, const Architecture& arc
 
   check_model(harness, seed, "arch:" + transform_options.message,
               automotive::transform(arch, transform_options));
+
+  if (harness.options_.check_program) {
+    transform_options.model_type = symbolic::ModelType::kMdp;
+    check_program(harness, seed, "arch-mdp:" + transform_options.message + " ",
+                  std::make_shared<const symbolic::CompiledModel>(
+                      symbolic::compile(automotive::transform(arch, transform_options))));
+  }
 }
 
 /// MDP family: plain value iteration vs the exhaustive strategy-enumeration
@@ -745,6 +956,11 @@ DifferentialReport run_differential(const DifferentialOptions& options) {
       check_architecture(harness, seed,
                          random_architecture(seed, options.architecture));
       check_mdp_model(harness, seed, random_mdp(seed, options.mdp));
+      if (options.check_program) {
+        check_program(harness, seed, "mdp-model ",
+                      std::make_shared<const symbolic::CompiledModel>(
+                          symbolic::compile(random_mdp_model(seed, options.model))));
+      }
     } catch (const std::exception& error) {
       CheckOutcome& outcome = report.checks["exception"];
       ++outcome.runs;

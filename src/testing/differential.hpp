@@ -38,7 +38,15 @@
 //   explore     one rate constant re-keyed: the space refilled from the
 //               model's rate-only family vs a fresh explore, entry by entry,
 //               and every property on both, bit-for-bit
-//               ("explore.refill_vs_explore").
+//               ("explore.refill_vs_explore");
+//   program     the compiled model program (symbolic/program.hpp) vs the
+//               tree interpreter (Expr::evaluate) on every reachable state of
+//               random ctmc and mdp models and transformed architectures,
+//               with and without symmetry reduction: every guard, rate,
+//               update, branch probability, label and reward item, plus
+//               random expressions over every operator, must give the same
+//               value bit for bit or the same error word for word
+//               ("model.program_vs_tree").
 //
 // A failure records the iteration's seed; `autosec-verify --seed S
 // --iterations 1` reproduces it exactly.
@@ -81,6 +89,7 @@ struct DifferentialOptions {
   bool check_mdp = true;
   bool check_checkpoint = true;
   bool check_explore = true;
+  bool check_program = true;
 
   RandomModelOptions model;
   RandomArchitectureOptions architecture;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <random>
 #include <string>
 #include <tuple>
@@ -258,6 +259,227 @@ Model random_model(uint64_t seed, const RandomModelOptions& options) {
     model.rewards.push_back(std::move(rewards));
   }
 
+  return model;
+}
+
+namespace {
+
+/// Random expressions of a requested type over the variables of one model.
+class ExpressionGenerator {
+ public:
+  enum class Kind { kBool, kInt, kDouble };
+
+  ExpressionGenerator(Rng& rng, const symbolic::CompiledModel& model)
+      : rng_(rng), model_(model) {}
+
+  Expr make(Kind kind, int depth) {
+    // Now and then an operand of another type: a type error, or an ite whose
+    // branches differ in type.
+    if (depth < 3 && rng_.chance(0.04)) kind = static_cast<Kind>(rng_.index(3));
+    std::vector<Expr>& pool = pools_[static_cast<size_t>(kind)];
+    if (!pool.empty() && rng_.chance(0.15)) return pool[rng_.index(pool.size())];
+    Expr expr = depth <= 0 || rng_.chance(0.25) ? leaf(kind) : inner(kind, depth - 1);
+    pool.push_back(expr);
+    return expr;
+  }
+
+ private:
+  Expr var() {
+    const size_t v = rng_.index(model_.variables.size());
+    return Expr::var_ref(static_cast<uint32_t>(v), model_.variables[v].name);
+  }
+
+  Expr leaf(Kind kind) {
+    switch (kind) {
+      case Kind::kBool: {
+        if (rng_.chance(0.2)) return Expr::literal(rng_.chance(0.5));
+        const BinaryOp op = comparison();
+        const Expr lhs = var();
+        return Expr::binary(op, lhs, Expr::literal(rng_.int_in(-1, 3)));
+      }
+      case Kind::kInt:
+        // mod by a variable raises "mod by zero" where it is 0.
+        if (rng_.chance(0.15)) {
+          const Expr dividend = Expr::literal(rng_.int_in(1, 5));
+          return Expr::call(symbolic::CallOp::kMod, {dividend, var()});
+        }
+        if (rng_.chance(0.6)) return var();
+        return Expr::literal(rng_.int_in(-3, 5));
+      case Kind::kDouble: {
+        // Division by a variable raises "division by zero" where it is 0;
+        // log(v - 1) is NaN or -inf in some states.
+        if (rng_.chance(0.15)) {
+          const Expr dividend = Expr::literal(rng_.int_in(1, 5));
+          return dividend / var();
+        }
+        if (rng_.chance(0.1)) {
+          return Expr::call(symbolic::CallOp::kLog, {var() - Expr::literal(1)});
+        }
+        constexpr double kValues[] = {0.5, 2.25, -1.5, 0.1, 3.0, 1e-3, 0.0, -0.0};
+        return Expr::literal(kValues[rng_.index(8)]);
+      }
+    }
+    return Expr::literal(0);
+  }
+
+  BinaryOp comparison() {
+    constexpr BinaryOp kOps[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                                 BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+    return kOps[rng_.index(6)];
+  }
+
+  Kind number() { return rng_.chance(0.5) ? Kind::kInt : Kind::kDouble; }
+
+  /// Operands of the given kinds, drawn in order (a braced list sequences
+  /// its elements; function arguments would leave the draws' order to the
+  /// compiler).
+  std::vector<Expr> operands(std::initializer_list<Kind> kinds, int depth) {
+    std::vector<Expr> out;
+    for (const Kind k : kinds) out.push_back(make(k, depth));
+    return out;
+  }
+
+  Expr inner(Kind kind, int depth) {
+    using symbolic::CallOp;
+    using symbolic::UnaryOp;
+    constexpr Kind B = Kind::kBool;
+    constexpr Kind I = Kind::kInt;
+    constexpr Kind D = Kind::kDouble;
+    constexpr BinaryOp kArithmetic[] = {BinaryOp::kAdd, BinaryOp::kSub, BinaryOp::kMul};
+    const size_t shape = rng_.index(kind == D ? 8 : 7);
+    const bool flip = rng_.chance(0.5);
+    switch (kind) {
+      case Kind::kBool:
+        switch (shape) {
+          case 0: {
+            const std::vector<Expr> e = operands({B, B}, depth);
+            return e[0] && e[1];
+          }
+          case 1: {
+            const std::vector<Expr> e = operands({B, B}, depth);
+            return e[0] || e[1];
+          }
+          case 2: return !make(B, depth);
+          case 3: {
+            const std::vector<Expr> e = operands({B, B}, depth);
+            return Expr::binary(flip ? BinaryOp::kImplies : BinaryOp::kIff, e[0], e[1]);
+          }
+          case 4: {
+            const std::vector<Expr> e = operands({B, B, B}, depth);
+            return Expr::ite(e[0], e[1], e[2]);
+          }
+          case 5: {
+            const std::vector<Expr> e = operands({B, B}, depth);
+            return Expr::binary(flip ? BinaryOp::kEq : BinaryOp::kNe, e[0], e[1]);
+          }
+          default: {
+            const BinaryOp op = comparison();
+            const std::vector<Expr> e = operands({number(), number()}, depth);
+            return Expr::binary(op, e[0], e[1]);
+          }
+        }
+      case Kind::kInt:
+        switch (shape) {
+          case 0:
+          case 1: {
+            const BinaryOp op = kArithmetic[rng_.index(3)];
+            const std::vector<Expr> e = operands({I, I}, depth);
+            return Expr::binary(op, e[0], e[1]);
+          }
+          case 2: return Expr::unary(UnaryOp::kMinus, make(I, depth));
+          case 3:
+            return Expr::call(flip ? CallOp::kMin : CallOp::kMax, operands({I, I}, depth));
+          case 4:
+            return Expr::call(flip ? CallOp::kFloor : CallOp::kCeil,
+                              operands({number()}, depth));
+          case 5: return Expr::call(CallOp::kMod, {make(I, depth), var()});
+          default: {
+            const std::vector<Expr> e = operands({B, I, I}, depth);
+            return Expr::ite(e[0], e[1], e[2]);
+          }
+        }
+      case Kind::kDouble:
+        switch (shape) {
+          case 0:
+          case 1: {
+            const BinaryOp op = kArithmetic[rng_.index(3)];
+            const std::vector<Expr> e = operands({D, number()}, depth);
+            return Expr::binary(op, e[0], e[1]);
+          }
+          case 2: {
+            const std::vector<Expr> e = operands({number(), number()}, depth);
+            return e[0] / e[1];
+          }
+          case 3:
+            return Expr::call(CallOp::kPow,
+                              {make(number(), depth), Expr::literal(rng_.int_in(-2, 3))});
+          case 4:
+            return Expr::call(CallOp::kLog, flip ? operands({number()}, depth)
+                                                 : operands({number(), number()}, depth));
+          case 5:
+            return Expr::call(flip ? CallOp::kMin : CallOp::kMax,
+                              operands({D, number()}, depth));
+          case 6: return Expr::unary(UnaryOp::kMinus, make(D, depth));
+          default: {
+            const std::vector<Expr> e = operands({B, D, D}, depth);
+            return Expr::ite(e[0], e[1], e[2]);
+          }
+        }
+    }
+    return leaf(kind);
+  }
+
+  Rng& rng_;
+  const symbolic::CompiledModel& model_;
+  std::vector<Expr> pools_[3];
+};
+
+}  // namespace
+
+std::vector<Expr> random_expressions(uint64_t seed, const symbolic::CompiledModel& model,
+                                     size_t count) {
+  // A stream of its own, so the other generators' draws stay as they were.
+  Rng rng(seed ^ 0x70726f6772616dULL);  // "program"
+  std::vector<Expr> out;
+  if (model.variables.empty()) return out;
+  ExpressionGenerator generator(rng, model);
+  const symbolic::SymbolScope scope;
+  while (out.size() < count) {
+    const auto kind = static_cast<ExpressionGenerator::Kind>(rng.index(3));
+    const Expr expr = generator.make(kind, 1 + static_cast<int>(rng.index(4)));
+    try {
+      out.push_back(expr.resolve(scope));  // folds literal subtrees, as compile() does
+    } catch (const symbolic::EvalError&) {
+      // A literal subtree that always raises would fail compile(): skip it.
+      out.push_back(Expr::literal(static_cast<int64_t>(out.size())));
+    }
+  }
+  return out;
+}
+
+Model random_mdp_model(uint64_t seed, const RandomModelOptions& options) {
+  Model model = random_model(seed, options);
+  Rng rng(seed ^ 0x6d64705f6d6f64ULL);  // "mdp_mod"
+  model.type = symbolic::ModelType::kMdp;
+  for (Module& module : model.modules) {
+    for (Command& command : module.commands) {
+      symbolic::CommandBranch take;
+      symbolic::CommandBranch stay;
+      if (rng.chance(0.5) || command.assignments.empty()) {
+        const double p = rng.int_in(1, 9) / 10.0;
+        take.probability = Expr::literal(p);
+        stay.probability = Expr::literal(1.0 - p);
+      } else {
+        // (v + 1) / (v + 2) and 1 / (v + 2): sums to 1 within rounding.
+        const Expr v = Expr::ident(command.assignments.front().variable);
+        take.probability = (v + Expr::literal(1)) / (v + Expr::literal(2));
+        stay.probability = Expr::literal(1) / (v + Expr::literal(2));
+      }
+      take.assignments = std::move(command.assignments);
+      command.branches = {std::move(take), std::move(stay)};
+      command.assignments.clear();
+    }
+  }
   return model;
 }
 

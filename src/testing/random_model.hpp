@@ -41,6 +41,21 @@ struct RandomModelOptions {
 /// through the writer and parser.
 symbolic::Model random_model(uint64_t seed, const RandomModelOptions& options = {});
 
+/// `count` random resolved expressions over the variables of `model`, for
+/// the compiled-program-vs-tree differential family: every operator and
+/// built-in function, int/double/bool operands, divisions and mods by
+/// variables (zero in some states), `&`/`|`/`?:` that skip such operands in
+/// some states, reused and re-built common subexpressions, and an occasional
+/// operand of the wrong type (a type error or a mixed-type `?:`).
+std::vector<symbolic::Expr> random_expressions(uint64_t seed,
+                                               const symbolic::CompiledModel& model,
+                                               size_t count);
+
+/// random_model() as an mdp model: each command becomes a choice whose
+/// branches take its update with a probability p and stay put with 1 - p,
+/// p a literal or an expression over the command's variable.
+symbolic::Model random_mdp_model(uint64_t seed, const RandomModelOptions& options = {});
+
 struct RandomArchitectureOptions {
   size_t max_buses = 2;
   size_t max_ecus = 3;

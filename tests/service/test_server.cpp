@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include "automotive/archfile.hpp"
 #include "util/fault.hpp"
 #include "util/json.hpp"
+#include "util/metrics.hpp"
 #include "util/parallel.hpp"
 #include "util/strings.hpp"
 
@@ -681,6 +683,128 @@ TEST(ServerTest, OverflowResponseIsAStructuredOverloadedEnvelope) {
   EXPECT_FALSE(overflow.bool_or("ok", true));
   EXPECT_EQ(overflow.find("error")->string_or("code", ""), "overloaded");
   EXPECT_EQ(overflow.find("error")->int_or("retry_after_ms", -1), 100);
+}
+
+std::string diagnose_line(const std::string& id, int nmax,
+                          const std::string& extra = "") {
+  return "{\"id\": \"" + id + "\", \"op\": \"diagnose\", \"architecture\": \"" +
+         arch_path() + "\", \"message\": \"m\", \"nmax\": " + std::to_string(nmax) +
+         extra + "}";
+}
+
+/// Counter deltas of the process registry over one scope.
+class RegistryScope {
+ public:
+  RegistryScope() {
+    util::metrics::registry().reset();
+    util::metrics::registry().set_enabled(true);
+  }
+  ~RegistryScope() {
+    util::metrics::registry().set_enabled(false);
+    util::metrics::registry().reset();
+  }
+  uint64_t counter(const std::string& name) const {
+    return util::metrics::registry().counter_value(name);
+  }
+};
+
+TEST(ServerTest, ConcurrentIdenticalJobsComputeOnce) {
+  const std::string root = ::testing::TempDir() + "autosec_coalesce_cache";
+  std::filesystem::remove_all(root);
+  ServerOptions options;
+  options.disk_cache_dir = root + "/solo";
+  RegistryScope registry;
+  std::string solo_result;
+  {
+    Server solo(options);
+    const JsonValue alone = handle(solo, diagnose_line("solo", 2));
+    ASSERT_TRUE(alone.bool_or("ok", false)) << alone.dump();
+    solo_result = alone.find("result")->dump();
+  }
+  const uint64_t one_diagnosis = registry.counter("session.compiles");
+  ASSERT_GT(one_diagnosis, 0u);
+
+  for (int round = 0; round < 3; ++round) {
+    options.disk_cache_dir = root + "/round" + std::to_string(round);
+    Server server(options);
+    util::metrics::registry().reset();
+    std::string first, second;
+    std::thread a([&] { first = server.handle_line(diagnose_line("a", 2)); });
+    std::thread b([&] { second = server.handle_line(diagnose_line("b", 2)); });
+    a.join();
+    b.join();
+    // Whichever came second waited for the first's answer (coalesced) or
+    // found it stored (a disk hit); the engine ran one diagnosis.
+    EXPECT_EQ(registry.counter("session.compiles"), one_diagnosis);
+    EXPECT_EQ(registry.counter("serve.coalesced") + registry.counter("serve.disk_hits"),
+              1u);
+    for (const std::string& text : {first, second}) {
+      const JsonValue response = JsonValue::parse(text);
+      ASSERT_TRUE(response.bool_or("ok", false)) << text;
+      EXPECT_EQ(response.find("result")->dump(), solo_result);
+      EXPECT_EQ(response.find("metrics")->int_or("explores", -1), 0);
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(ServerTest, CoalescedFollowerKeepsItsOwnDeadline) {
+  const std::string dir = ::testing::TempDir() + "autosec_coalesce_deadline";
+  std::filesystem::remove_all(dir);
+  ServerOptions options;
+  options.disk_cache_dir = dir;
+  Server server(options);
+  std::string leader;
+  std::thread slow([&] { leader = server.handle_line(diagnose_line("slow", 4)); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The same job with a 1 ms deadline: it stops waiting (or, had it come
+  // first, computing) when its own deadline passes.
+  const JsonValue follower =
+      handle(server, diagnose_line("quick", 4, ", \"timeout_ms\": 1"));
+  slow.join();
+  ASSERT_FALSE(follower.bool_or("ok", true)) << follower.dump();
+  EXPECT_EQ(follower.find("error")->string_or("code", ""), "timeout");
+  EXPECT_TRUE(JsonValue::parse(leader).bool_or("ok", false)) << leader;
+
+  // A job whose identical leader fails (here: its own deadline passes)
+  // computes the answer itself.
+  const std::string integrity = ", \"category\": \"integrity\"";
+  std::string failing;
+  std::thread capped([&] {
+    failing = server.handle_line(
+        diagnose_line("capped", 4, integrity + ", \"timeout_ms\": 100"));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const JsonValue recovered = handle(server, diagnose_line("free", 4, integrity));
+  capped.join();
+  EXPECT_TRUE(recovered.bool_or("ok", false)) << recovered.dump();
+  const JsonValue failed = JsonValue::parse(failing);
+  ASSERT_FALSE(failed.bool_or("ok", true)) << failing;
+  EXPECT_EQ(failed.find("error")->string_or("code", ""), "timeout") << failing;
+  std::filesystem::remove_all(dir);
+}
+
+TEST(ServerTest, DeterministicBatchesAreByteIdentical) {
+  // Repeated session keys and a final status: handled one at a time in
+  // input order, five fresh servers print the same bytes.
+  std::vector<std::string> lines;
+  for (int i = 0; i < 6; ++i) {
+    lines.push_back(analyze_line("d" + std::to_string(i),
+                                 i % 2 == 0 ? "" : ", \"horizon_years\": 2.0"));
+  }
+  lines.push_back(R"({"id": "s", "op": "status"})");
+  std::optional<std::vector<std::string>> first;
+  for (int run = 0; run < 5; ++run) {
+    Server server(deterministic_options());
+    const std::vector<std::string> responses = server.handle_batch(lines);
+    if (!first) {
+      first = responses;
+      const JsonValue status = JsonValue::parse(responses.back());
+      EXPECT_EQ(status.find("result")->find("cache")->int_or("hits", -1), 5);
+      continue;
+    }
+    EXPECT_EQ(responses, *first) << "run " << run;
+  }
 }
 
 TEST(ServerTest, HandleBatchKeepsInputOrderAcrossThePool) {

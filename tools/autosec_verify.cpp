@@ -25,7 +25,7 @@ void print_usage(std::ostream& os) {
         "  --threads N        thread count of the parallel leg (default 4)\n"
         "  --skip FAMILY      disable a family: oracle, solvers, kernels,\n"
         "                     lumping, parallel, roundtrip, engine, mdp,\n"
-        "                     checkpoint, explore (repeatable)\n"
+        "                     checkpoint, explore, program (repeatable)\n"
         "  --faults           run the fault-injection checks instead: arm every\n"
         "                     known fault site and prove each yields a structured\n"
         "                     error (and serve keeps serving)\n"
@@ -92,6 +92,8 @@ int main(int argc, char** argv) {
         options.check_checkpoint = false;
       } else if (family == "explore") {
         options.check_explore = false;
+      } else if (family == "program") {
+        options.check_program = false;
       } else {
         fail_usage("unknown family '" + family + "'");
       }
@@ -118,7 +120,12 @@ int main(int argc, char** argv) {
                    "           replay, no recomputation)\n"
                    "explore    a space refilled from its rate-only family with one\n"
                    "           rate constant re-keyed vs a fresh explore (entry by\n"
-                   "           entry, and every property bit-exact)\n";
+                   "           entry, and every property bit-exact)\n"
+                   "program    the compiled model program vs the tree interpreter\n"
+                   "           on every reachable state of random ctmc and mdp\n"
+                   "           models, reduced and full: every guard, rate, update,\n"
+                   "           probability, label, reward item and random expression\n"
+                   "           (bit-exact values, identical errors)\n";
       return 0;
     } else if (arg == "--help" || arg == "-h") {
       print_usage(std::cout);
