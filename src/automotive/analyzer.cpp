@@ -73,9 +73,7 @@ symbolic::Model pair_model(const Architecture& architecture, const std::string& 
 }
 
 csl::SessionOptions session_options(const AnalysisOptions& options) {
-  csl::SessionOptions session;
-  static_cast<csl::EngineOptions&>(session) = options;
-  return session;
+  return static_cast<const csl::EngineOptions&>(options);
 }
 
 SecurityAnalysis::SecurityAnalysis(const Architecture& architecture,

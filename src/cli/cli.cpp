@@ -729,8 +729,8 @@ void print_help(std::ostream& out) {
          "answer symmetric properties exactly and reject asymmetric ones with\n"
          "a typed error.\n"
          "\n"
-         "The solve kernels (CSR or SELL-C-sigma products, direct or colored\n"
-         "Gauss-Seidel sweeps) are chosen from the matrix alone (docs/\n"
+         "The product kernel (CSR or SELL-C-sigma) is chosen from the matrix\n"
+         "alone, and Gauss-Seidel always sweeps states in natural order (docs/\n"
          "engine.md#solver-kernels). --no-steady-detect disables steady-state\n"
          "truncation of long transient horizons.\n"
          "\n"

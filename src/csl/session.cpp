@@ -460,11 +460,7 @@ std::vector<double> EngineSession::check_all(std::span<const Property> propertie
       }
     }
   };
-  if (!options_.parallel_properties || tasks == 1) {
-    run_tasks(0, tasks);
-  } else {
-    util::parallel_for(0, tasks, 1, run_tasks);
-  }
+  util::parallel_for(0, tasks, 1, run_tasks);
   std::lock_guard<std::mutex> lock(stats_mutex_);
   stats_.solve_seconds += seconds_since(start);
   return results;
@@ -525,11 +521,7 @@ std::vector<PointValue> EngineSession::check_points(
   };
   // Each slot writes only results[i], and a point's value depends only on its
   // own stage set, so the fan-out is deterministic at every thread count.
-  if (options_.parallel_properties) {
-    util::parallel_for(0, points.size(), 1, solve_range);
-  } else {
-    solve_range(0, points.size());
-  }
+  util::parallel_for(0, points.size(), 1, solve_range);
   return results;
 }
 

@@ -60,11 +60,7 @@ namespace autosec::csl {
 /// Session-level view of the shared engine knobs (csl/engine_options.hpp):
 /// the session consumes constant_overrides, explore, transient, steady_state
 /// and cancel; nmax/horizon_years are inert at this layer.
-struct SessionOptions : EngineOptions {
-  /// Fan the independent solves of check_all() and check_points() across the
-  /// thread pool.
-  bool parallel_properties = true;
-};
+using SessionOptions = EngineOptions;
 
 /// One constant-override set: the argument of set_constant_overrides() and
 /// one point of check_points().
@@ -183,7 +179,7 @@ class EngineSession {
   bool satisfies(std::string_view property_text);
 
   /// Batch evaluation: builds the stages once, then solves every property —
-  /// in parallel across the pool when options().parallel_properties. Every
+  /// in parallel across the pool (in batch order at one thread). Every
   /// non-directional R{..}=? [ C<=t ] of a ctmc whose chain moves joins one
   /// task, scheduled first, that walks the uniformized chain once for all of
   /// them (ctmc::expected_cumulative_rewards); its members still pass the
@@ -203,11 +199,11 @@ class EngineSession {
   /// the session's rate-only family (symbolic::explore_family), unless it is
   /// a rate variant of the family the session already has, and every later
   /// build whose model is a rate variant refills from it in O(nnz)
-  /// (symbolic::refill). The points fan across the pool when
-  /// options().parallel_properties, each running its kernels serially, as
-  /// check_all() does for properties. The active key is left unchanged, so
-  /// space() and single-property calls still answer for it. Results are
-  /// positionally aligned with `points` and bit-identical to re-keying with
+  /// (symbolic::refill). The points fan across the pool, each running its
+  /// kernels serially, as check_all() does for properties (in point order at
+  /// one thread). The active key is left unchanged, so space() and
+  /// single-property calls still answer for it. Results are positionally
+  /// aligned with `points` and bit-identical to re-keying with
   /// set_constant_overrides() and calling check() once per point. Throws
   /// PropertyError on a space-adopting session.
   std::vector<PointValue> check_points(const Property& property,

@@ -6,10 +6,9 @@
 // collapses them into one value embedded in EngineOptions; apply_plan() is
 // the single place the plan fans back out onto the stage structs.
 //
-// The solve kernels (CSR vs SELL-C-σ layout, direct vs colored Gauss-Seidel)
-// are deliberately not here: they resolve from the matrix alone
-// (linalg::resolve_layout / linalg::resolve_gs_ordering), so no request can
-// change which kernel runs.
+// The product layout (CSR vs SELL-C-σ) is deliberately not here: it resolves
+// from the matrix alone (linalg::resolve_layout), so no request can change
+// which kernel runs.
 #pragma once
 
 #include "linalg/gauss_seidel.hpp"

@@ -82,8 +82,8 @@ void CsrMatrix::right_multiply(std::span<const double> x, std::span<double> y) c
     throw std::invalid_argument("right_multiply: dimension mismatch");
   }
   // Row-disjoint writes: chunks touch y[begin..end) only, so the result is
-  // independent of the chunking. The grain keeps tiny matrices serial.
-  util::parallel_for(0, row_count_, 1024, [&](size_t begin, size_t end) {
+  // independent of the chunking.
+  const auto rows = [&](size_t begin, size_t end) {
     for (size_t r = begin; r < end; ++r) {
       const auto cols = row_columns(r);
       const auto vals = row_values(r);
@@ -91,7 +91,12 @@ void CsrMatrix::right_multiply(std::span<const double> x, std::span<double> y) c
       for (size_t i = 0; i < cols.size(); ++i) acc += vals[i] * x[cols[i]];
       y[r] = acc;
     }
-  });
+  };
+  if (nonzeros() < kParallelProductNonzeros) {
+    rows(0, row_count_);
+  } else {
+    util::parallel_for(0, row_count_, 1024, rows);
+  }
 }
 
 double CsrMatrix::row_sum(size_t r) const {

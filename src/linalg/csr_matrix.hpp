@@ -12,6 +12,14 @@
 
 namespace autosec::linalg {
 
+/// Products (CsrMatrix and SellMatrix right_multiply) over fewer nonzeros
+/// than this run serially on the calling thread; below it a pool job costs
+/// more than the rows it would share out (docs/engine.md "Solver kernels"
+/// has the measurements). Like resolve_layout, a function of the matrix
+/// alone: every row is summed the same way on either path, so products are
+/// bit-identical whichever runs.
+inline constexpr size_t kParallelProductNonzeros = 65536;
+
 /// One (column, value) entry of a CSR row.
 struct Entry {
   uint32_t column = 0;
@@ -52,9 +60,9 @@ class CsrMatrix {
   void left_multiply(std::span<const double> x, std::span<double> y) const;
 
   /// y = M * x (right multiplication, column vector x of length cols()).
-  /// Gather-form kernel, row-parallel over the engine thread pool: every row
-  /// is summed by exactly one thread in column order, so the result is
-  /// bit-identical at any thread count.
+  /// Gather-form kernel, row-parallel over the engine thread pool from
+  /// kParallelProductNonzeros up: every row is summed by exactly one thread
+  /// in column order, so the result is bit-identical at any thread count.
   void right_multiply(std::span<const double> x, std::span<double> y) const;
 
   /// Sum of entries of row r.

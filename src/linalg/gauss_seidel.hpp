@@ -7,6 +7,9 @@
 //  * stationary distributions  π·Q = 0, Σπ = 1  over an irreducible generator
 //    (solved through the transposed generator so each update only needs the
 //    incoming transitions of one state).
+//
+// Every sweep updates states 0..n-1 in natural order on the calling thread,
+// so a solve never depends on the thread count.
 #pragma once
 
 #include <cstddef>
@@ -17,26 +20,6 @@
 #include "linalg/csr_matrix.hpp"
 
 namespace autosec::linalg {
-
-/// Sweep schedule of the Gauss-Seidel rungs. Direct sweeps update states
-/// 0..n-1 strictly in order — the bit-exact reference, necessarily serial.
-/// Colored sweeps group states by a greedy coloring of the matrix pattern
-/// (linalg/coloring.hpp) and update each color class on the thread pool;
-/// within a color no state reads another, so the schedule is deterministic
-/// at any thread count, but it visits states in a different order than the
-/// direct sweep and converges along a (slightly) different trajectory — the
-/// two agree within the solver tolerance, not bitwise. The engine always runs
-/// kAuto; the explicit values are library-level hooks for the kernel tests
-/// and the solver.colored_vs_direct_gs differential family.
-enum class GsOrdering {
-  kAuto,     ///< colored above a size threshold, direct otherwise
-  kDirect,   ///< natural-order serial sweeps
-  kColored,  ///< multicolor parallel sweeps
-};
-
-/// Resolve kAuto against the system size — a pure function of the matrix,
-/// never of the thread count, so results stay thread-count independent.
-GsOrdering resolve_gs_ordering(GsOrdering requested, size_t state_count);
 
 /// How solve_fixpoint attacks x = A·x + b. Stationary solves
 /// (stationary_from_transposed) always use Gauss-Seidel and ignore this.
@@ -64,8 +47,6 @@ struct IterativeOptions {
   /// delta to 1e-12; the cap only exists to bound genuinely divergent solves.
   size_t max_iterations = 1000000;
   FixpointMethod method = FixpointMethod::kAuto;
-  /// Sweep schedule of the Gauss-Seidel rungs (see GsOrdering).
-  GsOrdering ordering = GsOrdering::kAuto;
   /// Cooperative cancellation hook, polled between sweeps/iterations. When
   /// it returns true the solver stops cleanly with cancelled = true (and
   /// converged = false); callers translate that into their own unwinding.

@@ -221,6 +221,10 @@ void SellMatrix::multiply(std::span<const double> x, std::span<double> y,
   const Packed packed{chunk_offsets_.data(), row_lengths_.data(), row_ids_.data(),
                       columns_.data(),       values_.data(),      row_count_};
   const size_t chunks = chunk_offsets_.empty() ? 0 : chunk_offsets_.size() - 1;
+  if (nonzeros_ < kParallelProductNonzeros) {
+    chunk_loop(packed, x.data(), y.data(), 0, chunks);
+    return;
+  }
   // Chunk-disjoint writes (each row belongs to exactly one chunk lane), same
   // grain as the CSR kernel in rows: 1024 rows = 128 chunks per task.
   util::parallel_for(0, chunks, 128, [&](size_t begin, size_t end) {

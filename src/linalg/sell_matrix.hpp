@@ -93,8 +93,9 @@ class SellMatrix {
   static size_t simd_lanes();
 
  private:
-  /// Checks the dimensions, then runs `chunk_loop` over every chunk on the
-  /// engine pool; instantiated only in sell_matrix.cpp.
+  /// Checks the dimensions, then runs `chunk_loop` over every chunk, on the
+  /// engine pool from kParallelProductNonzeros up; instantiated only in
+  /// sell_matrix.cpp.
   template <class ChunkLoop>
   void multiply(std::span<const double> x, std::span<double> y,
                 ChunkLoop chunk_loop) const;

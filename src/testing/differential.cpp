@@ -539,13 +539,10 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     }
   }
 
-  // --- (b') solve-kernel cross-checks. The engine picks these kernels from
+  // --- (b') blocked vs csr product kernel. The engine picks the layout from
   // the matrix alone; the harness pins both sides through the library-level
-  // stage options. Two axes with two distinct agreement contracts:
-  //   blocked vs csr      bit-exact — the SELL kernel predicates on true row
-  //                       lengths and sums each row in the same column order;
-  //   colored vs direct   solver tolerance — the multicolor sweep visits rows
-  //                       in color order, a genuinely different iteration.
+  // transient options. Bit-exact: the SELL kernel predicates on true row
+  // lengths and sums each row in the same column order.
   if (options.check_kernels) {
     csl::SessionOptions blocked_options;
     blocked_options.transient.layout = linalg::MatrixLayout::kBlocked;
@@ -556,27 +553,6 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
     for (const std::string& text : properties.bounded) {
       harness.compare_exact("solver.blocked_vs_csr", seed, tag + text,
                             blocked_session.check(text), csr_session.check(text));
-    }
-
-    csl::SessionOptions colored_options;
-    colored_options.plan.method = linalg::FixpointMethod::kGaussSeidel;
-    colored_options.steady_state.solver.ordering = linalg::GsOrdering::kColored;
-    csl::SessionOptions direct_options;
-    direct_options.plan.method = linalg::FixpointMethod::kGaussSeidel;
-    direct_options.steady_state.solver.ordering = linalg::GsOrdering::kDirect;
-    csl::EngineSession colored_session(space, colored_options);
-    csl::EngineSession direct_session(space, direct_options);
-    for (const std::string& text : properties.unbounded) {
-      try {
-        harness.compare("solver.colored_vs_direct_gs", seed, tag + text,
-                        colored_session.check(text), direct_session.check(text),
-                        options.solver_tolerance);
-      } catch (const csl::PropertyError& error) {
-        // Same skip rule as the solvers family: pure Gauss-Seidel may honestly
-        // report non-convergence on stiff chains in either ordering.
-        if (std::string(error.what()).find("converge") == std::string::npos) throw;
-        harness.record_skip("solver.colored_vs_direct_gs");
-      }
     }
   }
 

@@ -25,12 +25,24 @@
 #include "util/cancel.hpp"
 #include "util/fault.hpp"
 #include "util/metrics.hpp"
+#include "util/parallel.hpp"
 
 namespace autosec::csl {
 namespace {
 
 namespace fs = std::filesystem;
 using symbolic::Expr;
+
+/// Runs batch solves on one thread, in batch order, so an interrupt armed at
+/// the n-th solve always lands on the same property; restores the automatic
+/// thread count when the scope ends.
+class OneThread {
+ public:
+  OneThread() { util::set_thread_count(1); }
+  ~OneThread() { util::set_thread_count(0); }
+  OneThread(const OneThread&) = delete;
+  OneThread& operator=(const OneThread&) = delete;
+};
 
 class CheckpointTest : public ::testing::Test {
  protected:
@@ -190,9 +202,8 @@ TEST_F(CheckpointTest, CtmcResumeAfterSolveCancelIsBitIdentical) {
     {
       auto ledger = std::make_shared<CheckpointLedger>(options(identity));
       ledger->load();
-      SessionOptions session_options;
-      session_options.parallel_properties = false;  // deterministic interrupt
-      EngineSession session(repair_model(), session_options);
+      const OneThread one_thread;  // deterministic interrupt
+      EngineSession session(repair_model());
       session.set_checkpoint(ledger);
       util::fault::arm_site("solve.cancel", interrupt_at);
       EXPECT_THROW(session.check_all(kCtmcProperties), util::Cancelled);
@@ -221,9 +232,8 @@ TEST_F(CheckpointTest, MdpResumeAfterSolveCancelIsBitIdentical) {
   {
     auto ledger = std::make_shared<CheckpointLedger>(options(identity));
     ledger->load();
-    SessionOptions session_options;
-    session_options.parallel_properties = false;
-    EngineSession session(symbolic::parse_model(kMdpModel), session_options);
+    const OneThread one_thread;
+    EngineSession session(symbolic::parse_model(kMdpModel));
     session.set_checkpoint(ledger);
     util::fault::arm_site("solve.cancel", 2);  // first property lands
     EXPECT_THROW(session.check_all(kMdpProperties), util::Cancelled);
@@ -359,9 +369,8 @@ TEST_F(CheckpointTest, PartlyRecordedCumulativeGroupRecomputesOnlyTheRest) {
   {
     auto ledger = std::make_shared<CheckpointLedger>(options("group-part"));
     ledger->load();
-    SessionOptions session_options;
-    session_options.parallel_properties = false;  // deterministic interrupt
-    EngineSession session(repair_model(), session_options);
+    const OneThread one_thread;  // deterministic interrupt
+    EngineSession session(repair_model());
     session.set_checkpoint(ledger);
     // The group runs first, its members in batch order: the two C<=t before
     // the third member land, then its safepoint cancels.
@@ -417,9 +426,8 @@ TEST_F(CheckpointTest, CheckPointsKeepsOneRecordPerPointAndResumesEachPoint) {
     {
       auto ledger = std::make_shared<CheckpointLedger>(options(identity));
       ledger->load();
-      SessionOptions session_options;
-      session_options.parallel_properties = false;  // deterministic interrupt
-      EngineSession session(model, session_options);
+      const OneThread one_thread;  // deterministic interrupt
+      EngineSession session(model);
       session.set_checkpoint(ledger);
       util::fault::arm_site("solve.cancel", interrupt_at);
       if (finished < points.size()) {

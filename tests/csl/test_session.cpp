@@ -21,6 +21,16 @@ namespace {
 
 using symbolic::Expr;
 
+/// Restores the automatic thread count when a test that pins one ends,
+/// whether or not its assertions held.
+class ThreadCountGuard {
+ public:
+  ThreadCountGuard() = default;
+  ~ThreadCountGuard() { util::set_thread_count(0); }
+  ThreadCountGuard(const ThreadCountGuard&) = delete;
+  ThreadCountGuard& operator=(const ThreadCountGuard&) = delete;
+};
+
 /// Two-state repair model with overridable rates (x=0 healthy, x=1 broken).
 symbolic::Model repair_model(double a, double b) {
   symbolic::ModelBuilder builder;
@@ -73,10 +83,11 @@ TEST(EngineSession, CheckAllAgreesWithSequentialChecks) {
     expected.push_back(sequential.check(property));
   }
 
-  for (const bool parallel : {false, true}) {
-    SessionOptions options;
-    options.parallel_properties = parallel;
-    EngineSession session(repair_model(2.0, 6.0), options);
+  // One thread solves the batch in order; four fan it across the pool.
+  ThreadCountGuard guard;
+  for (const size_t threads : {size_t{1}, size_t{4}}) {
+    util::set_thread_count(threads);
+    EngineSession session(repair_model(2.0, 6.0));
     const std::vector<double> values = session.check_all(kProperties);
     ASSERT_EQ(values.size(), expected.size());
     for (size_t i = 0; i < expected.size(); ++i) {
@@ -186,29 +197,26 @@ TEST(EngineSession, CheckAllSharesOneCumulativePassAndEqualsSingleChecks) {
     expected.push_back(reference.check(property));
   }
 
+  ThreadCountGuard guard;
   for (const size_t threads : {size_t{1}, size_t{4}}) {
-    for (const bool parallel : {true, false}) {
-      util::set_thread_count(threads);
-      SessionOptions options;
-      options.constant_overrides = larger;
-      options.parallel_properties = parallel;
-      EngineSession session(sized_repair_model(), options);
-      util::metrics::registry().set_enabled(true);
-      util::metrics::registry().reset();
-      const std::vector<double> values = session.check_all(properties);
-      const uint64_t passes =
-          util::metrics::registry().counter_value("ctmc.cumulative_reward_passes");
-      util::metrics::registry().set_enabled(false);
-      ASSERT_EQ(values.size(), expected.size());
-      for (size_t i = 0; i < expected.size(); ++i) {
-        EXPECT_EQ(std::bit_cast<uint64_t>(values[i]), std::bit_cast<uint64_t>(expected[i]))
-            << properties[i] << ", " << threads << " threads, parallel " << parallel;
-      }
-      EXPECT_EQ(passes, 1u) << "the three C<=t share one pass";
-      EXPECT_EQ(session.stats().check_count, properties.size());
+    util::set_thread_count(threads);
+    SessionOptions options;
+    options.constant_overrides = larger;
+    EngineSession session(sized_repair_model(), options);
+    util::metrics::registry().set_enabled(true);
+    util::metrics::registry().reset();
+    const std::vector<double> values = session.check_all(properties);
+    const uint64_t passes =
+        util::metrics::registry().counter_value("ctmc.cumulative_reward_passes");
+    util::metrics::registry().set_enabled(false);
+    ASSERT_EQ(values.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(values[i]), std::bit_cast<uint64_t>(expected[i]))
+          << properties[i] << ", " << threads << " threads";
     }
+    EXPECT_EQ(passes, 1u) << "the three C<=t share one pass";
+    EXPECT_EQ(session.stats().check_count, properties.size());
   }
-  util::set_thread_count(0);
 }
 
 TEST(EngineSession, CheckPointsEqualsPerPointRekeyedChecksAtOneAndFourThreads) {
@@ -368,13 +376,15 @@ TEST(EngineSession, CheckPointsReleasesOnlyTheStageSetsItBuilt) {
 }
 
 TEST(EngineSession, CheckPointsWithoutParallelPropertiesAgrees) {
+  // Four threads fan the points across the pool; one solves them in order.
   const std::vector<OverrideSet> points = {{{"a", symbolic::Value::of(1.0)}},
                                           {{"a", symbolic::Value::of(3.0)}}};
+  ThreadCountGuard guard;
+  util::set_thread_count(4);
   EngineSession parallel(repair_model(2.0, 6.0));
-  SessionOptions serial_options;
-  serial_options.parallel_properties = false;
-  EngineSession serial(repair_model(2.0, 6.0), serial_options);
   const auto a = parallel.check_points("S=? [ \"broken\" ]", points);
+  util::set_thread_count(1);
+  EngineSession serial(repair_model(2.0, 6.0));
   const auto b = serial.check_points("S=? [ \"broken\" ]", points);
   ASSERT_EQ(a.size(), 2u);
   EXPECT_NEAR(a[0].value, 1.0 / 7.0, 1e-12);

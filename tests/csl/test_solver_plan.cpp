@@ -37,19 +37,16 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
 
 TEST(SolverPlan, ApplyLeavesTheKernelChoicesToTheMatrix) {
   // The plan has no kernel knobs: applying it keeps the stage-level layout
-  // and ordering at kAuto, so resolve_layout / resolve_gs_ordering decide
-  // from the matrix alone. A library caller's explicit pin survives too.
+  // at kAuto, so resolve_layout decides from the matrix alone. A library
+  // caller's explicit pin survives too.
   EngineOptions options;
   apply_plan(options.plan, options);
   EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kAuto);
-  EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kAuto);
 
   options.transient.layout = linalg::MatrixLayout::kCsr;
-  options.steady_state.solver.ordering = linalg::GsOrdering::kDirect;
   options.plan.method = linalg::FixpointMethod::kKrylov;
   apply_plan(options.plan, options);
   EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kCsr);
-  EXPECT_EQ(options.steady_state.solver.ordering, linalg::GsOrdering::kDirect);
 }
 
 TEST(SolverPlan, CompactEngineTurnsReductionAutoOnForCtmcOnly) {

@@ -1,8 +1,7 @@
-// Property tests for the hardware-speed solve kernels: both SELL-C-σ loops
-// (scalar and AVX-512) must be bit-identical to the CSR reference at any
-// thread count, and the multicolor Gauss-Seidel sweep must agree with the
-// direct sweep within the documented tolerance (and be thread-count
-// invariant itself).
+// Property tests for the hardware-speed product kernels: both SELL-C-σ
+// loops (scalar and AVX-512) must be bit-identical to the CSR reference at
+// any thread count, and only products from kParallelProductNonzeros up may
+// open a pool job.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -15,9 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "linalg/coloring.hpp"
 #include "linalg/csr_matrix.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "linalg/sell_matrix.hpp"
 #include "util/metrics.hpp"
 #include "util/parallel.hpp"
@@ -50,30 +47,6 @@ std::vector<double> random_vector(uint64_t seed, size_t n) {
   return v;
 }
 
-/// Substochastic matrix (row sums < 1) so Gauss-Seidel fixpoint sweeps
-/// contract; non-negative entries, irregular pattern.
-CsrMatrix random_substochastic(uint64_t seed, size_t n, double density) {
-  std::mt19937_64 rng(seed);
-  std::uniform_real_distribution<double> value(0.0, 1.0);
-  std::uniform_real_distribution<double> coin(0.0, 1.0);
-  CsrBuilder builder(n, n);
-  for (size_t r = 0; r < n; ++r) {
-    std::vector<std::pair<size_t, double>> entries;
-    double sum = 0.0;
-    for (size_t c = 0; c < n; ++c) {
-      if (coin(rng) < density) {
-        const double v = value(rng);
-        entries.emplace_back(c, v);
-        sum += v;
-      }
-    }
-    // Scale the row to a sum of 0.9 so the fixpoint iteration contracts.
-    const double scale = sum > 0.0 ? 0.9 / sum : 0.0;
-    for (const auto& [c, v] : entries) builder.add(r, c, v * scale);
-  }
-  return std::move(builder).build();
-}
-
 /// Seeded random matrix of `rows` rows, each with 0..max_len entries at
 /// uniform columns (duplicates sum), so large sizes stay cheap to build.
 CsrMatrix random_rows(uint64_t seed, size_t rows, size_t cols, size_t max_len) {
@@ -96,9 +69,10 @@ struct KernelCase {
 };
 
 /// Every shape the chunk loops handle differently: sizes across the chunk
-/// (8) and sort-window (64) boundaries, sizes big enough to split across
-/// pool lanes, empty rows and whole empty chunks, one long row among short
-/// ones, and NaN or ±Inf at x[0] — the column every padding entry names.
+/// (8) and sort-window (64) boundaries, a size past kParallelProductNonzeros
+/// that splits across pool lanes, empty rows and whole empty chunks, one
+/// long row among short ones, and NaN or ±Inf at x[0] — the column every
+/// padding entry names.
 std::vector<KernelCase> kernel_cases() {
   std::vector<KernelCase> cases;
   for (const size_t n : {1u, 7u, 8u, 9u, 63u, 64u, 65u, 1000u}) {
@@ -106,9 +80,10 @@ std::vector<KernelCase> kernel_cases() {
     cases.push_back({"random n=" + std::to_string(n),
                      random_matrix(1000 + n, n, n, density), random_vector(7 * n + 1, n)});
   }
-  // 600 chunks: at 4 lanes the product splits into several pool chunks.
-  cases.push_back({"random n=4800", random_rows(4800, 4800, 4800, 24),
-                   random_vector(4801, 4800)});
+  // About 96k nonzeros in 1,000 chunks: at 4 lanes the product opens a pool
+  // job and splits into several pool chunks.
+  cases.push_back({"random n=8000", random_rows(8000, 8000, 8000, 24),
+                   random_vector(8001, 8000)});
 
   // Two rows in three empty: whole chunks of every window hold no entry.
   CsrBuilder sparse(200, 200);
@@ -160,8 +135,10 @@ class ThreadCountGuard {
 /// entry's bits (NaN payloads and zero signs included) to equal CSR's.
 void expect_bit_identical_to_csr(SellLoop loop) {
   ThreadCountGuard guard;
+  size_t parallel_cases = 0;
   for (const KernelCase& input : kernel_cases()) {
     const CsrMatrix& A = input.matrix;
+    parallel_cases += A.nonzeros() >= kParallelProductNonzeros ? 1 : 0;
     const SellMatrix sell(A);
     EXPECT_EQ(sell.rows(), A.rows());
     EXPECT_EQ(sell.nonzeros(), A.nonzeros());
@@ -192,6 +169,7 @@ void expect_bit_identical_to_csr(SellLoop loop) {
       }
     }
   }
+  EXPECT_GT(parallel_cases, 0u) << "no case reaches the row-parallel product";
 }
 
 TEST(SellMatrix, BitIdenticalToCsrAcrossThreadCounts) {
@@ -270,71 +248,30 @@ TEST(SellMatrix, ResolveLayoutIsAFunctionOfTheMatrixAlone) {
   EXPECT_EQ(resolve_layout(MatrixLayout::kCsr, large), MatrixLayout::kCsr);
 }
 
-TEST(Coloring, NoAdjacentRowsShareAColor) {
-  for (const uint64_t seed : {11u, 12u, 13u}) {
-    const CsrMatrix A = random_matrix(seed, 60, 60, 0.1);
-    const ColorSchedule schedule = greedy_coloring(A);
-    ASSERT_EQ(schedule.color_of.size(), A.rows());
-    ASSERT_EQ(schedule.order.size(), A.rows());
-    ASSERT_EQ(schedule.color_offsets.size(), schedule.color_count + 1);
-    // Every row appears exactly once in the order.
-    std::vector<bool> seen(A.rows(), false);
-    for (const uint32_t row : schedule.order) {
-      EXPECT_FALSE(seen[row]);
-      seen[row] = true;
-    }
-    // Neighbors in the symmetrized pattern get distinct colors.
-    const SymmetricAdjacency adjacency = symmetric_adjacency(A);
-    for (size_t i = 0; i < A.rows(); ++i) {
-      for (uint32_t k = adjacency.offsets[i]; k < adjacency.offsets[i + 1]; ++k) {
-        EXPECT_NE(schedule.color_of[i], schedule.color_of[adjacency.neighbors[k]])
-            << "rows " << i << " and " << adjacency.neighbors[k];
-      }
-    }
-  }
-}
-
-TEST(ColoredGaussSeidel, AgreesWithDirectSweepWithinTolerance) {
-  for (const uint64_t seed : {21u, 22u, 23u}) {
-    const CsrMatrix A = random_substochastic(seed, 50, 0.1);
-    const std::vector<double> b = random_vector(seed + 100, 50);
-
-    IterativeOptions direct;
-    direct.method = FixpointMethod::kGaussSeidel;
-    direct.ordering = GsOrdering::kDirect;
-    IterativeOptions colored = direct;
-    colored.ordering = GsOrdering::kColored;
-
-    const IterativeResult ref = solve_fixpoint(A, b, direct);
-    const IterativeResult alt = solve_fixpoint(A, b, colored);
-    ASSERT_TRUE(ref.converged);
-    ASSERT_TRUE(alt.converged);
-    for (size_t i = 0; i < ref.x.size(); ++i) {
-      EXPECT_NEAR(alt.x[i], ref.x[i], 1e-10) << "row " << i;
-    }
-  }
-}
-
-TEST(ColoredGaussSeidel, BitIdenticalAcrossThreadCounts) {
+TEST(ParallelProduct, OnlyProductsFromTheConstantUpOpenAPoolJob) {
   ThreadCountGuard guard;
-  const CsrMatrix A = random_substochastic(31, 80, 0.08);
-  const std::vector<double> b = random_vector(32, 80);
-  IterativeOptions colored;
-  colored.method = FixpointMethod::kGaussSeidel;
-  colored.ordering = GsOrdering::kColored;
-
-  util::set_thread_count(1);
-  const IterativeResult serial = solve_fixpoint(A, b, colored);
-  ASSERT_TRUE(serial.converged);
-  for (const size_t threads : {4u, 8u}) {
-    util::set_thread_count(threads);
-    const IterativeResult parallel = solve_fixpoint(A, b, colored);
-    ASSERT_TRUE(parallel.converged);
-    EXPECT_EQ(parallel.iterations, serial.iterations);
-    for (size_t i = 0; i < serial.x.size(); ++i) {
-      EXPECT_EQ(parallel.x[i], serial.x[i]) << "threads=" << threads;
-    }
+  util::set_thread_count(4);
+  util::metrics::Registry& metrics = util::metrics::registry();
+  const CsrMatrix below = random_rows(21, 4000, 4000, 24);
+  const CsrMatrix above = random_rows(22, 8000, 8000, 24);
+  ASSERT_LT(below.nonzeros(), kParallelProductNonzeros);
+  ASSERT_GE(above.nonzeros(), kParallelProductNonzeros);
+  for (const CsrMatrix* A : {&below, &above}) {
+    const uint64_t expected = A == &above ? 1 : 0;
+    const SellMatrix sell(*A);
+    const std::vector<double> x = random_vector(23, A->cols());
+    std::vector<double> y(A->rows(), 0.0);
+    metrics.reset();
+    metrics.set_enabled(true);
+    A->right_multiply(x, y);
+    const uint64_t csr_jobs = metrics.counter_value("pool.jobs");
+    sell.right_multiply(x, y);
+    const uint64_t sell_jobs = metrics.counter_value("pool.jobs") - csr_jobs;
+    metrics.set_enabled(false);
+    EXPECT_EQ(csr_jobs, expected) << A->nonzeros() << " nonzeros";
+    EXPECT_EQ(sell_jobs, expected) << A->nonzeros() << " nonzeros";
   }
+  metrics.reset();
 }
 
 }  // namespace

@@ -31,7 +31,7 @@ TEST(Differential, AllCheckFamiliesRun) {
        {"oracle.transient", "oracle.steady_state", "oracle.cumulative_reward",
         "oracle.instantaneous_reward", "oracle.bounded_reachability",
         "solver.krylov_vs_gauss_seidel", "solver.blocked_vs_csr",
-        "solver.colored_vs_direct_gs", "lumping.quotient_vs_full",
+        "lumping.quotient_vs_full",
         "parallel.determinism", "parallel.concurrent_callers",
         "batch.shared_vs_single",
         "roundtrip.model_text_fixpoint",

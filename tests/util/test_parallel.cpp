@@ -263,8 +263,8 @@ TEST(ThreadCount, ReadsEnvironmentWhenAutomatic) {
 // bit-identical results, because parallel_for only partitions rows and each
 // row is summed by exactly one thread in column order.
 
-/// A stiff-ish 120-state birth-death chain with deterministic pseudo-random
-/// rates (no RNG: rates derived from the index).
+/// A stiff-ish birth-death chain (120 states unless asked otherwise) with
+/// deterministic pseudo-random rates (no RNG: rates derived from the index).
 ctmc::Ctmc test_chain(size_t n = 120) {
   linalg::CsrBuilder builder(n, n);
   for (size_t i = 0; i + 1 < n; ++i) {
@@ -294,8 +294,10 @@ void expect_bit_identical_across_thread_counts(Fn&& compute) {
 }
 
 TEST(ParallelDeterminism, SparseMatrixVectorProduct) {
-  const ctmc::Ctmc chain = test_chain();
+  // Large enough that the product splits its rows across the pool.
+  const ctmc::Ctmc chain = test_chain(40000);
   const linalg::CsrMatrix matrix = chain.rates().transposed();
+  ASSERT_GE(matrix.nonzeros(), linalg::kParallelProductNonzeros);
   std::vector<double> x(matrix.cols());
   for (size_t i = 0; i < x.size(); ++i) x[i] = 1.0 / static_cast<double>(i + 1);
   expect_bit_identical_across_thread_counts([&] {

@@ -103,7 +103,6 @@ int main(int argc, char** argv) {
       std::cout << "oracle     transient/steady/reward/reachability vs dense expm oracle\n"
                    "solvers    Krylov-first vs pure Gauss-Seidel fixpoint solves\n"
                    "kernels    blocked SELL-C-sigma vs CSR transient kernel (bit-exact)\n"
-                   "           and multicolor vs direct Gauss-Seidel sweeps\n"
                    "lumping    lumped-quotient checking vs the full state space\n"
                    "parallel   1-thread vs N-thread batch solves (bit-exact), two\n"
                    "           threads' concurrent N-thread batches vs the 1-thread\n"

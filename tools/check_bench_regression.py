@@ -25,7 +25,7 @@ committed baselines in bench/baselines/:
   * solve-kernel throughput (gauge ``solve.mat_vec_per_sec``, matrix-vector
     products over the solve span) must not fall below
     --min-throughput-fraction (default 0.75) of the baseline — the guard
-    that keeps the SELL/colored-GS kernel work from quietly regressing.
+    that keeps the SELL product kernel from quietly regressing.
 
 Memory gates are skipped for baselines that predate the gauge (refresh the
 baseline to arm them).
