@@ -104,7 +104,7 @@ AnalysisOptions pair_options() {
 std::vector<AnalysisResult> run_serial_baseline() {
   util::set_thread_count(1);
   AnalysisOptions options = pair_options();
-  options.plan.method = linalg::FixpointMethod::kGaussSeidel;
+  options.steady_state.solver.method = linalg::FixpointMethod::kGaussSeidel;
   std::vector<AnalysisResult> results;
   for (const Task& task : tasks()) {
     results.push_back(analyze_message(cs::architecture(task.arch, task.protection),

@@ -53,9 +53,9 @@ FirstBreachChain::FirstBreachChain(const SecurityAnalysis& analysis)
       transient_(analysis.session()->transient_options()),
       violated_(analysis.space().label_mask(kViolatedLabel)),
       initial_(analysis.space().initial_distribution()) {
-  const ctmc::Ctmc absorbing = analysis.space().chain().with_absorbing(violated_);
-  if (absorbing.max_exit_rate() > 0.0) {
-    uniformized_ = ctmc::uniformize(absorbing, transient_);
+  const ctmc::Ctmc& chain = analysis.space().chain();
+  if (chain.max_exit_rate(violated_) > 0.0) {
+    uniformized_ = ctmc::uniformize(chain, transient_, violated_);
   }
 }
 

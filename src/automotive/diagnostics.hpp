@@ -50,12 +50,13 @@ struct Criticality {
 std::vector<Criticality> criticality_analysis(const SecurityAnalysis& analysis,
                                               double relative_step = 0.25);
 
-/// The pair chain stopped at the first breach: `analysis`'s chain with the
-/// violated states made absorbing, uniformized once. Its transient mass in a
-/// violated state at time t is the probability that the first breach
-/// happened in exactly that state by t. Solves run with the session's
-/// transient options (cancel token, budget, steady-state detection) as they
-/// are at construction. `analysis` must outlive this object.
+/// The pair chain stopped at the first breach: `analysis`'s chain uniformized
+/// once with the violated states masked absorbing (the chain is not copied).
+/// Its transient mass in a violated state at time t is the probability that
+/// the first breach happened in exactly that state by t. Solves run with the
+/// session's transient options (cancel token, budget, steady-state
+/// detection) as they are at construction. `analysis` must outlive this
+/// object.
 class FirstBreachChain {
  public:
   explicit FirstBreachChain(const SecurityAnalysis& analysis);

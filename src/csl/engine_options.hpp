@@ -49,8 +49,10 @@ struct EngineOptions {
   SolverPlan plan;
   /// Uniformization truncation for time-bounded operators.
   ctmc::TransientOptions transient;
-  /// Long-run solves, including the fixpoint solver choice
-  /// (steady_state.solver.method: kAuto | kGaussSeidel | kKrylov).
+  /// Unbounded solves (steady state, unbounded until, reward to target). Its
+  /// fixpoint method (steady_state.solver.method: kAuto | kGaussSeidel |
+  /// kKrylov) is a library hook no request sets; the differential harness
+  /// and the Fig. 5 bench's serial baseline pin it.
   ctmc::SteadyStateOptions steady_state;
   /// State-space exploration limits.
   symbolic::ExploreOptions explore;

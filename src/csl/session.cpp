@@ -11,9 +11,9 @@
 
 #include "csl/checkpoint.hpp"
 #include "csl/property_parser.hpp"
+#include "ctmc/restricted.hpp"
 #include "ctmc/rewards.hpp"
 #include "ctmc/scc.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "linalg/vector_ops.hpp"
 #include "mdp/strategy.hpp"
 #include "util/failure.hpp"
@@ -108,6 +108,7 @@ ctmc::TransientOptions EngineSession::transient_options() const {
 ctmc::SteadyStateOptions EngineSession::steady_state_options() const {
   ctmc::SteadyStateOptions steady = options_.steady_state;
   if (!steady.solver.cancelled) steady.solver.cancelled = poll_hook(options_.cancel);
+  if (!steady.budget) steady.budget = options_.budget;
   return steady;
 }
 
@@ -664,69 +665,14 @@ double EngineSession::evaluate_fresh(Stages& stages, const Property& property) {
   throw PropertyError("corrupt property kind");
 }
 
-std::vector<double> EngineSession::reachability_probabilities(
-    const ctmc::Ctmc& chain, const std::vector<bool>& target) {
-  // Prob0/Prob1 graph precomputation first: states that cannot reach the
-  // target are exactly 0, states that reach it almost surely are exactly 1.
-  // Only the genuinely uncertain states go through the numeric least-fixpoint
-  // x = A·x + b on the embedded DTMC (b = one-step probability into the
-  // certain set). Besides making the 0/1 answers exact, this strips every
-  // recurrent class out of the linear system — BSCC states are always
-  // classified — so the iterative solvers never see the near-1 eigenmodes of
-  // an almost-closed recurrent set.
-  const size_t n = chain.state_count();
-  const ctmc::ReachabilityClassification classes =
-      ctmc::classify_reachability(chain.rates(), target);
-  std::vector<double> x(n, 0.0);
-  bool any_uncertain = false;
-  for (size_t i = 0; i < n; ++i) {
-    if (classes.certain[i]) {
-      x[i] = 1.0;
-    } else if (classes.possible[i]) {
-      any_uncertain = true;
-    }
-  }
-  if (!any_uncertain) return x;
-
-  const linalg::CsrMatrix embedded = chain.embedded_dtmc();
-  linalg::CsrBuilder block(n, n);
-  std::vector<double> one_step(n, 0.0);
-  for (size_t i = 0; i < n; ++i) {
-    if (classes.certain[i] || !classes.possible[i]) continue;
-    const auto cols = embedded.row_columns(i);
-    const auto vals = embedded.row_values(i);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      if (classes.certain[cols[k]]) {
-        one_step[i] += vals[k];
-      } else if (classes.possible[cols[k]]) {
-        // Diagonal entries stay in the block; solve_fixpoint folds A_ii < 1
-        // into the update, and an uncertain state can never have A_ii = 1.
-        block.add(i, cols[k], vals[k]);
-      }
-      // Successors in the Prob0 set contribute nothing.
-    }
-  }
-  auto solved = linalg::solve_fixpoint(std::move(block).build(), one_step,
-                                       steady_state_options().solver);
-  if (solved.cancelled) throw util::Cancelled("solve");
-  if (solved.attempts.size() > 1) {
+std::vector<double> EngineSession::solve_restricted(const ctmc::RestrictedSystem& system,
+                                                    const std::vector<double>& b) {
+  ctmc::RestrictedSystem::Solution solved = system.solve(b);
+  if (solved.fallbacks > 0) {
     std::lock_guard<std::mutex> lock(stats_mutex_);
-    stats_.solver_fallbacks += solved.attempts.size() - 1;
+    stats_.solver_fallbacks += solved.fallbacks;
   }
-  if (!solved.converged) {
-    util::FailureProgress progress;
-    progress.iterations = solved.iterations;
-    progress.residual = solved.final_delta;
-    throw util::EngineFailure(
-        util::FailureCode::kSolverDiverged, "solve",
-        "reachability fixpoint failed on every solver rung (" +
-            std::to_string(solved.attempts.size()) + " attempted)",
-        progress);
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (!classes.certain[i] && classes.possible[i]) x[i] = solved.x[i];
-  }
-  return x;
+  return std::move(solved.x);
 }
 
 double EngineSession::check_until(Stages& stages, const Property& property) {
@@ -754,9 +700,8 @@ double EngineSession::check_until(Stages& stages, const Property& property) {
     const size_t n = chain.state_count();
     std::vector<bool> not_allowed(n, false);
     for (size_t i = 0; i < n; ++i) not_allowed[i] = !allowed[i];
-    const ctmc::Ctmc phase1 = chain.with_absorbing(not_allowed);
     std::vector<double> at_t1 = ctmc::transient_distribution(
-        phase1, initial, t1, transient_options());
+        chain, initial, t1, transient_options(), not_allowed);
     for (size_t i = 0; i < n; ++i) {
       if (!allowed[i]) at_t1[i] = 0.0;  // left Φ before t1: failed
     }
@@ -769,20 +714,30 @@ double EngineSession::check_until(Stages& stages, const Property& property) {
                                       time_bound_in(stages, property),
                                       transient_options());
   }
-  // Unbounded until: restrict to the allowed region by making forbidden
-  // states absorbing (they can never contribute), then take unbounded
-  // reachability of the target.
+  // Unbounded until: reachability of the target with the forbidden states
+  // (¬Φ∧¬Ψ) absorbing. Prob0/Prob1 graph precomputation settles the 0 and 1
+  // states exactly — every recurrent class among them, so the solvers never
+  // see the near-1 eigenmodes of an almost-closed recurrent set — and only
+  // the uncertain states solve x = A·x + b (b = one step into Prob1).
   const size_t n = chain.state_count();
-  std::vector<bool> absorbing(n, false);
-  bool any_forbidden = false;
+  std::vector<bool> forbidden(n, false);
+  for (size_t i = 0; i < n; ++i) forbidden[i] = !allowed[i] && !target[i];
+  const ctmc::ReachabilityClassification classes =
+      ctmc::classify_reachability(chain.rates(), target, forbidden);
+  std::vector<double> reach(n, 0.0);
+  std::vector<bool> uncertain(n, false);
+  bool any_uncertain = false;
   for (size_t i = 0; i < n; ++i) {
-    absorbing[i] = !allowed[i] && !target[i];
-    any_forbidden = any_forbidden || absorbing[i];
+    if (classes.certain[i]) reach[i] = 1.0;
+    uncertain[i] = classes.possible[i] && !classes.certain[i];
+    any_uncertain = any_uncertain || uncertain[i];
   }
-  const std::vector<double> reach =
-      any_forbidden
-          ? reachability_probabilities(chain.with_absorbing(absorbing), target)
-          : reachability_probabilities(chain, target);
+  if (any_uncertain) {
+    const ctmc::RestrictedSystem system(chain, uncertain, steady_state_options(), "solve");
+    const std::vector<double> solved = solve_restricted(
+        system, system.one_step([&](uint32_t j) { return classes.certain[j]; }));
+    for (size_t k = 0; k < solved.size(); ++k) reach[system.states()[k]] = solved[k];
+  }
   return linalg::dot(initial, reach);
 }
 
@@ -846,7 +801,7 @@ double EngineSession::check_reward(Stages& stages, const Property& property) {
       // precomputation, so the finite/infinite classification is exact — no
       // numeric reach-probability threshold.
       const std::vector<bool> certain =
-          ctmc::almost_sure_reachability(chain.rates(), target);
+          ctmc::classify_reachability(chain.rates(), target).certain;
       const size_t n = chain.state_count();
       for (size_t i = 0; i < n; ++i) {
         if (initial[i] > 0.0 && !certain[i]) {
@@ -859,36 +814,19 @@ double EngineSession::check_reward(Stages& stages, const Property& property) {
       // block singular (an absorbing non-target state) or near-singular.
       // Successors of non-target Prob1 states are again Prob1 or target, so
       // the restricted system is closed; Prob1 also guarantees exit > 0.
-      const linalg::CsrMatrix embedded = chain.embedded_dtmc();
-      linalg::CsrBuilder block(n, n);
-      std::vector<double> base(n, 0.0);
-      for (size_t i = 0; i < n; ++i) {
-        if (target[i] || !certain[i]) continue;
-        base[i] = rewards[i] / chain.exit_rate(i);
-        const auto cols = embedded.row_columns(i);
-        const auto vals = embedded.row_values(i);
-        for (size_t k = 0; k < cols.size(); ++k) {
-          if (!target[cols[k]]) block.add(i, cols[k], vals[k]);
-        }
+      std::vector<bool> members(n, false);
+      for (size_t i = 0; i < n; ++i) members[i] = certain[i] && !target[i];
+      const ctmc::RestrictedSystem system(chain, members, steady_state_options(),
+                                          "solve");
+      std::vector<double> base;
+      base.reserve(system.states().size());
+      for (const uint32_t i : system.states()) {
+        base.push_back(rewards[i] / chain.exit_rate(i));
       }
-      auto solved = linalg::solve_fixpoint(std::move(block).build(), base,
-                                           steady_state_options().solver);
-      if (solved.cancelled) throw util::Cancelled("solve");
-      if (solved.attempts.size() > 1) {
-        std::lock_guard<std::mutex> lock(stats_mutex_);
-        stats_.solver_fallbacks += solved.attempts.size() - 1;
-      }
-      if (!solved.converged) {
-        util::FailureProgress progress;
-        progress.iterations = solved.iterations;
-        progress.residual = solved.final_delta;
-        throw util::EngineFailure(
-            util::FailureCode::kSolverDiverged, "solve",
-            "reachability reward fixpoint failed on every solver rung (" +
-                std::to_string(solved.attempts.size()) + " attempted)",
-            progress);
-      }
-      return linalg::dot(initial, solved.x);
+      const std::vector<double> solved = solve_restricted(system, base);
+      std::vector<double> expected(n, 0.0);
+      for (size_t k = 0; k < solved.size(); ++k) expected[system.states()[k]] = solved[k];
+      return linalg::dot(initial, expected);
     }
     default:
       throw PropertyError("check_reward: not a reward property");

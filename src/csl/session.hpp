@@ -49,6 +49,7 @@
 #include "csl/property.hpp"
 #include "csl/strategy_export.hpp"
 #include "ctmc/ctmc.hpp"
+#include "ctmc/restricted.hpp"
 #include "ctmc/steady_state.hpp"
 #include "ctmc/transient.hpp"
 #include "mdp/value_iteration.hpp"
@@ -329,8 +330,9 @@ class EngineSession {
   double check_globally(Stages& stages, const Property& property);
   double check_steady_prob(Stages& stages, const Property& property);
   double check_reward(Stages& stages, const Property& property);
-  std::vector<double> reachability_probabilities(const ctmc::Ctmc& chain,
-                                                 const std::vector<bool>& target);
+  /// Solve a restricted system, adding its fallback rungs to the stats.
+  std::vector<double> solve_restricted(const ctmc::RestrictedSystem& system,
+                                       const std::vector<double>& b);
 
   const ctmc::Uniformized& uniformized_of(Stages& stages);
   const ctmc::SteadyStateResult& steady_of(Stages& stages);

@@ -15,7 +15,6 @@ void apply_plan(const SolverPlan& plan, EngineOptions& options) {
   options.explore.reduction =
       compact_reduces ? symbolic::SymmetryReduction::kOn : plan.reduction;
   options.transient.steady_state_detection = plan.steady_state_detection;
-  options.steady_state.solver.method = plan.method;
 }
 
 }  // namespace autosec::csl

@@ -1,7 +1,7 @@
 // One struct for every cross-cutting solver/exploration knob a request may
 // set. Historically each feature PR grew its own field on a different stage
-// struct (engine/reduction on ExploreOptions, the fixpoint method on the
-// steady-state solver, ...), and every caller — CLI, serve, differential
+// struct (engine/reduction on ExploreOptions, steady-state detection on the
+// transient options, ...), and every caller — CLI, serve, differential
 // harness, benches — had to know which stage owned which knob. SolverPlan
 // collapses them into one value embedded in EngineOptions; apply_plan() is
 // the single place the plan fans back out onto the stage structs.
@@ -11,7 +11,6 @@
 // which kernel runs.
 #pragma once
 
-#include "linalg/gauss_seidel.hpp"
 #include "symbolic/explorer.hpp"
 #include "symbolic/state_store.hpp"
 
@@ -26,8 +25,6 @@ struct SolverPlan {
   symbolic::ExplorationEngine engine = symbolic::ExplorationEngine::kAuto;
   /// On-the-fly symmetry reduction policy (ctmc models only).
   symbolic::SymmetryReduction reduction = symbolic::SymmetryReduction::kAuto;
-  /// Fixpoint method (BiCGSTAB ladder vs pinned Gauss-Seidel/Krylov).
-  linalg::FixpointMethod method = linalg::FixpointMethod::kAuto;
   /// Transient steady-state detection (truncate converged horizons).
   bool steady_state_detection = true;
 

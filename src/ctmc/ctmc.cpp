@@ -29,72 +29,56 @@ Ctmc::Ctmc(linalg::CsrMatrix rates) : rates_(std::move(rates)) {
   }
 }
 
-namespace {
-
-/// Direct CSR assembly shared by generator() and uniformized(): each output
-/// row is the (scaled) rates row with a diagonal entry spliced into its
-/// sorted position. The rates rows are strictly ascending and diagonal-free,
-/// so the result rows stay strictly ascending — no builder sort needed.
-/// `diagonal(i)` returns the diagonal value of row i; rows whose diagonal
-/// predicate `keep(i)` is false get no diagonal entry.
-template <typename Diagonal, typename Keep>
-linalg::CsrMatrix assemble_with_diagonal(const linalg::CsrMatrix& rates,
-                                         double scale, Diagonal diagonal,
-                                         Keep keep) {
-  const size_t n = rates.rows();
+linalg::CsrMatrix Ctmc::generator() const {
+  // Each row is the rates row with −E_i spliced into its sorted position
+  // (moving states only). The rates rows are strictly ascending and
+  // diagonal-free, so the result rows stay strictly ascending — no builder
+  // sort needed.
+  const size_t n = state_count();
   std::vector<uint32_t> offsets(n + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    offsets[i + 1] = offsets[i] +
-                     static_cast<uint32_t>(rates.row_columns(i).size()) +
-                     (keep(i) ? 1 : 0);
+    offsets[i + 1] = offsets[i] + static_cast<uint32_t>(rates_.row_columns(i).size()) +
+                     (exit_rates_[i] > 0.0 ? 1 : 0);
   }
   std::vector<uint32_t> columns(offsets[n]);
   std::vector<double> values(offsets[n]);
   size_t out = 0;
   for (size_t i = 0; i < n; ++i) {
-    const auto cols = rates.row_columns(i);
-    const auto vals = rates.row_values(i);
-    const bool with_diagonal = keep(i);
+    const auto cols = rates_.row_columns(i);
+    const auto vals = rates_.row_values(i);
     size_t k = 0;
     for (; k < cols.size() && cols[k] < i; ++k) {
       columns[out] = cols[k];
-      values[out++] = vals[k] * scale;
+      values[out++] = vals[k];
     }
-    if (with_diagonal) {
+    if (exit_rates_[i] > 0.0) {
       columns[out] = static_cast<uint32_t>(i);
-      values[out++] = diagonal(i);
+      values[out++] = -exit_rates_[i];
     }
     for (; k < cols.size(); ++k) {
       columns[out] = cols[k];
-      values[out++] = vals[k] * scale;
+      values[out++] = vals[k];
     }
   }
   return linalg::CsrMatrix(n, n, std::move(offsets), std::move(columns),
                            std::move(values));
 }
 
-}  // namespace
-
-linalg::CsrMatrix Ctmc::generator() const {
-  return assemble_with_diagonal(
-      rates_, 1.0, [&](size_t i) { return -exit_rates_[i]; },
-      [&](size_t i) { return exit_rates_[i] > 0.0; });
+double Ctmc::max_exit_rate(const std::vector<bool>& absorbing) const {
+  if (absorbing.empty()) return max_exit_rate_;
+  if (absorbing.size() != state_count()) {
+    throw std::invalid_argument("Ctmc: absorbing mask size mismatch");
+  }
+  double max_exit = 0.0;
+  for (size_t i = 0; i < absorbing.size(); ++i) {
+    if (!absorbing[i]) max_exit = std::max(max_exit, exit_rates_[i]);
+  }
+  return max_exit;
 }
 
-linalg::CsrMatrix Ctmc::uniformized(double q) const {
-  if (q < max_exit_rate_) {
-    throw std::invalid_argument("uniformized: q must be >= max exit rate");
-  }
-  if (!(q > 0.0)) {
-    throw std::invalid_argument("uniformized: q must be positive");
-  }
-  return assemble_with_diagonal(
-      rates_, 1.0 / q, [&](size_t i) { return 1.0 - exit_rates_[i] / q; },
-      [&](size_t i) { return 1.0 - exit_rates_[i] / q > 0.0; });
-}
-
-linalg::CsrMatrix Ctmc::uniformized_transposed(double q) const {
-  if (q < max_exit_rate_) {
+linalg::CsrMatrix Ctmc::uniformized_transposed(double q,
+                                               const std::vector<bool>& absorbing) const {
+  if (q < max_exit_rate(absorbing)) {
     throw std::invalid_argument("uniformized: q must be >= max exit rate");
   }
   if (!(q > 0.0)) {
@@ -105,9 +89,12 @@ linalg::CsrMatrix Ctmc::uniformized_transposed(double q) const {
   // ascending r, and the compensating self-loop of state r is emitted while
   // the scan sits on r, so every result row stays strictly ascending.
   const size_t n = state_count();
+  const auto moving = [&](size_t r) { return absorbing.empty() || !absorbing[r]; };
   std::vector<uint32_t> offsets(n + 1, 0);
   for (size_t r = 0; r < n; ++r) {
-    if (1.0 - exit_rates_[r] / q > 0.0) ++offsets[r + 1];
+    const double exit = moving(r) ? exit_rates_[r] : 0.0;
+    if (1.0 - exit / q > 0.0) ++offsets[r + 1];
+    if (!moving(r)) continue;
     for (const uint32_t c : rates_.row_columns(r)) ++offsets[c + 1];
   }
   for (size_t i = 0; i < n; ++i) offsets[i + 1] += offsets[i];
@@ -115,12 +102,14 @@ linalg::CsrMatrix Ctmc::uniformized_transposed(double q) const {
   std::vector<double> values(offsets[n]);
   std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
   for (size_t r = 0; r < n; ++r) {
-    const double self = 1.0 - exit_rates_[r] / q;
+    const double exit = moving(r) ? exit_rates_[r] : 0.0;
+    const double self = 1.0 - exit / q;
     if (self > 0.0) {
       const uint32_t pos = cursor[r]++;
       columns[pos] = static_cast<uint32_t>(r);
       values[pos] = self;
     }
+    if (!moving(r)) continue;
     const auto cols = rates_.row_columns(r);
     const auto vals = rates_.row_values(r);
     for (size_t k = 0; k < cols.size(); ++k) {
@@ -133,65 +122,9 @@ linalg::CsrMatrix Ctmc::uniformized_transposed(double q) const {
                            std::move(values));
 }
 
-double Ctmc::default_uniformization_rate() const {
+double Ctmc::default_uniformization_rate(const std::vector<bool>& absorbing) const {
   constexpr double kFloor = 1e-9;  // degenerate all-absorbing chain
-  return std::max(max_exit_rate_ * 1.02, kFloor);
-}
-
-linalg::CsrMatrix Ctmc::embedded_dtmc() const {
-  const size_t n = state_count();
-  std::vector<uint32_t> offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t row_nnz =
-        exit_rates_[i] > 0.0 ? rates_.row_columns(i).size() : 1;
-    offsets[i + 1] = offsets[i] + static_cast<uint32_t>(row_nnz);
-  }
-  std::vector<uint32_t> columns(offsets[n]);
-  std::vector<double> values(offsets[n]);
-  size_t out = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (exit_rates_[i] <= 0.0) {
-      columns[out] = static_cast<uint32_t>(i);
-      values[out++] = 1.0;
-      continue;
-    }
-    const auto cols = rates_.row_columns(i);
-    const auto vals = rates_.row_values(i);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      columns[out] = cols[k];
-      values[out++] = vals[k] / exit_rates_[i];
-    }
-  }
-  return linalg::CsrMatrix(n, n, std::move(offsets), std::move(columns),
-                           std::move(values));
-}
-
-Ctmc Ctmc::with_absorbing(const std::vector<bool>& absorbing) const {
-  const size_t n = state_count();
-  if (absorbing.size() != n) {
-    throw std::invalid_argument("with_absorbing: mask size mismatch");
-  }
-  // Row-filtered copy of the rate matrix: absorbing rows become empty, every
-  // other row is copied verbatim (already strictly ascending).
-  std::vector<uint32_t> offsets(n + 1, 0);
-  for (size_t i = 0; i < n; ++i) {
-    const size_t row_nnz = absorbing[i] ? 0 : rates_.row_columns(i).size();
-    offsets[i + 1] = offsets[i] + static_cast<uint32_t>(row_nnz);
-  }
-  std::vector<uint32_t> columns(offsets[n]);
-  std::vector<double> values(offsets[n]);
-  size_t out = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (absorbing[i]) continue;
-    const auto cols = rates_.row_columns(i);
-    const auto vals = rates_.row_values(i);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      columns[out] = cols[k];
-      values[out++] = vals[k];
-    }
-  }
-  return Ctmc(linalg::CsrMatrix(n, n, std::move(offsets), std::move(columns),
-                                std::move(values)));
+  return std::max(max_exit_rate(absorbing) * 1.02, kFloor);
 }
 
 }  // namespace autosec::ctmc

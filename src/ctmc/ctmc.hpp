@@ -30,32 +30,29 @@ class Ctmc {
   const std::vector<double>& exit_rates() const { return exit_rates_; }
   double max_exit_rate() const { return max_exit_rate_; }
 
+  // Absorbing masks replace copies of the chain: a masked state keeps no
+  // outgoing transition. An empty mask masks nothing; any other must have
+  // state_count() entries (std::invalid_argument otherwise).
+
+  /// Largest exit rate among the states `absorbing` leaves moving.
+  double max_exit_rate(const std::vector<bool>& absorbing) const;
+
   /// Full generator Q = R − diag(E) (diagonal entries included).
   linalg::CsrMatrix generator() const;
 
-  /// Uniformized DTMC P = I + Q/q. Requires q >= max exit rate; states whose
-  /// exit rate is below q receive the compensating self-loop, so absorbing
-  /// states get a self-loop of probability 1.
-  linalg::CsrMatrix uniformized(double q) const;
+  /// Transpose of the uniformized DTMC P = I + Q/q, built directly from the
+  /// rate matrix in one counting-sort pass — P itself is never materialized.
+  /// Requires q >= the max exit rate of the moving states; states whose exit
+  /// rate is below q receive the compensating self-loop, so absorbing and
+  /// masked states get a self-loop of probability 1 and no other entry.
+  linalg::CsrMatrix uniformized_transposed(double q,
+                                           const std::vector<bool>& absorbing = {}) const;
 
-  /// Transpose of the uniformized DTMC, built directly from the rate matrix
-  /// in one counting-sort pass — the uniformization hot path never has to
-  /// materialize P and transpose it. Entry values and per-row orders are
-  /// identical to `uniformized(q).transposed()`.
-  linalg::CsrMatrix uniformized_transposed(double q) const;
-
-  /// Uniformization rate used by default: 1.02 * max exit rate (strictly above
-  /// every exit rate so the uniformized chain is aperiodic), with a positive
-  /// floor for the degenerate all-absorbing chain.
-  double default_uniformization_rate() const;
-
-  /// Embedded jump chain: P_ij = R_ij / E_i; absorbing states (E_i = 0) become
-  /// self-loops with probability 1.
-  linalg::CsrMatrix embedded_dtmc() const;
-
-  /// Copy of this chain with the given states made absorbing (all outgoing
-  /// transitions removed). Used for time-bounded reachability.
-  Ctmc with_absorbing(const std::vector<bool>& absorbing) const;
+  /// Uniformization rate used by default: 1.02 * max exit rate of the
+  /// unmasked states (strictly above every exit rate so the uniformized chain
+  /// is aperiodic), with a positive floor for the degenerate all-absorbing
+  /// chain.
+  double default_uniformization_rate(const std::vector<bool>& absorbing = {}) const;
 
  private:
   linalg::CsrMatrix rates_;

@@ -108,7 +108,8 @@ SccDecomposition strongly_connected_components(const linalg::CsrMatrix& adjacenc
 }
 
 ReachabilityClassification classify_reachability(const linalg::CsrMatrix& adjacency,
-                                                 const std::vector<bool>& target) {
+                                                 const std::vector<bool>& target,
+                                                 const std::vector<bool>& absorbing) {
   if (adjacency.rows() != adjacency.cols()) {
     throw std::invalid_argument("classify_reachability: adjacency must be square");
   }
@@ -116,11 +117,14 @@ ReachabilityClassification classify_reachability(const linalg::CsrMatrix& adjace
   if (target.size() != n) {
     throw std::invalid_argument("classify_reachability: target size mismatch");
   }
+  if (!absorbing.empty() && absorbing.size() != n) {
+    throw std::invalid_argument("classify_reachability: absorbing size mismatch");
+  }
   // Predecessor lists over the target-absorbed graph (outgoing edges of
-  // target states removed; self-loops and zero weights ignored).
+  // target and absorbing states removed; self-loops, zero weights ignored).
   std::vector<std::vector<uint32_t>> predecessors(n);
   for (uint32_t row = 0; row < n; ++row) {
-    if (target[row]) continue;
+    if (target[row] || (!absorbing.empty() && absorbing[row])) continue;
     const auto cols = adjacency.row_columns(row);
     const auto vals = adjacency.row_values(row);
     for (size_t k = 0; k < cols.size(); ++k) {
@@ -155,11 +159,6 @@ ReachabilityClassification classify_reachability(const linalg::CsrMatrix& adjace
   out.certain.resize(n);
   for (size_t i = 0; i < n; ++i) out.certain[i] = !below_one[i];
   return out;
-}
-
-std::vector<bool> almost_sure_reachability(const linalg::CsrMatrix& adjacency,
-                                           const std::vector<bool>& target) {
-  return classify_reachability(adjacency, target).certain;
 }
 
 }  // namespace autosec::ctmc

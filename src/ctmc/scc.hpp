@@ -31,7 +31,8 @@ struct SccDecomposition {
 SccDecomposition strongly_connected_components(const linalg::CsrMatrix& adjacency);
 
 /// The classic Prob0/Prob1 reachability precomputation (graph analysis, no
-/// numerics), over the target-absorbed graph.
+/// numerics), over the target-absorbed graph. States the optional
+/// `absorbing` mask holds (empty: none) have no outgoing edges either.
 struct ReachabilityClassification {
   /// Pr[F target] > 0: the state can reach the target at all.
   std::vector<bool> possible;
@@ -42,10 +43,7 @@ struct ReachabilityClassification {
 };
 
 ReachabilityClassification classify_reachability(const linalg::CsrMatrix& adjacency,
-                                                 const std::vector<bool>& target);
-
-/// The Prob1 set alone; see ReachabilityClassification::certain.
-std::vector<bool> almost_sure_reachability(const linalg::CsrMatrix& adjacency,
-                                           const std::vector<bool>& target);
+                                                 const std::vector<bool>& target,
+                                                 const std::vector<bool>& absorbing = {});
 
 }  // namespace autosec::ctmc

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
 
+#include "ctmc/restricted.hpp"
 #include "ctmc/scc.hpp"
 #include "ctmc/transient.hpp"
 #include "linalg/power_iteration.hpp"
@@ -153,12 +155,13 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
 
   // Absorption probability per state into each BSCC. States inside a BSCC
   // and states that can reach only one BSCC are settled by the pre-pass; only
-  // genuinely branching transient states enter the linear system
-  // x = A·x + r on the embedded DTMC (A = branching-transient block, r = the
+  // genuinely branching transient states enter the restricted system
+  // x = A·x + b on the embedded chain (A = the branching block, b = the
   // one-step probability of entering the BSCC or a state already determined
-  // to be absorbed into it).
-  std::vector<uint32_t> transient_states;  // branching transient states only
-  std::vector<uint32_t> transient_local(n, UINT32_MAX);
+  // to be absorbed into it). One block serves every BSCC's right-hand side,
+  // and none is built when no state branches.
+  std::vector<bool> branching(n, false);
+  size_t branching_count = 0;
   // determined_bscc[s] = the unique BSCC state s is absorbed into, or
   // UINT32_MAX when branching.
   std::vector<uint32_t> determined_bscc(n, UINT32_MAX);
@@ -169,8 +172,8 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
     } else if (reachable_bsccs[component].size() == 1) {
       determined_bscc[s] = reachable_bsccs[component][0];
     } else {
-      transient_local[s] = static_cast<uint32_t>(transient_states.size());
-      transient_states.push_back(s);
+      branching[s] = true;
+      ++branching_count;
     }
   }
 
@@ -179,28 +182,16 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
     if (metrics.enabled()) {
       metrics.add("steady_state.solves");
       metrics.add("steady_state.bsccs", bottoms.size());
-      metrics.add("steady_state.absorption_states", transient_states.size());
+      metrics.add("steady_state.absorption_states", branching_count);
       metrics.gauge("steady_state.last_bsccs", static_cast<double>(bottoms.size()));
       metrics.gauge("steady_state.last_absorption_size",
-                    static_cast<double>(transient_states.size()));
+                    static_cast<double>(branching_count));
     }
   }
 
-  const linalg::CsrMatrix embedded = chain.embedded_dtmc();
+  std::optional<RestrictedSystem> system;
+  if (branching_count > 0) system.emplace(chain, branching, options, "steady_state");
   std::vector<std::vector<double>> absorb(bottoms.size());
-
-  // Transient-to-transient block (shared across BSCC targets).
-  linalg::CsrBuilder block_builder(transient_states.size(), transient_states.size());
-  for (uint32_t local = 0; local < transient_states.size(); ++local) {
-    const uint32_t global = transient_states[local];
-    const auto cols = embedded.row_columns(global);
-    const auto vals = embedded.row_values(global);
-    for (size_t k = 0; k < cols.size(); ++k) {
-      const uint32_t tl = transient_local[cols[k]];
-      if (tl != UINT32_MAX) block_builder.add(local, tl, vals[k]);
-    }
-  }
-  const linalg::CsrMatrix transient_block = std::move(block_builder).build();
 
   // Independent per-BSCC absorption solves: each b writes only absorb[b], so
   // fanning them across the pool keeps results identical to the serial sweep.
@@ -210,35 +201,12 @@ SteadyStateResult steady_state(const Ctmc& chain, const std::vector<double>& ini
       for (uint32_t s = 0; s < n; ++s) {
         if (determined_bscc[s] == b) absorb[b][s] = 1.0;
       }
-      if (transient_states.empty()) continue;
-
-      std::vector<double> one_step(transient_states.size(), 0.0);
-      for (uint32_t local = 0; local < transient_states.size(); ++local) {
-        const uint32_t global = transient_states[local];
-        const auto cols = embedded.row_columns(global);
-        const auto vals = embedded.row_values(global);
-        for (size_t k = 0; k < cols.size(); ++k) {
-          if (determined_bscc[cols[k]] == b) one_step[local] += vals[k];
-        }
-      }
-      auto solved = linalg::solve_fixpoint(transient_block, one_step, options.solver);
-      if (solved.cancelled) throw util::Cancelled("steady_state");
-      if (solved.attempts.size() > 1) {
-        fallbacks.fetch_add(solved.attempts.size() - 1,
-                            std::memory_order_relaxed);
-      }
-      if (!solved.converged) {
-        util::FailureProgress progress;
-        progress.iterations = solved.iterations;
-        progress.residual = solved.final_delta;
-        throw util::EngineFailure(
-            util::FailureCode::kSolverDiverged, "steady_state",
-            "steady_state: absorption solve failed on every rung (" +
-                std::to_string(solved.attempts.size()) + " attempted)",
-            progress);
-      }
-      for (uint32_t local = 0; local < transient_states.size(); ++local) {
-        absorb[b][transient_states[local]] = solved.x[local];
+      if (!system) continue;
+      const RestrictedSystem::Solution solved = system->solve(
+          system->one_step([&](uint32_t j) { return determined_bscc[j] == b; }));
+      fallbacks.fetch_add(solved.fallbacks, std::memory_order_relaxed);
+      for (size_t k = 0; k < solved.x.size(); ++k) {
+        absorb[b][system->states()[k]] = solved.x[k];
       }
     }
   });

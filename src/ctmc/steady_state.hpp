@@ -4,15 +4,21 @@
 // weighted by the probability of being absorbed into each BSCC.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "ctmc/ctmc.hpp"
 #include "linalg/gauss_seidel.hpp"
+#include "util/budget.hpp"
 
 namespace autosec::ctmc {
 
+/// Options of the unbounded solves: steady state, and the restricted
+/// systems (ctmc/restricted.hpp) of unbounded until and reward to target.
 struct SteadyStateOptions {
   linalg::IterativeOptions solver;
+  /// Optional budget; each restricted system's block is charged to it.
+  std::shared_ptr<util::ResourceBudget> budget;
 };
 
 struct SteadyStateResult {

@@ -43,12 +43,6 @@ void check_distribution(size_t state_count, const std::vector<double>& initial,
 
 namespace {
 
-/// CSR heap footprint: one double + one uint32 per entry plus row pointers.
-size_t csr_bytes(size_t nonzeros, size_t rows) {
-  return nonzeros * (sizeof(double) + sizeof(uint32_t)) +
-         (rows + 1) * sizeof(uint32_t);
-}
-
 /// Returns a call-local stage's charge to the budget when the stage goes,
 /// whether the call returns or throws.
 struct ChargeRelease {
@@ -62,32 +56,43 @@ struct ChargeRelease {
 }  // namespace
 
 size_t Uniformized::held_bytes() const {
-  return csr_bytes(transposed.nonzeros(), state_count) + (blocked ? blocked->bytes() : 0);
+  return linalg::CsrMatrix::bytes_for(transposed.nonzeros(), state_count) +
+         (blocked ? blocked->bytes() : 0);
 }
 
-Uniformized uniformize(const Ctmc& chain, const TransientOptions& options) {
+Uniformized uniformize(const Ctmc& chain, const TransientOptions& options,
+                       const std::vector<bool>& absorbing) {
+  if (!absorbing.empty() && absorbing.size() != chain.state_count()) {
+    throw std::invalid_argument("uniformize: absorbing mask size mismatch");
+  }
   util::metrics::registry().add("ctmc.uniformizations");
   Uniformized out;
   out.state_count = chain.state_count();
-  out.q = options.uniformization_rate > 0.0 ? options.uniformization_rate
-                                            : chain.default_uniformization_rate();
+  out.q = options.uniformization_rate > 0.0
+              ? options.uniformization_rate
+              : chain.default_uniformization_rate(absorbing);
 
   // Charge the fused build *before* allocating it: Pᵀ straight from the rate
-  // matrix (nnz(Pᵀ) ≤ nnz(R) + n for the compensating self-loops) plus the
-  // n-entry cursor its counting sort scatters through. A tripped ceiling
-  // therefore unwinds as a typed memory_budget_exceeded before the
-  // allocation happens, not after the matrix already sits in memory.
+  // matrix (nnz(Pᵀ) ≤ the unmasked rows' nnz(R) + n for the compensating
+  // self-loops) plus the n-entry cursor its counting sort scatters through.
+  // A tripped ceiling therefore unwinds as a typed memory_budget_exceeded
+  // before the allocation happens, not after the matrix already sits in
+  // memory.
   const size_t n = out.state_count;
+  size_t moving_nonzeros = chain.rates().nonzeros();
+  for (size_t i = 0; i < absorbing.size(); ++i) {
+    if (absorbing[i]) moving_nonzeros -= chain.rates().row_columns(i).size();
+  }
   const size_t build_bytes =
-      csr_bytes(chain.rates().nonzeros() + n, n) + n * sizeof(uint32_t);
+      linalg::CsrMatrix::bytes_for(moving_nonzeros + n, n) + n * sizeof(uint32_t);
   if (options.budget) options.budget->charge_bytes(build_bytes, "uniformize");
   if (util::fault::triggered("uniformize.alloc")) throw std::bad_alloc();
-  out.transposed = chain.uniformized_transposed(out.q);
+  out.transposed = chain.uniformized_transposed(out.q, absorbing);
   // Settle to what the stage keeps: the cursor is gone and the self-loop
   // bound may have overcounted.
   if (options.budget) {
     options.budget->release_bytes(build_bytes -
-                                  csr_bytes(out.transposed.nonzeros(), n));
+                                  linalg::CsrMatrix::bytes_for(out.transposed.nonzeros(), n));
   }
 
   if (linalg::resolve_layout(options.layout, out.transposed) ==
@@ -181,24 +186,27 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
 
 std::vector<double> transient_distribution(const Ctmc& chain,
                                            const std::vector<double>& initial,
-                                           double t, const TransientOptions& options) {
+                                           double t, const TransientOptions& options,
+                                           const std::vector<bool>& absorbing) {
   check_distribution(chain.state_count(), initial);
   if (t < 0.0) throw std::invalid_argument("transient: negative time");
-  if (t == 0.0 || chain.max_exit_rate() == 0.0) return initial;
-  // This stage (a bounded until's absorbing copy, say) lives for this call
+  if (t == 0.0 || chain.max_exit_rate(absorbing) == 0.0) return initial;
+  // This stage (a bounded until's masked chain, say) lives for this call
   // only, so the budget keeps its charge only as long as it holds the stage.
-  const Uniformized stage = uniformize(chain, options);
+  const Uniformized stage = uniformize(chain, options, absorbing);
   const ChargeRelease release{options.budget.get(), stage.held_bytes()};
   return transient_distribution(stage, initial, t, options);
 }
 
 double transient_probability(const Ctmc& chain, const std::vector<double>& initial,
                              const std::vector<bool>& target, double t,
-                             const TransientOptions& options) {
+                             const TransientOptions& options,
+                             const std::vector<bool>& absorbing) {
   if (target.size() != chain.state_count()) {
     throw std::invalid_argument("transient_probability: target mask size mismatch");
   }
-  const std::vector<double> dist = transient_distribution(chain, initial, t, options);
+  const std::vector<double> dist =
+      transient_distribution(chain, initial, t, options, absorbing);
   double acc = 0.0;
   for (size_t i = 0; i < dist.size(); ++i) {
     if (target[i]) acc += dist[i];
@@ -218,8 +226,7 @@ double bounded_reachability(const Ctmc& chain, const std::vector<double>& initia
   // forbidden states (failure: the until is violated) become absorbing.
   std::vector<bool> absorbing(n, false);
   for (size_t i = 0; i < n; ++i) absorbing[i] = target[i] || !allowed[i];
-  const Ctmc modified = chain.with_absorbing(absorbing);
-  return transient_probability(modified, initial, target, t, options);
+  return transient_probability(chain, initial, target, t, options, absorbing);
 }
 
 }  // namespace autosec::ctmc

@@ -74,9 +74,11 @@ struct Uniformized {
   }
 };
 
-/// Build the uniformization stage for a chain. Empty (max exit rate 0) chains
-/// yield a valid identity stage.
-Uniformized uniformize(const Ctmc& chain, const TransientOptions& options = {});
+/// Build the uniformization stage for a chain with its `absorbing` states
+/// masked (Ctmc's convention), q from the moving states unless overridden.
+/// Empty (max exit rate 0) chains yield a valid identity stage.
+Uniformized uniformize(const Ctmc& chain, const TransientOptions& options = {},
+                       const std::vector<bool>& absorbing = {});
 
 /// Validate an initial (sub)distribution: size match, finite entries (NaN/Inf
 /// unwind as a typed kNumericalError EngineFailure — `p < 0` is false for NaN,
@@ -90,11 +92,13 @@ void check_distribution(size_t state_count, const std::vector<double>& initial,
                         const char* what = "transient");
 
 /// Distribution over states at time t, starting from `initial` (a probability
-/// distribution over states). t must be >= 0; t == 0 returns `initial`.
+/// distribution over states), with the `absorbing` states (a mask as for
+/// uniformize) stopped. t must be >= 0; t == 0 returns `initial`.
 std::vector<double> transient_distribution(const Ctmc& chain,
                                            const std::vector<double>& initial,
                                            double t,
-                                           const TransientOptions& options = {});
+                                           const TransientOptions& options = {},
+                                           const std::vector<bool>& absorbing = {});
 
 /// Same, on a prebuilt uniformization stage (repeated horizons reuse it).
 std::vector<double> transient_distribution(const Uniformized& uniformized,
@@ -102,15 +106,18 @@ std::vector<double> transient_distribution(const Uniformized& uniformized,
                                            double t,
                                            const TransientOptions& options = {});
 
-/// Probability of being in a `target` state at time exactly t.
+/// Probability of being in a `target` state at time exactly t, with the
+/// `absorbing` states masked.
 double transient_probability(const Ctmc& chain, const std::vector<double>& initial,
                              const std::vector<bool>& target, double t,
-                             const TransientOptions& options = {});
+                             const TransientOptions& options = {},
+                             const std::vector<bool>& absorbing = {});
 
 /// Time-bounded reachability Pr[ reach `target` within t, staying in `allowed`
 /// until then ] — the CSL measure of Φ U^{<=t} Ψ with Φ = allowed, Ψ = target.
-/// Implemented by making target states absorbing-success and states outside
-/// `allowed` ∪ `target` absorbing-failure, then running transient analysis.
+/// Implemented by masking target states as absorbing-success and states
+/// outside `allowed` ∪ `target` as absorbing-failure, then running transient
+/// analysis; the chain is not copied.
 double bounded_reachability(const Ctmc& chain, const std::vector<double>& initial,
                             const std::vector<bool>& allowed,
                             const std::vector<bool>& target, double t,

@@ -42,6 +42,11 @@ class CsrMatrix {
   size_t cols() const { return column_count_; }
   size_t nonzeros() const { return columns_.size(); }
 
+  /// Heap bytes of a CSR matrix of this shape, known before it is allocated.
+  static size_t bytes_for(size_t nonzeros, size_t rows) {
+    return nonzeros * (sizeof(double) + sizeof(uint32_t)) + (rows + 1) * sizeof(uint32_t);
+  }
+
   /// Entries of row `r` as a span (columns strictly ascending).
   std::span<const uint32_t> row_columns(size_t r) const;
   std::span<const double> row_values(size_t r) const;

@@ -21,15 +21,15 @@ std::string model_key(const automotive::AnalysisOptions& options) {
   // results:
   //  * constant_overrides, horizon_years: keyed by the job identity, not the
   //    session (see identity.hpp);
-  //  * transient, steady_state, explore: the stage settings apply_plan()
-  //    writes from `plan`; no request sets them otherwise;
+  //  * transient, steady_state, explore: stage settings only apply_plan()
+  //    (from `plan`) and library callers write; no request sets them;
   //  * cancel, budget, checkpoint: they stop or record one run's work; a run
   //    that finishes has the same result.
   [[maybe_unused]] const auto& [model_type, plan, transient, steady_state, explore,
                                 constant_overrides, nmax, horizon_years, cancel, budget,
                                 checkpoint] =
       static_cast<const csl::EngineOptions&>(options);
-  const auto& [engine, reduction, method, steady_state_detection] = plan;
+  const auto& [engine, reduction, steady_state_detection] = plan;
 
   std::string key = "model=";
   key += symbolic::model_type_token(model_type);
@@ -37,7 +37,8 @@ std::string model_key(const automotive::AnalysisOptions& options) {
   key += ";engine=";
   key += symbolic::engine_token(engine);
   key += ";reduction=" + std::to_string(static_cast<int>(reduction));
-  key += ";solver=" + std::to_string(static_cast<int>(method));
+  // The retired solver pin keeps its default's text, like batch_model below.
+  key += ";solver=0";
   key += ";ssd=";
   key += flag(steady_state_detection);
   // AnalysisOptions' own transform knobs.
@@ -97,7 +98,6 @@ automotive::AnalysisOptions analysis_options(const Request& request) {
   options.horizon_years = request.horizon_years;
   options.constant_overrides = request.overrides;
   options.model_type = request.model_type;
-  if (request.solver) options.plan.method = *request.solver;
   options.plan.steady_state_detection = request.steady_state_detection;
   options.plan.engine = request.engine;
   return options;

@@ -194,17 +194,6 @@ ParseResult parse_request(std::string_view line) {
         const int64_t max_memory = expect_integer(value, key);
         if (max_memory < 1) throw BadRequest("max_memory_mb must be >= 1");
         request.max_memory_mb = max_memory;
-      } else if (key == "solver") {
-        const std::string solver = expect_string(value, key);
-        if (solver == "auto") request.solver = linalg::FixpointMethod::kAuto;
-        else if (solver == "gauss_seidel") {
-          request.solver = linalg::FixpointMethod::kGaussSeidel;
-        } else if (solver == "krylov") {
-          request.solver = linalg::FixpointMethod::kKrylov;
-        } else {
-          throw BadRequest("unknown solver '" + solver +
-                           "' (auto|gauss_seidel|krylov)");
-        }
       } else if (key == "engine") {
         const std::string engine = expect_string(value, key);
         const auto parsed = symbolic::parse_engine_token(engine);

@@ -52,7 +52,6 @@
 #include <vector>
 
 #include "automotive/architecture.hpp"
-#include "linalg/gauss_seidel.hpp"
 #include "symbolic/model.hpp"
 #include "symbolic/state_store.hpp"
 
@@ -106,7 +105,6 @@ struct Request {
   /// Per-request wall-clock budget. Absent = no timeout; 0 = already
   /// expired (deterministic timeout, used by the protocol tests).
   std::optional<int64_t> timeout_ms;
-  std::optional<linalg::FixpointMethod> solver;
   /// Per-request resource ceilings (absent = unlimited). Exceeding one
   /// yields a typed state_budget_exceeded / memory_budget_exceeded error.
   std::optional<int64_t> max_states;

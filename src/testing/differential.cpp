@@ -516,11 +516,11 @@ void check_model(Harness& harness, uint64_t seed, const std::string& origin,
   }
 
   // --- (b) Krylov-first vs pure Gauss-Seidel on the unbounded properties.
+  // The default ladder runs on one side; the other pins the library hook.
   if (options.check_solvers) {
-    csl::SessionOptions krylov;
-    krylov.plan.method = linalg::FixpointMethod::kAuto;
+    const csl::SessionOptions krylov;
     csl::SessionOptions gauss_seidel;
-    gauss_seidel.plan.method = linalg::FixpointMethod::kGaussSeidel;
+    gauss_seidel.steady_state.solver.method = linalg::FixpointMethod::kGaussSeidel;
     csl::EngineSession krylov_session(space, krylov);
     csl::EngineSession gs_session(space, gauss_seidel);
     for (const std::string& text : properties.unbounded) {

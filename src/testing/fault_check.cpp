@@ -66,8 +66,9 @@ std::string error_code_of(const JsonValue& response) {
   return error->string_or("code", "");
 }
 
-/// One serve-level check: arm `site`, send a request, assert the outcome,
-/// then prove the same server answers a plain follow-up request.
+/// One serve-level check: arm `site` (one site, or several joined by commas,
+/// as AUTOSEC_FAULT takes them), send a request, assert the outcome, then
+/// prove the same server answers a plain follow-up request.
 FaultCheckResult check_serve_fault(const std::string& arch_path,
                                    const std::string& site,
                                    const std::string& expected_code,
@@ -81,7 +82,7 @@ FaultCheckResult check_serve_fault(const std::string& arch_path,
   service::Server server(options);
 
   util::fault::disarm_all();
-  util::fault::arm_site(site);
+  util::fault::arm(site);
   const JsonValue faulted = JsonValue::parse(
       server.handle_line(analyze_line(arch_path, "faulted", request_extra)));
   util::fault::disarm_all();
@@ -258,11 +259,11 @@ FaultCheckReport run_fault_checks() {
       check_serve_fault(arch_path, "serve.dispatch.alloc", "oom"));
   report.results.push_back(
       check_serve_fault(arch_path, "solve.cancel", "timeout"));
-  // Pinned to the Gauss-Seidel method there is no ladder below the faulted
-  // rung — the solve fails with solver_diverged instead of degrading.
-  report.results.push_back(
-      check_serve_fault(arch_path, "gauss_seidel.diverge", "solver_diverged",
-                        ", \"solver\": \"gauss_seidel\""));
+  // Every rung of the ladder faulted at once: the one pair's first unbounded
+  // solve fails with solver_diverged instead of degrading.
+  report.results.push_back(check_serve_fault(
+      arch_path, "krylov.breakdown,gauss_seidel.diverge,power.diverge",
+      "solver_diverged", ", \"messages\": [\"m\"], \"categories\": [\"integrity\"]"));
 
   // Recoverable fault: BiCGSTAB breaks down, the ladder's Gauss-Seidel rung
   // answers, and the degradation is visible in the response metrics.

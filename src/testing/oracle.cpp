@@ -43,17 +43,22 @@ double mask_dot(const std::vector<double>& distribution, const std::vector<bool>
   return sum;
 }
 
+/// π(t) = π(0)·e^{Qt} on a dense generator.
+std::vector<double> dense_transient(const DenseMatrix& generator,
+                                    const std::vector<double>& initial, double t) {
+  ctmc::check_distribution(generator.rows(), initial, "oracle_transient");
+  if (t < 0.0) throw std::invalid_argument("oracle_transient: negative time");
+  if (t == 0.0 || generator.rows() == 0) return initial;
+  return linalg::dense_expm(generator.scaled(t)).left_multiply(initial);
+}
+
 }  // namespace
 
 std::vector<double> oracle_transient(const ctmc::Ctmc& chain,
                                      const std::vector<double>& initial, double t,
                                      const OracleOptions& options) {
   check_size(chain, options);
-  ctmc::check_distribution(chain.state_count(), initial, "oracle_transient");
-  if (t < 0.0) throw std::invalid_argument("oracle_transient: negative time");
-  if (t == 0.0 || chain.state_count() == 0) return initial;
-  const DenseMatrix propagator = linalg::dense_expm(dense_generator(chain).scaled(t));
-  return propagator.left_multiply(initial);
+  return dense_transient(dense_generator(chain), initial, t);
 }
 
 double oracle_transient_probability(const ctmc::Ctmc& chain,
@@ -72,13 +77,14 @@ double oracle_bounded_reachability(const ctmc::Ctmc& chain,
   const size_t n = chain.state_count();
   // Same CSL semantics as ctmc::bounded_reachability: target states absorb as
   // success, states outside allowed ∪ target absorb as failure; already-target
-  // initial mass counts fully.
-  std::vector<bool> absorbing(n, false);
+  // initial mass counts fully. The oracle zeroes those generator rows itself,
+  // sharing no masking code with the engine.
+  DenseMatrix generator = dense_generator(chain);
   for (size_t i = 0; i < n; ++i) {
-    absorbing[i] = target[i] || (!allowed[i] && !target[i]);
+    if (!target[i] && allowed[i]) continue;
+    for (size_t j = 0; j < n; ++j) generator.at(i, j) = 0.0;
   }
-  const ctmc::Ctmc modified = chain.with_absorbing(absorbing);
-  return mask_dot(oracle_transient(modified, initial, t, options), target);
+  return mask_dot(dense_transient(generator, initial, t), target);
 }
 
 std::vector<double> oracle_steady_state(const ctmc::Ctmc& chain,
@@ -91,7 +97,9 @@ std::vector<double> oracle_steady_state(const ctmc::Ctmc& chain,
   if (chain.max_exit_rate() == 0.0) return initial;  // every state absorbing
 
   const double q = chain.default_uniformization_rate();
-  DenseMatrix power = DenseMatrix::from_csr(chain.uniformized(q));
+  // P = I + Q/q, built densely here (the self-loop entry only where positive).
+  DenseMatrix power = DenseMatrix::from_csr(chain.rates()).scaled(1.0 / q);
+  for (size_t i = 0; i < n; ++i) power.at(i, i) = std::max(0.0, 1.0 - chain.exit_rate(i) / q);
   std::vector<double> current = power.left_multiply(initial);
   // π · P^{2^k} for growing k; each squaring doubles the horizon, so slow
   // mixing costs iterations logarithmically. Repeated squaring also doubles

@@ -583,6 +583,32 @@ TEST(EngineSession, BoundedUntilSolvesReturnTheirUniformizationToTheBudget) {
   }
 }
 
+TEST(EngineSession, ReachabilityRewardChargesItsBlockWhileItSolves) {
+  // R=? [ F ] solves one restricted system over the non-target states: the
+  // budget's peak over the check is the charge before it plus that block's
+  // CSR bytes, and the charge is back where it was once the check returns.
+  SessionOptions options;
+  options.constant_overrides = {{"top", symbolic::Value::of(int64_t{50})}};
+  EngineSession session(sized_repair_model(), options);
+  const ctmc::Ctmc& chain = session.chain();
+  const std::vector<bool> broken = session.satisfying(Expr::ident("x") == Expr::literal(50));
+  size_t members = 0;
+  size_t entries = 0;
+  for (size_t i = 0; i < chain.state_count(); ++i) {
+    if (broken[i]) continue;
+    ++members;
+    for (const uint32_t c : chain.rates().row_columns(i)) entries += broken[c] ? 0 : 1;
+  }
+  ASSERT_EQ(members, 50u);
+
+  const auto budget = std::make_shared<util::ResourceBudget>();
+  budget->charge_bytes(4096, "test");
+  session.set_resource_budget(budget);
+  session.check("R{\"downtime\"}=? [ F \"broken\" ]");
+  EXPECT_EQ(budget->peak_bytes(), 4096 + linalg::CsrMatrix::bytes_for(entries, members));
+  EXPECT_EQ(budget->charged_bytes(), 4096u);
+}
+
 TEST(EngineSession, PointsThatCannotRefillExploreWithExploresOwnErrors) {
   const std::string property = "R{\"downtime\"}=? [ C<=1.5 ]";
   const symbolic::Model model = sized_repair_model();

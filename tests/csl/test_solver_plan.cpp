@@ -26,8 +26,10 @@ TEST(SolverPlan, ApplyFansOutOntoEveryStageStruct) {
   EngineOptions options;
   options.plan.engine = symbolic::ExplorationEngine::kCompact;
   options.plan.reduction = symbolic::SymmetryReduction::kOff;
-  options.plan.method = linalg::FixpointMethod::kGaussSeidel;
   options.plan.steady_state_detection = false;
+  // The fixpoint method is a library hook, not a plan knob: a pin set on
+  // the stage struct survives the plan.
+  options.steady_state.solver.method = linalg::FixpointMethod::kGaussSeidel;
 
   apply_plan(options.plan, options);
   EXPECT_EQ(options.explore.reduction, symbolic::SymmetryReduction::kOff);
@@ -44,7 +46,6 @@ TEST(SolverPlan, ApplyLeavesTheKernelChoicesToTheMatrix) {
   EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kAuto);
 
   options.transient.layout = linalg::MatrixLayout::kCsr;
-  options.plan.method = linalg::FixpointMethod::kKrylov;
   apply_plan(options.plan, options);
   EXPECT_EQ(options.transient.layout, linalg::MatrixLayout::kCsr);
 }

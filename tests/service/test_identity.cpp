@@ -39,7 +39,6 @@ struct Flip {
 };
 
 TEST(JobIdentityTest, EveryKeyedOptionChangesTheIdentity) {
-  using linalg::FixpointMethod;
   using symbolic::ExplorationEngine;
   using symbolic::ModelType;
   using symbolic::SymmetryReduction;
@@ -57,8 +56,6 @@ TEST(JobIdentityTest, EveryKeyedOptionChangesTheIdentity) {
        [](Job& j) { j.options.plan.engine = ExplorationEngine::kCompact; }, true},
       {"plan.reduction",
        [](Job& j) { j.options.plan.reduction = SymmetryReduction::kOff; }, true},
-      {"plan.method",
-       [](Job& j) { j.options.plan.method = FixpointMethod::kKrylov; }, true},
       {"plan.steady_state_detection",
        [](Job& j) { j.options.plan.steady_state_detection = false; }, true},
       {"literal_patch_guard",

@@ -15,8 +15,7 @@ TEST(Protocol, ParsesAnalyzeRequest) {
       R"({"id": "r1", "op": "analyze", "architecture": "a.arch",
           "messages": ["m1", "m2"], "categories": ["integrity"],
           "nmax": 2, "horizon_years": 3.5,
-          "overrides": {"phi_gw": 8.0}, "timeout_ms": 250,
-          "solver": "gauss_seidel"})");
+          "overrides": {"phi_gw": 8.0}, "timeout_ms": 250})");
   ASSERT_TRUE(parsed.request.has_value());
   const Request& request = *parsed.request;
   EXPECT_EQ(request.id, "r1");
@@ -31,8 +30,6 @@ TEST(Protocol, ParsesAnalyzeRequest) {
   EXPECT_EQ(request.overrides[0].first, "phi_gw");
   ASSERT_TRUE(request.timeout_ms.has_value());
   EXPECT_EQ(*request.timeout_ms, 250);
-  ASSERT_TRUE(request.solver.has_value());
-  EXPECT_EQ(*request.solver, linalg::FixpointMethod::kGaussSeidel);
 }
 
 TEST(Protocol, ParsesCheckSweepDiagnoseStatus) {
@@ -76,10 +73,11 @@ TEST(Protocol, SalvagesIdAndOpFromInvalidRequests) {
 }
 
 TEST(Protocol, UnknownFieldsFailLoudly) {
-  // A typo, and the solve-kernel overrides that are no longer request
-  // fields (the kernels resolve from the matrix alone): each is rejected by
-  // name instead of being ignored.
-  for (const std::string field : {"horizons", "layout", "gs_ordering", "reorder"}) {
+  // A typo, the solve-kernel overrides that are no longer request fields
+  // (the kernels resolve from the matrix alone) and the retired fixpoint
+  // method pin: each is rejected by name instead of being ignored.
+  for (const std::string field :
+       {"horizons", "layout", "gs_ordering", "reorder", "solver"}) {
     const ParseResult parsed = parse_request(
         R"({"op": "analyze", "architecture": "a.arch", ")" + field + R"(": "x"})");
     EXPECT_FALSE(parsed.request.has_value()) << field;
@@ -107,9 +105,6 @@ TEST(Protocol, ValidatesFieldTypesAndRanges) {
                    .request.has_value());
   EXPECT_FALSE(parse_request(R"({"op": "analyze", "architecture": "a",
                                  "timeout_ms": -1})")
-                   .request.has_value());
-  EXPECT_FALSE(parse_request(R"({"op": "analyze", "architecture": "a",
-                                 "solver": "cg"})")
                    .request.has_value());
   EXPECT_FALSE(parse_request(R"({"op": "analyze", "architecture": "a",
                                  "categories": ["secrecy"]})")

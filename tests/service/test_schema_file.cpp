@@ -51,12 +51,12 @@ TEST(ServeSchema, EveryDeclaredFieldIsKnownToTheParser) {
 }
 
 TEST(ServeSchema, RemovedKernelFieldsAreNotDeclared) {
-  // The parser rejects layout/gs_ordering/reorder as unknown fields
+  // The parser rejects layout/gs_ordering/reorder/solver as unknown fields
   // (test_protocol.cpp), so the schema must not declare them either.
   const util::JsonValue schema = util::JsonValue::parse(schema_text());
   const util::JsonValue* properties = schema.find("properties");
   ASSERT_NE(properties, nullptr);
-  for (const char* field : {"layout", "gs_ordering", "reorder"}) {
+  for (const char* field : {"layout", "gs_ordering", "reorder", "solver"}) {
     EXPECT_EQ(properties->find(field), nullptr) << field;
   }
 }

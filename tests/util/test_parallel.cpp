@@ -308,7 +308,10 @@ TEST(ParallelDeterminism, SparseMatrixVectorProduct) {
 }
 
 TEST(ParallelDeterminism, TransientDistribution) {
-  const ctmc::Ctmc chain = test_chain();
+  // Large enough that every uniformized step splits its rows across the pool.
+  const ctmc::Ctmc chain = test_chain(40000);
+  ASSERT_GE(ctmc::uniformize(chain).transposed.nonzeros(),
+            linalg::kParallelProductNonzeros);
   std::vector<double> initial(chain.state_count(), 0.0);
   initial[0] = 1.0;
   expect_bit_identical_across_thread_counts(
@@ -316,11 +319,34 @@ TEST(ParallelDeterminism, TransientDistribution) {
 }
 
 TEST(ParallelDeterminism, SteadyStateDistribution) {
-  const ctmc::Ctmc chain = test_chain();
-  std::vector<double> initial(chain.state_count(), 0.0);
-  initial[0] = 1.0;
-  expect_bit_identical_across_thread_counts(
-      [&] { return ctmc::steady_state(chain, initial).distribution; });
+  // Two rings (states 0-9 and 110-119) are the BSCCs; the birth-death
+  // stretch between them branches into both. So the per-BSCC absorption
+  // and stationary solves fan out across the pool, and the two absorption
+  // solves share one restricted system.
+  constexpr size_t n = 120;
+  linalg::CsrBuilder builder(n, n);
+  for (size_t i = 0; i < 10; ++i) {
+    builder.add(i, (i + 1) % 10, 1.0 + 0.1 * static_cast<double>(i));
+    builder.add(110 + i, 110 + (i + 1) % 10, 2.0 + 0.05 * static_cast<double>(i));
+  }
+  for (size_t i = 10; i < 110; ++i) {
+    builder.add(i, i - 1, 1.6 + 0.05 * static_cast<double>(i % 3));
+    builder.add(i, i + 1, 1.6 + 0.05 * static_cast<double>((i + 1) % 3));
+  }
+  const ctmc::Ctmc chain(std::move(builder).build());
+  std::vector<double> initial(n, 0.0);
+  initial[60] = 1.0;
+  const ctmc::SteadyStateResult result = ctmc::steady_state(chain, initial);
+  ASSERT_EQ(result.bscc_count, 2u);
+  for (const double absorbed : result.bscc_probability) {
+    EXPECT_GT(absorbed, 0.01);  // the branching states were solved
+  }
+  expect_bit_identical_across_thread_counts([&] {
+    const ctmc::SteadyStateResult solved = ctmc::steady_state(chain, initial);
+    std::vector<double> out = solved.distribution;
+    out.insert(out.end(), solved.bscc_probability.begin(), solved.bscc_probability.end());
+    return out;
+  });
 }
 
 }  // namespace
